@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotAutomorphismError, SpecError, UnsupportedGroupError
 from .groups import CayleyGroup
-from .states import LocalUnitary, WalkState, _sorted_order
+from .states import LocalUnitary, WalkState
 from .symmetry import SymmetryTransform, apply_dressing, identity_symmetry, transform_coin, transform_state
 from .walk import QuantumCoin
 
@@ -132,24 +132,26 @@ class ShiftedAutomorphism:
         """The full action x -> shift * phi(x)."""
         return self.group.mul(self.shift, self.phi(x))
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized apply_element on encoded position rows."""
+    def apply_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized apply_element on packed position keys (unsorted result)."""
         g = self.group
         data = self._data
         if data[0] == "line":
-            return self.shift + data[1] * rows
+            return g.pack(self.shift + data[1] * keys)
         if data[0] == "cyclic":
-            return (self.shift + data[1] * rows) % g.n
+            return (self.shift + data[1] * keys) % g.n
+        coords = g.unpack(keys)
+        out = np.empty_like(coords)
         if data[0] == "lattice":
             _, axis_map, signs = data
-            out = np.empty_like(rows)
-            out[:, axis_map] = rows * signs[None, :]
-            out += np.asarray(g.encode(self.shift), dtype=np.int64)
-            return out % g.period if g.period is not None else out
-        _, axes = data
-        out = np.empty_like(rows)
-        out[:, axes] = rows
-        return np.bitwise_xor(out, np.asarray(g.encode(self.shift), dtype=np.int64))
+            out[:, axis_map] = coords * signs
+            out += np.asarray(self.shift, dtype=np.int64)
+            if g.period is not None:
+                out %= g.period
+        else:
+            out[:, data[1]] = coords
+            out ^= np.asarray(self.shift, dtype=np.int64)
+        return g.pack(out)
 
     # -- derived operators ------------------------------------------------------
 
@@ -200,14 +202,11 @@ def permutation_apply(a: ShiftedAutomorphism, state: WalkState) -> WalkState:
     """Relabel a state: amplitude at (x, c) moves to (shift * phi(x), perm[c])."""
     if state.group != a.group:
         raise SpecError("automorphism and state live on different groups")
-    rows = a.apply_rows(state.positions)
+    keys = a.apply_keys(state.positions)
     amps = np.empty_like(state.amps)
-    for c in range(a.group.coin_dim):
-        amps[:, a.perm[c]] = state.amps[:, c]
-    if rows.shape[0] > 1:
-        order = _sorted_order(rows)
-        rows, amps = rows[order], amps[order]
-    return WalkState(a.group, rows, amps)
+    amps[:, list(a.perm)] = state.amps
+    order = np.argsort(keys)
+    return WalkState(a.group, keys[order], amps[order])
 
 
 def conjugate_local(a: ShiftedAutomorphism, op: LocalUnitary) -> LocalUnitary:

@@ -135,7 +135,7 @@ def _window_positions(group: CayleyGroup, window: int) -> list:
     and small)."""
     if group.is_finite and group.order <= 256:
         return sorted(group.elements(), key=group.sort_key)
-    seen = {group.encode(group.identity)}
+    seen = {group.encode(group.identity): group.identity}
     frontier = [group.identity]
     for _ in range(window):
         new_frontier = []
@@ -144,10 +144,10 @@ def _window_positions(group: CayleyGroup, window: int) -> list:
                 y = group.mul(x, s)
                 key = group.encode(y)
                 if key not in seen:
-                    seen.add(key)
+                    seen[key] = y
                     new_frontier.append(y)
         frontier = new_frontier
-    return sorted((group.decode(row) for row in seen), key=group.sort_key)
+    return [seen[key] for key in sorted(seen)]
 
 
 def cmd_verify(args) -> int:

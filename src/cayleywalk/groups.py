@@ -5,6 +5,14 @@ int for the line and cyclic kinds, a tuple of ints for lattices and
 hypercubes) and an ordered generating set. The generator ordering is
 load-bearing: it is also the basis ordering of the coin register.
 
+The walk engine stores elements as packed int64 keys, one per element: the
+integer itself on the line and cyclic kinds, and a mixed-radix number with
+axis 0 as the most significant digit on lattices (offset by half the radix
+on Z^d) and hypercubes (coordinate i at bit d-1-i). Key order is therefore
+the lexicographic order of `sort_key`. Coordinates outside the packed range
+raise EncodingError when they are encoded, and so does a shift on Z^d that
+would carry into the next axis: no key ever wraps.
+
 Every element of such a group factors as x = xt * c0**k where c0 is a
 distinguished generator, k counts net generator applications (the exponent
 index), and xt lies in the subgroup of zero-net-exponent products -- the
@@ -109,22 +117,52 @@ class CayleyGroup:
     def elements(self):
         raise UnsupportedGroupError(f"{self.kind} group is infinite; cannot enumerate")
 
-    # -- encoded-array operations (used by the vectorized state engine) ------
+    # -- packed int64 keys (used by the vectorized state engine) -------------
 
-    width = 1  # ints per encoded element
+    # Smallest and largest coordinate that packs into a key.
+    lo = 0
+    hi = 0
 
     def encode(self, x) -> tuple[int, ...]:
-        raise NotImplementedError
+        """Hashable tuple form of x, raising EncodingError outside the packed
+        coordinate range."""
+        t = self.validate(x)
+        t = t if isinstance(t, tuple) else (t,)
+        if not all(self.lo <= v <= self.hi for v in t):
+            raise EncodingError(f"{self.kind} element {x!r} is outside the packed "
+                                f"coordinate range [{self.lo}, {self.hi}]")
+        return t
 
-    def decode(self, row):
-        raise NotImplementedError
+    def _in_range(self, coords: np.ndarray) -> np.ndarray:
+        if coords.size and (coords.min() < self.lo or coords.max() > self.hi):
+            raise EncodingError(f"{self.kind} coordinates outside the packed range "
+                                f"[{self.lo}, {self.hi}]")
+        return coords
 
-    def rows(self, xs) -> np.ndarray:
-        return np.array([self.encode(x) for x in xs], dtype=np.int64).reshape(-1, self.width)
+    def pack(self, coords) -> np.ndarray:
+        """Keys of an integer coordinate array: shape (N,) for the line and
+        cyclic kinds, whose key is the integer itself, and (N, d) for
+        lattices and hypercubes."""
+        return self._in_range(np.asarray(coords, dtype=np.int64).reshape(-1))
 
-    def shift_rows(self, rows: np.ndarray, gen_index: int, adjoint: bool = False) -> np.ndarray:
-        """Right-multiply a batch of encoded elements by a generator (or its
-        inverse when adjoint)."""
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """Coordinate array of a key array (the inverse of pack)."""
+        return keys
+
+    def keys(self, xs) -> np.ndarray:
+        """Keys of a sequence of elements, in the given order."""
+        return self.pack(np.array([self.encode(x) for x in xs], dtype=np.int64))
+
+    def elements_of(self, keys: np.ndarray) -> list:
+        """Elements of a key array, in the array's order."""
+        coords = self.unpack(keys)
+        if coords.ndim == 1:
+            return coords.tolist()
+        return list(map(tuple, coords.tolist()))
+
+    def shift_rows(self, keys: np.ndarray, gen_index: int, adjoint: bool = False) -> np.ndarray:
+        """Right-multiply a batch of keys by a generator (or its inverse when
+        adjoint). Raises EncodingError rather than wrap a key."""
         raise NotImplementedError
 
     # -- misc -----------------------------------------------------------------
@@ -190,10 +228,15 @@ class LineGroup(CayleyGroup):
     The default two-sided generating set has chi = 2 (the zero-exponent
     subgroup is the even integers). The single-generator variants give an
     infinite chi: every element is a pure power of c0.
+
+    A key is the integer itself. Elements encode only within [-2^62, 2^62),
+    which leaves 2^62 unit steps before an int64 key could overflow, so
+    shifts need no bound check.
     """
 
     kind = "line"
-    width = 1
+    lo = -2 ** 62
+    hi = 2 ** 62 - 1
 
     def __init__(self, generators=(1, -1), c0_index: int = 0):
         gens = tuple(int(g) for g in generators)
@@ -224,15 +267,9 @@ class LineGroup(CayleyGroup):
     def pow_c0(self, k: int):
         return int(k) * self.c0
 
-    def encode(self, x):
-        return (self.validate(x),)
-
-    def decode(self, row):
-        return int(row[0])
-
-    def shift_rows(self, rows, gen_index, adjoint=False):
+    def shift_rows(self, keys, gen_index, adjoint=False):
         g = self.generators[gen_index]
-        return rows + (-g if adjoint else g)
+        return keys + (-g if adjoint else g)
 
     def random_elements(self, rng, count, span=16):
         return [int(v) for v in rng.integers(-span, span + 1, size=count)]
@@ -249,7 +286,6 @@ class CyclicGroup(CayleyGroup):
     {1, N-1}, collapsing to {1} when N == 2."""
 
     kind = "cyclic"
-    width = 1
 
     def __init__(self, n: int, generators=None, c0_index: int = 0):
         n = int(n)
@@ -261,6 +297,7 @@ class CyclicGroup(CayleyGroup):
         if any(not 0 <= g < n for g in gens):
             raise SpecError("cyclic generators must lie in [0, N)")
         self.n = n
+        self.hi = n - 1
         super().__init__(gens, c0_index)
         if math.gcd(n, *gens) != 1:
             raise SpecError(f"generators {gens} do not generate the cyclic group of order {n}")
@@ -310,15 +347,9 @@ class CyclicGroup(CayleyGroup):
     def elements(self):
         return iter(range(self.n))
 
-    def encode(self, x):
-        return (self.validate(x),)
-
-    def decode(self, row):
-        return int(row[0])
-
-    def shift_rows(self, rows, gen_index, adjoint=False):
+    def shift_rows(self, keys, gen_index, adjoint=False):
         g = self.generators[gen_index]
-        return (rows + (-g if adjoint else g)) % self.n
+        return (keys + (-g if adjoint else g)) % self.n
 
     def random_elements(self, rng, count, span=16):
         return [int(v) for v in rng.integers(0, self.n, size=count)]
@@ -331,9 +362,30 @@ class CyclicGroup(CayleyGroup):
         return ("cyclic", self.n, self.generators, self.c0_index)
 
 
-class LatticeGroup(CayleyGroup):
+class _MixedRadixGroup(CayleyGroup):
+    """Tuple-valued kinds: a key is the mixed-radix number of the coordinates
+    minus `lo`, axis 0 the most significant digit."""
+
+    def _set_radix(self, radix: int, lo: int) -> None:
+        self.radix = radix
+        self.lo, self.hi = lo, lo + radix - 1
+        self._weights = np.array([radix ** (self.d - 1 - i) for i in range(self.d)],
+                                 dtype=np.int64)
+
+    def pack(self, coords):
+        coords = self._in_range(np.asarray(coords, dtype=np.int64).reshape(-1, self.d))
+        return (coords - self.lo) @ self._weights
+
+    def unpack(self, keys):
+        return (keys[:, None] // self._weights) % self.radix + self.lo
+
+
+class LatticeGroup(_MixedRadixGroup):
     """Z^d (or the d-dimensional torus when a period is given) with the
-    generating set (+e1, -e1, ..., +ed, -ed) in that interleaved order."""
+    generating set (+e1, -e1, ..., +ed, -ed) in that interleaved order.
+
+    On Z^d each axis gets b = 62 // d bits of the key, so coordinates lie in
+    [-2^(b-1), 2^(b-1) - 1]: [-2^30, 2^30 - 1] on Z^2."""
 
     kind = "lattice"
 
@@ -341,11 +393,19 @@ class LatticeGroup(CayleyGroup):
         d = int(d)
         if d < 1:
             raise SpecError("lattice needs d >= 1")
+        self.d = d
         if period is not None:
             period = int(period)
             if period < 3:
                 raise SpecError("torus period must be >= 3 so +e_i and -e_i stay distinct")
-        self.d = d
+            if period ** d >= 2 ** 63:
+                raise SpecError(f"torus order {period}^{d} does not fit an int64 key")
+            self._set_radix(period, 0)
+        elif d > 31:
+            raise SpecError("Z^d keys leave no room for a step along each axis when d > 31")
+        else:
+            bits = 62 // d
+            self._set_radix(2 ** bits, -2 ** (bits - 1))
         self.period = period
         gens = []
         minus_one = -1 if period is None else period - 1
@@ -353,7 +413,6 @@ class LatticeGroup(CayleyGroup):
             gens.append(tuple(1 if i == axis else 0 for i in range(d)))
             gens.append(tuple(minus_one if i == axis else 0 for i in range(d)))
         super().__init__(gens, c0_index)
-        self.width = d
         if period is None or period % 2 == 0:
             self.chi = 2
         else:
@@ -409,22 +468,19 @@ class LatticeGroup(CayleyGroup):
             return super().elements()
         return (tuple(t) for t in itertools.product(range(self.period), repeat=self.d))
 
-    def encode(self, x):
-        return self.validate(x)
-
-    def decode(self, row):
-        return tuple(int(v) for v in row)
-
-    def shift_rows(self, rows, gen_index, adjoint=False):
+    def shift_rows(self, keys, gen_index, adjoint=False):
         axis, sign = divmod(gen_index, 2)
         delta = 1 if sign == 0 else -1
         if adjoint:
             delta = -delta
-        out = rows.copy()
-        out[:, axis] += delta
+        weight = self._weights[axis]
+        digit = keys // weight % self.radix
         if self.period is not None:
-            out[:, axis] %= self.period
-        return out
+            return keys + ((digit + delta) % self.radix - digit) * weight
+        if np.any(digit == (self.radix - 1 if delta > 0 else 0)):
+            raise EncodingError(f"lattice shift along axis {axis} leaves the packed "
+                                f"coordinate range [{self.lo}, {self.hi}]")
+        return keys + delta * weight
 
     def random_elements(self, rng, count, span=16):
         hi = self.period if self.period is not None else span + 1
@@ -441,9 +497,10 @@ class LatticeGroup(CayleyGroup):
         return ("lattice", self.d, self.period, self.c0_index)
 
 
-class HypercubeGroup(CayleyGroup):
+class HypercubeGroup(_MixedRadixGroup):
     """(Z_2)^d under bitwise XOR with the standard basis vectors as
-    generators. Every generator is its own inverse."""
+    generators. Every generator is its own inverse. A key is the bitmask with
+    coordinate i at bit d-1-i, so d <= 62."""
 
     kind = "hypercube"
 
@@ -451,10 +508,12 @@ class HypercubeGroup(CayleyGroup):
         d = int(d)
         if d < 1:
             raise SpecError("hypercube needs d >= 1")
+        if d >= 63:
+            raise SpecError(f"hypercube of dimension {d} does not fit an int64 key")
         self.d = d
+        self._set_radix(2, 0)
         gens = [tuple(1 if i == axis else 0 for i in range(d)) for axis in range(d)]
         super().__init__(gens, c0_index)
-        self.width = d
         self.chi = 2
         self._self_check()
 
@@ -488,15 +547,8 @@ class HypercubeGroup(CayleyGroup):
     def elements(self):
         return (tuple(t) for t in itertools.product((0, 1), repeat=self.d))
 
-    def encode(self, x):
-        return self.validate(x)
-
-    def decode(self, row):
-        return tuple(int(v) for v in row)
-
-    def shift_rows(self, rows, gen_index, adjoint=False):
-        vec = np.array(self.generators[gen_index], dtype=np.int64)
-        return np.bitwise_xor(rows, vec)
+    def shift_rows(self, keys, gen_index, adjoint=False):
+        return keys ^ self._weights[gen_index]
 
     def random_elements(self, rng, count, span=16):
         return [tuple(int(v) for v in row) for row in rng.integers(0, 2, size=(count, self.d))]

@@ -28,14 +28,14 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m)
     defect = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
-    if defect > tol:
+    if not defect <= tol:  # written so that a NaN defect fails
         raise NonUnitaryError(f"{what} is not unitary (defect {defect:.3e} > {tol:.0e})")
     return a
 
 
 def require_unit(z, tol: float = UNITARY_TOL, what: str = "phase") -> complex:
     z = complex(z)
-    if abs(abs(z) - 1.0) > tol:
+    if not abs(abs(z) - 1.0) <= tol:
         raise NonUnitaryError(f"{what} must be a complex unit, got |z| = {abs(z):.12f}")
     return z
 

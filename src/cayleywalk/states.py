@@ -1,9 +1,10 @@
 """Sparse walk states and local (position-diagonal) operators.
 
 A walk state lives on H_S (x) H_C: finitely many group elements each carrying
-a coin vector. States are stored as a lexicographically sorted array of
-encoded positions plus a matching matrix of coin amplitudes, which keeps the
-evolution hot paths vectorized while tests and callers see plain elements.
+a coin vector. States are stored as a sorted 1-D array of packed int64
+position keys (see groups) plus a matching matrix of coin amplitudes, which
+keeps the evolution hot paths vectorized while tests and callers see plain
+elements.
 """
 
 from __future__ import annotations
@@ -20,31 +21,43 @@ from .linalg import as_complex_matrix, require_unitary
 PRUNE_TOL = 1e-15
 
 
-def _unique_rows(rows: np.ndarray):
-    """Sorted unique rows plus the inverse index map."""
-    if rows.shape[1] == 1:
-        vals, inverse = np.unique(rows[:, 0], return_inverse=True)
-        return vals[:, None], inverse.reshape(-1)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(-1)
+def nonzero_rows(amps: np.ndarray) -> np.ndarray:
+    """Mask of the rows holding any nonzero amplitude. A NaN counts as
+    nonzero, so a corrupted amplitude is kept and shows in every norm."""
+    parts = np.ascontiguousarray(amps).view(np.float64) != 0
+    # a boolean matmul is any() along each row, without the per-row cost of
+    # reducing a short axis
+    return parts @ np.ones(parts.shape[1], dtype=bool)
 
 
-def _sorted_order(rows: np.ndarray) -> np.ndarray:
-    # lexsort's last key is primary, so feed columns right-to-left
-    return np.lexsort(rows.T[::-1])
+def merge_keys(keys: np.ndarray):
+    """np.unique(keys, return_inverse=True) for a concatenation of sorted or
+    nearly sorted key blocks (shifted or combined states), where a stable
+    sort runs in near-linear time. The result is sorted and unique."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(ordered.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 class WalkState:
-    """Finitely supported amplitude map on (group element, coin index) pairs."""
+    """Finitely supported amplitude map on (group element, coin index) pairs.
 
-    __slots__ = ("group", "positions", "amps", "_elements", "_index")
+    `positions` is the sorted, duplicate-free int64 key array of the group;
+    row i of `amps` holds the coin vector at positions[i].
+    """
+
+    __slots__ = ("group", "positions", "amps", "_elements")
 
     def __init__(self, group: CayleyGroup, positions: np.ndarray, amps: np.ndarray):
         self.group = group
         self.positions = positions
         self.amps = amps
         self._elements = None
-        self._index = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -69,9 +82,9 @@ class WalkState:
             vec[c] += complex(amp)
         if not by_pos:
             return cls.zero(group)
-        positions = np.array(sorted(by_pos), dtype=np.int64)
-        amps = np.array([by_pos[tuple(r)] for r in positions], dtype=complex)
-        return cls(group, positions, amps)
+        rows = sorted(by_pos)  # tuple order is key order
+        amps = np.array([by_pos[r] for r in rows], dtype=complex)
+        return cls(group, group.pack(np.array(rows, dtype=np.int64)), amps)
 
     @classmethod
     def localized(cls, group: CayleyGroup, x, coin_vector) -> "WalkState":
@@ -79,8 +92,7 @@ class WalkState:
         if vec.shape[0] != group.coin_dim:
             raise EncodingError(
                 f"coin vector length {vec.shape[0]} != coin dimension {group.coin_dim}")
-        positions = np.array([group.encode(x)], dtype=np.int64)
-        return cls(group, positions, vec[None, :].copy())
+        return cls(group, group.keys([x]), vec[None, :].copy())
 
     @classmethod
     def basis_state(cls, group: CayleyGroup, x, c: int) -> "WalkState":
@@ -90,28 +102,25 @@ class WalkState:
 
     @classmethod
     def zero(cls, group: CayleyGroup) -> "WalkState":
-        return cls(group,
-                   np.empty((0, group.width), dtype=np.int64),
+        return cls(group, np.empty(0, dtype=np.int64),
                    np.empty((0, group.coin_dim), dtype=complex))
 
     # -- inspection -----------------------------------------------------------
 
     def elements(self) -> list:
         if self._elements is None:
-            self._elements = [self.group.decode(row) for row in self.positions]
+            self._elements = self.group.elements_of(self.positions)
         return self._elements
-
-    def _position_index(self) -> dict:
-        if self._index is None:
-            self._index = {tuple(row): i for i, row in enumerate(self.positions)}
-        return self._index
 
     def amplitude(self, x, c: int) -> complex:
         c = int(c)
         if not 0 <= c < self.group.coin_dim:
             raise EncodingError(f"coin index {c} out of range")
-        i = self._position_index().get(self.group.encode(x))
-        return 0j if i is None else complex(self.amps[i, c])
+        key = self.group.keys([x])[0]
+        i = int(np.searchsorted(self.positions, key))
+        if i < self.n_positions and self.positions[i] == key:
+            return complex(self.amps[i, c])
+        return 0j
 
     def terms(self) -> dict:
         out = {}
@@ -148,16 +157,9 @@ class WalkState:
         """Inner product, conjugate-linear in self."""
         if self.group != other.group:
             raise SpecError("inner product requires states on the same group")
-        small, big = (self, other) if self.n_positions <= other.n_positions else (other, self)
-        index = big._position_index()
-        total = 0j
-        for i, row in enumerate(small.positions):
-            j = index.get(tuple(row))
-            if j is not None:
-                a = self.amps[i] if small is self else self.amps[j]
-                b = other.amps[j] if big is other else other.amps[i]
-                total += np.vdot(a, b)
-        return complex(total)
+        _, i, j = np.intersect1d(self.positions, other.positions, assume_unique=True,
+                                 return_indices=True)
+        return complex(np.vdot(self.amps[i], other.amps[j]))
 
     def scale(self, z) -> "WalkState":
         return WalkState(self.group, self.positions, self.amps * complex(z))
@@ -212,9 +214,9 @@ class WalkState:
 def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray,
            prune: float = PRUNE_TOL) -> WalkState:
     """Zero out sub-threshold amplitudes and drop empty rows."""
-    if prune > 0.0 and amps.size:
+    if prune > 0.0:
         amps = np.where(np.abs(amps) < prune, 0.0, amps)
-    keep = np.abs(amps).max(axis=1) > 0 if amps.size else np.zeros(0, dtype=bool)
+    keep = nonzero_rows(amps)
     if not keep.all():
         positions, amps = positions[keep], amps[keep]
     return WalkState(group, positions, amps)
@@ -223,12 +225,13 @@ def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray,
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
-    positions = np.concatenate([a.positions, b.positions], axis=0)
-    amps = np.concatenate([a.amps, sign * b.amps], axis=0)
-    uniq, inverse = _unique_rows(positions)
-    out = np.zeros((uniq.shape[0], amps.shape[1]), dtype=complex)
-    np.add.at(out, inverse, amps)
-    return WalkState(a.group, uniq, out)
+    positions, inverse = merge_keys(np.concatenate([a.positions, b.positions]))
+    out = np.zeros((positions.shape[0], a.amps.shape[1]), dtype=complex)
+    # each operand's keys are unique, so plain indexed updates do not collide
+    n = a.n_positions
+    out[inverse[:n]] = a.amps
+    out[inverse[n:]] += sign * b.amps
+    return WalkState(a.group, positions, out)
 
 
 class LocalUnitary:

@@ -53,7 +53,9 @@ class VerificationReport:
 
 def _report(case_id, residuals, tol) -> VerificationReport:
     residuals = [float(r) for r in residuals]
-    return VerificationReport(case_id, max(residuals) if residuals else 0.0,
+    # np.max propagates a NaN residual, which then fails `passed`; the
+    # builtin max would skip a NaN that is not first
+    return VerificationReport(case_id, float(np.max(residuals)) if residuals else 0.0,
                               residuals, float(tol))
 
 

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cayleywalk import WalkState
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """CLI tests run `python -m cayleywalk` in child processes, which do not
+    see pytest's `pythonpath` setting; put the same source tree on theirs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def random_state(group, rng, count: int = 4) -> WalkState:

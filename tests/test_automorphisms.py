@@ -96,11 +96,10 @@ def test_apply_rows_matches_elementwise(rng):
                   HypercubeGroup(3)]:
         auts = enumerate_automorphisms(group)
         xs = group.random_elements(rng, 8)
-        rows = group.rows(xs)
+        keys = group.keys(xs)
         for a in auts:
-            moved = a.apply_rows(rows)
-            for row, x in zip(moved, xs):
-                assert group.decode(row) == a.apply_element(x)
+            moved = a.apply_keys(keys)
+            assert group.elements_of(moved) == [a.apply_element(x) for x in xs]
 
 
 def test_step_commutes_with_automorphism_matrix():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
-                        LineGroup, SpecError, brute_force_causal, make_group)
+                        LineGroup, SpecError, WalkState, apply_shift, brute_force_causal,
+                        make_group)
 
 
 def all_groups():
@@ -29,20 +30,84 @@ def test_group_axioms_sampled(group, rng):
 
 @pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
 def test_encode_decode_roundtrip(group, rng):
-    for x in group.random_elements(rng, 12):
-        assert group.decode(group.encode(x)) == x
+    xs = group.random_elements(rng, 12)
+    keys = group.keys(xs)
+    assert keys.dtype == np.int64 and keys.shape == (12,)
+    assert group.elements_of(keys) == xs
+    assert np.array_equal(group.pack(group.unpack(keys)), keys)
 
 
 @pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
 def test_shift_rows_matches_mul(group, rng):
     xs = group.random_elements(rng, 8)
-    rows = group.rows(xs)
+    keys = group.keys(xs)
     for idx, s in enumerate(group.generators):
-        shifted = group.shift_rows(rows, idx)
-        for row, x in zip(shifted, xs):
-            assert group.decode(row) == group.mul(x, s)
+        shifted = group.shift_rows(keys, idx)
+        assert group.elements_of(shifted) == [group.mul(x, s) for x in xs]
         back = group.shift_rows(shifted, idx, adjoint=True)
-        assert np.array_equal(back, rows)
+        assert np.array_equal(back, keys)
+
+
+def key_order_groups():
+    return all_groups() + [LatticeGroup(1), LatticeGroup(3), LatticeGroup(2, period=5),
+                            HypercubeGroup(5)]
+
+
+@pytest.mark.parametrize("group", key_order_groups(), ids=lambda g: str(g.describe()))
+def test_key_order_is_sort_key_order(group, rng):
+    xs = group.random_elements(rng, 40)
+    keys = group.keys(xs)
+    by_key = [x for _, x in sorted(zip(keys.tolist(), xs))]
+    assert by_key == sorted(xs, key=group.sort_key)
+    state = WalkState.from_terms(group, [(x, 0, 1.0) for x in xs])
+    assert np.all(np.diff(state.positions) > 0)
+    assert state.elements() == sorted(set(by_key), key=group.sort_key)
+
+
+def test_hypercube_key_is_bitmask():
+    group = HypercubeGroup(4)
+    assert group.keys([(1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 1, 1)]).tolist() == [8, 1, 11]
+
+
+def test_lattice_shift_at_coordinate_bound_raises():
+    group = LatticeGroup(2)
+    top = group.hi
+    assert top == 2 ** 30 - 1 and group.lo == -2 ** 30
+    for x, c in [((0, top), 2), ((top, 0), 0), ((group.lo, 5), 1), ((3, group.lo), 3)]:
+        state = WalkState.basis_state(group, x, c)
+        with pytest.raises(EncodingError):
+            apply_shift(state)
+    # one step inside the bound still moves, also in the other coin blocks
+    inside = WalkState.basis_state(group, (0, top - 1), 2)
+    assert apply_shift(inside).support() == [(0, top)]
+    with pytest.raises(EncodingError):
+        group.encode((0, top + 1))
+    with pytest.raises(EncodingError):
+        WalkState.localized(group, (group.lo - 1, 0), [1, 0, 0, 0])
+
+
+def test_line_encodes_within_bounds_and_shifts_without_wrapping():
+    group = LineGroup()
+    assert (group.lo, group.hi) == (-2 ** 62, 2 ** 62 - 1)
+    for x in (group.hi + 1, group.lo - 1):
+        with pytest.raises(EncodingError):
+            group.encode(x)
+    state = WalkState.basis_state(group, group.hi, 0)
+    assert apply_shift(state).support() == [2 ** 62]
+    assert apply_shift(state, adjoint=True).support() == [2 ** 62 - 2]
+
+
+def test_key_size_limits_rejected_at_construction():
+    with pytest.raises(SpecError):
+        LatticeGroup(2, period=2 ** 32)
+    with pytest.raises(SpecError):
+        LatticeGroup(3, period=2 ** 21)
+    assert LatticeGroup(2, period=2 ** 31).order == 2 ** 62
+    with pytest.raises(SpecError):
+        HypercubeGroup(63)
+    assert HypercubeGroup(62).keys([(1,) + (0,) * 61]).tolist() == [2 ** 61]
+    with pytest.raises(SpecError):
+        LatticeGroup(32)
 
 
 @pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleywalk import CyclicGroup, HypercubeGroup, LineGroup, LocalUnitary, WalkState
+from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
+                        WalkState)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
+from cayleywalk.states import nonzero_rows
 
 from conftest import random_state
 
@@ -114,3 +116,39 @@ def test_component_lookup():
     group = LineGroup()
     op = LocalUnitary.uniform(group, hadamard_matrix())
     assert np.allclose(op.component(7), hadamard_matrix())
+
+
+def _dense(state, elements):
+    """Reference vector of a state over a fixed element list."""
+    index = {x: i for i, x in enumerate(elements)}
+    vec = np.zeros((len(elements), state.group.coin_dim), dtype=complex)
+    for (x, c), amp in state.terms().items():
+        vec[index[x], c] = amp
+    return vec
+
+
+@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(3),
+                                   LatticeGroup(2), LatticeGroup(2, period=5)],
+                         ids=lambda g: str(g.describe()))
+def test_inner_and_amplitude_match_dense_reference(group, rng):
+    pool = list(dict.fromkeys(group.random_elements(rng, 30)))[:10]
+    a = WalkState.from_terms(group, [(x, c, rng.normal() + 1j * rng.normal())
+                                     for x in pool[:6] for c in range(group.coin_dim)])
+    b = WalkState.from_terms(group, [(x, c, rng.normal() + 1j * rng.normal())
+                                     for x in pool[3:] for c in range(group.coin_dim)])
+    da, db = _dense(a, pool), _dense(b, pool)
+    assert a.inner(b) == pytest.approx(np.vdot(da, db), rel=1e-13)
+    assert b.inner(a) == pytest.approx(np.vdot(db, da), rel=1e-13)
+    assert a.inner(WalkState.zero(group)) == 0j
+    for i, x in enumerate(pool):
+        for c in range(group.coin_dim):
+            assert a.amplitude(x, c) == da[i, c]
+            assert b.amplitude(x, c) == db[i, c]
+    assert (a - b).distance(WalkState.zero(group)) == pytest.approx(
+        np.linalg.norm(da - db), rel=1e-13)
+
+
+def test_nonzero_rows_keeps_nan_rows_and_drops_signed_zeros():
+    amps = np.array([[np.nan, 0], [0, 0], [0, -0.0], [1e-300, 0], [0, 1j]], dtype=complex)
+    assert nonzero_rows(amps).tolist() == [True, False, False, True, True]
+    assert nonzero_rows(amps[:0]).tolist() == []

@@ -13,7 +13,8 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         check_symmetry_relation, corrupted_phases, grover_coin,
                         hadamard_coin, identity_symmetry,
                         make_shifted_automorphism, make_generalized_symmetry,
-                        make_time_homog_symmetry, run_invariant_suite)
+                        make_full_homog_symmetry, make_time_homog_symmetry,
+                        run_invariant_suite)
 from cayleywalk.verify import (assemble_coin_matrix, assemble_dressing_matrix,
                                assemble_step_matrix, homogeneity_spreads)
 from cayleywalk.walk import QuantumCoin
@@ -140,3 +141,18 @@ def test_identity_symmetry_relation_zero_on_every_group():
         report = check_symmetry_relation(coin, start, identity_symmetry(group),
                                          n_max=8)
         assert report.max_residual == 0.0
+
+
+def test_nan_corrupted_control_fails_with_nan_residual():
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    t = make_full_homog_symmetry(group, epsilon=1j)
+    start = WalkState.localized(group, 0, [1.0, 0.0])
+    assert check_symmetry_relation(coin, start, t, n_max=8).passed
+    bad = corrupted_phases(t.phases, (5, 1, 0), factor=float("nan"))
+    report = check_symmetry_relation(coin, start, t, n_max=8, dressing=bad)
+    assert np.isnan(report.per_step_residuals[5])
+    assert max(report.per_step_residuals[:5] + report.per_step_residuals[6:]) < 1e-12
+    assert np.isnan(report.max_residual)
+    assert not report.passed
+    assert "[FAIL]" in str(report)

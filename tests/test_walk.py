@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleywalk import (CyclicGroup, HypercubeGroup, LineGroup, NumericDriftError,
-                        QuantumCoin, SpecError, WalkInstance, WalkState, apply_coin,
-                        apply_shift, evolve, evolve_final, grover_coin, hadamard_coin,
-                        identity_coin, step)
-from cayleywalk.linalg import random_unitary
+from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
+                        NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
+                        WalkInstance, WalkState, apply_coin, apply_shift, evolve,
+                        evolve_final, grover_coin, hadamard_coin, identity_coin, step)
+from cayleywalk.linalg import random_unitary, require_unit
 
 from conftest import random_state
 
@@ -140,3 +140,43 @@ def test_walk_spreads_linearly():
     support = final.support()
     assert min(support) == -40
     assert max(support) == 40
+
+
+def test_probe_catches_coin_varying_along_another_generator():
+    # the coin flips sign with coordinate 1, which e, c0 and c0*c0 never reach
+    cube = HypercubeGroup(3)
+    with pytest.raises(SpecError):
+        QuantumCoin.from_rule(cube, lambda n, x: np.diag([1, (-1) ** x[1], 1]).astype(complex),
+                              space_homogeneous=True)
+    plane = LatticeGroup(2)
+    with pytest.raises(SpecError):
+        QuantumCoin.from_rule(plane,
+                              lambda n, x: np.diag([1, 1, 1, (-1) ** x[1]]).astype(complex),
+                              space_homogeneous=True)
+    # an honest declaration is still accepted
+    QuantumCoin.from_rule(plane, lambda n, x: np.diag([1, 1, 1, (-1) ** n]).astype(complex),
+                          space_homogeneous=True)
+
+
+def test_probe_catches_coin_varying_at_a_later_step():
+    group = LineGroup()
+    with pytest.raises(SpecError):
+        QuantumCoin.from_rule(group, lambda n, x: np.eye(2) * (1j if n >= 5 else 1),
+                              time_homogeneous=True)
+
+
+def test_nan_coin_is_rejected():
+    group = LineGroup()
+    with pytest.raises(NonUnitaryError):
+        QuantumCoin.uniform(group, np.full((2, 2), np.nan))
+    with pytest.raises(NonUnitaryError):
+        require_unit(float("nan"))
+
+
+def test_nan_amplitude_aborts_evolution():
+    group = LineGroup()
+    coin = QuantumCoin.from_rule(group, lambda n, x: np.eye(2) * (np.nan if n == 3 else 1),
+                                 validate=False)
+    start = WalkState.localized(group, 0, [1.0, 0.0])
+    with pytest.raises(NumericDriftError):
+        evolve(WalkInstance(group, coin, start), 5)
