@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotAutomorphismError, SpecError, UnsupportedGroupError
 from .groups import CayleyGroup
 from .states import LocalUnitary, WalkState
-from .symmetry import SymmetryTransform, apply_dressing, identity_symmetry, transform_coin, transform_state
+from .symmetry import SymmetryTransform, identity_symmetry, transform_coin, transform_state
 from .walk import QuantumCoin
 
 
@@ -209,16 +209,20 @@ def permutation_apply(a: ShiftedAutomorphism, state: WalkState) -> WalkState:
     return WalkState(a.group, keys[order], amps[order])
 
 
+def _permute_coins(block: np.ndarray, p) -> np.ndarray:
+    """A block with its coin indices relabeled: entry [i, j] (or [i] of a
+    diagonal) read from [p[i], p[j]]."""
+    block = block[:, p]
+    return block[:, :, p] if block.ndim == 3 else block
+
+
 def conjugate_local(a: ShiftedAutomorphism, op: LocalUnitary) -> LocalUnitary:
     """Conjugated local operator: component at y is Pc^dag U(a(y)) Pc."""
     if op.group != a.group:
         raise SpecError("automorphism and operator live on different groups")
-    pc = a.coin_permutation_matrix()
-    if op.uniform_flag:
-        mat = pc.conj().T @ op.component(a.group.identity) @ pc
-        return LocalUnitary.uniform(a.group, mat, validate=False)
-    rule = lambda y: pc.conj().T @ op.component(a.apply_element(y)) @ pc
-    return LocalUnitary.from_rule(a.group, rule, validate=op.validate_components)
+    perm = list(a.perm)
+    return LocalUnitary(a.group, lambda keys: _permute_coins(op.block(a.apply_keys(keys)), perm),
+                        validate=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,24 +258,18 @@ def generalized_transform(gs: GeneralizedSymmetry, coin: QuantumCoin,
     new_state = permutation_apply(gs.perm, inner_state)
     if gs.perm.is_identity:
         return inner_coin, new_state
-    pc = gs.perm.coin_permutation_matrix()
-    pc_dag = pc.conj().T
+    # Pc M Pc^dag reads entry [i, j] from [perm^-1(i), perm^-1(j)]
+    inverse = np.argsort(gs.perm.perm)
     ainv = invert(gs.perm)
 
-    def rule(n, y):
-        return pc @ inner_coin.matrix_at(n, ainv.apply_element(y)) @ pc_dag
+    def blocks(n, keys):
+        return _permute_coins(inner_coin.block(n, ainv.apply_keys(keys)), inverse)
 
-    new_coin = QuantumCoin(gs.group, rule,
+    new_coin = QuantumCoin(gs.group, blocks,
                            time_homogeneous=inner_coin.time_homogeneous,
                            space_homogeneous=inner_coin.space_homogeneous,
                            validate=False)
     return new_coin, new_state
-
-
-def apply_generalized_dressing(gs: GeneralizedSymmetry, n: int,
-                               state: WalkState) -> WalkState:
-    """Dress a step-n state of the original walk: P applied after U_n."""
-    return permutation_apply(gs.perm, apply_dressing(gs.inner, n, state))
 
 
 def enumerate_automorphisms(group: CayleyGroup, shift=None) -> list[ShiftedAutomorphism]:

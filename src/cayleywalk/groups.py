@@ -165,6 +165,26 @@ class CayleyGroup:
         adjoint). Raises EncodingError rather than wrap a key."""
         raise NotImplementedError
 
+    # Per kind: coset_index(x) is (coordinates . _coset_form) mod chi, and
+    # coordinates wrap mod _modulus (None where they do not wrap).
+    _modulus = None
+
+    def coords(self, keys: np.ndarray) -> np.ndarray:
+        """(N, width) coordinate array of a batch of keys."""
+        coords = self.unpack(keys)
+        return coords[:, None] if coords.ndim == 1 else coords
+
+    def coset_indices(self, keys: np.ndarray) -> np.ndarray:
+        """coset_index of each key of a batch."""
+        k = self.coords(keys) @ self._coset_form
+        return k if self.chi is None else k % self.chi
+
+    def decompose_keys(self, keys: np.ndarray):
+        """decompose of each key of a batch: (keys of the xt, the k)."""
+        k = self.coset_indices(keys)
+        xt = self.coords(keys) - k[:, None] * np.reshape(self.c0, -1)
+        return self.pack(xt if self._modulus is None else xt % self._modulus), k
+
     # -- misc -----------------------------------------------------------------
 
     def random_elements(self, rng: np.random.Generator, count: int, span: int = 16):
@@ -244,6 +264,7 @@ class LineGroup(CayleyGroup):
             raise SpecError("line generators must be +1 or -1")
         super().__init__(gens, c0_index)
         self.chi = 2 if len(gens) == 2 else None
+        self._coset_form = np.array([self.c0])
 
     @property
     def identity(self):
@@ -313,6 +334,8 @@ class CyclicGroup(CayleyGroup):
             self._c0_inv_mod_chi = pow(c0m, -1, self.chi)
         else:
             self._c0_inv_mod_chi = 0
+        self._coset_form = np.array([self._c0_inv_mod_chi])
+        self._modulus = n
         self._self_check()
 
     @property
@@ -419,6 +442,8 @@ class LatticeGroup(_MixedRadixGroup):
             # 2*e_i lies in the zero-exponent subgroup; with an odd period it
             # generates the whole axis, so the quotient collapses.
             self.chi = 1
+        self._coset_form = np.ones(d, dtype=np.int64)
+        self._modulus = period
         self._self_check()
 
     @property
@@ -515,6 +540,8 @@ class HypercubeGroup(_MixedRadixGroup):
         gens = [tuple(1 if i == axis else 0 for i in range(d)) for axis in range(d)]
         super().__init__(gens, c0_index)
         self.chi = 2
+        self._coset_form = np.ones(d, dtype=np.int64)
+        self._modulus = 2
         self._self_check()
 
     @property

@@ -18,26 +18,40 @@ def as_complex_matrix(m, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= tol)
+def _first_failure(ok: np.ndarray, what: str, where, detail) -> None:
+    """Raise for the first False entry of `ok` (written by callers as
+    `x <= tol`, so that NaN fails), naming the row it lies in by where(i),
+    or by its index when `where` is None."""
+    if ok.all():
+        return
+    bad = int(np.flatnonzero(~ok)[0])
+    at = ""
+    if ok.ndim:
+        i = int(np.unravel_index(bad, ok.shape)[0])
+        at = f" at {where(i) if where is not None else f'#{i}'}"
+    raise NonUnitaryError(f"{what}{at} {detail(bad)}")
 
 
-def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
-    a = as_complex_matrix(m)
-    defect = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
-    if not defect <= tol:  # written so that a NaN defect fails
-        raise NonUnitaryError(f"{what} is not unitary (defect {defect:.3e} > {tol:.0e})")
+def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix",
+                    where=None) -> np.ndarray:
+    """m as a complex array of unitary matrices: one (dim, dim) matrix or a
+    batch (N, dim, dim), checked once for the whole batch."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise NonUnitaryError(f"expected square matrices, got shape {a.shape}")
+    defect = np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    _first_failure(defect <= tol, what, where,
+                   lambda i: f"is not unitary (defect {defect.flat[i]:.3e} > {tol:.0e})")
     return a
 
 
-def require_unit(z, tol: float = UNITARY_TOL, what: str = "phase") -> complex:
-    z = complex(z)
-    if not abs(abs(z) - 1.0) <= tol:
-        raise NonUnitaryError(f"{what} must be a complex unit, got |z| = {abs(z):.12f}")
-    return z
+def require_unit(z, tol: float = UNITARY_TOL, what: str = "phase", where=None):
+    """z as complex units: a complex for a scalar, a complex array for an
+    array (rows named by `where` in an error), checked once."""
+    a = np.asarray(z, dtype=complex)
+    _first_failure(np.abs(np.abs(a) - 1.0) <= tol, what, where,
+                   lambda i: f"must be a complex unit, got |z| = {abs(a.flat[i]):.12f}")
+    return complex(a) if a.ndim == 0 else a
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -206,8 +206,8 @@ def parse_coin_spec(group: CayleyGroup, value) -> QuantumCoin:
                 hit = by_step.get((n, None), default)
             return hit
 
-        return QuantumCoin(group, rule, time_homogeneous=not by_step,
-                           space_homogeneous=not positional)
+        return QuantumCoin.from_rule(group, rule, time_homogeneous=not by_step,
+                                     space_homogeneous=not positional)
     raise SpecError(f"unknown coin spec kind {kind!r}")
 
 

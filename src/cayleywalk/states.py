@@ -5,6 +5,12 @@ a coin vector. States are stored as a sorted 1-D array of packed int64
 position keys (see groups) plus a matching matrix of coin amplitudes, which
 keeps the evolution hot paths vectorized while tests and callers see plain
 elements.
+
+Every local rule (coins, local unitaries, dressing phases) maps a batch of N
+position keys to a block, which `apply_block` applies: (N, dim) diagonal
+phases, (1, dim, dim) one shared matrix (the leading 1 keeps it apart from a
+diagonal when N == dim) or (N, dim, dim) a matrix per position. Scalar user
+rules are adapted to a batch by `elementwise` and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .errors import EncodingError, NonUnitaryError, SpecError
 from .groups import CayleyGroup
-from .linalg import as_complex_matrix, require_unitary
+from .linalg import as_complex_matrix, require_unit, require_unitary
 
 # Amplitudes below this magnitude are dropped after inexact operations.
 PRUNE_TOL = 1e-15
@@ -138,8 +144,9 @@ class WalkState:
         return self.positions.shape[0]
 
     def support(self) -> list:
-        """Positions holding any amplitude above the pruning threshold."""
-        mask = np.abs(self.amps).max(axis=1) > PRUNE_TOL
+        """Positions holding any amplitude above the pruning threshold (or
+        NaN, which is kept so that a corrupted row stays visible)."""
+        mask = ~(np.abs(self.amps).max(axis=1) <= PRUNE_TOL)
         return [x for x, keep in zip(self.elements(), mask) if keep]
 
     # -- algebra ----------------------------------------------------------------
@@ -176,12 +183,13 @@ class WalkState:
     # -- observables -------------------------------------------------------------
 
     def position_distribution(self, warn_unnormalized: bool = True) -> dict:
-        total = float(np.sum(np.abs(self.amps) ** 2))
-        if warn_unnormalized and abs(total - 1.0) > 1e-6:
+        """Probability per position; NaN rows are kept and warned about."""
+        probs = np.sum(np.abs(self.amps) ** 2, axis=1)
+        total = float(probs.sum())
+        if warn_unnormalized and not abs(total - 1.0) <= 1e-6:
             warnings.warn(f"state norm^2 = {total:.6f}; distribution computed anyway",
                           stacklevel=2)
-        probs = np.sum(np.abs(self.amps) ** 2, axis=1)
-        return {x: float(p) for x, p in zip(self.elements(), probs) if p > PRUNE_TOL}
+        return {x: float(p) for x, p in zip(self.elements(), probs) if not p <= PRUNE_TOL}
 
     # -- serialization ------------------------------------------------------------
 
@@ -234,30 +242,52 @@ def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     return WalkState(a.group, positions, out)
 
 
+def elementwise(rule, items, shape: tuple = ()) -> np.ndarray:
+    """Adapt a scalar user rule to a batch: rule(item) for each item (group
+    elements, keys or integers), stacked into a complex array of shape
+    (len(items), *shape)."""
+    values = [rule(v) for v in items]
+    try:
+        return np.array(values, dtype=complex).reshape((len(items),) + shape)
+    except ValueError:
+        raise NonUnitaryError(f"a rule gave values of the wrong shape, not {shape}") from None
+
+
+def require_block(group: CayleyGroup, keys: np.ndarray, block, what: str) -> np.ndarray:
+    """Check a block once per batch: unitary matrices when 3-D, complex
+    units otherwise. A failure names the first offending position."""
+    check = require_unitary if np.ndim(block) == 3 else require_unit
+    return check(block, what=what, where=lambda i: group.elements_of(keys[i:i + 1])[0])
+
+
+def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
+    """Apply a block (see the module docstring) over the state's positions."""
+    if block.ndim == 2:
+        amps = state.amps * block
+    elif block.shape[0] == 1:
+        amps = state.amps @ block[0].T
+    else:
+        amps = np.einsum("nij,nj->ni", block, state.amps)
+    return _clean(state.group, state.positions, amps)
+
+
 class LocalUnitary:
-    """Position-controlled unitary: a coin-space unitary for every element.
+    """Position-controlled unitary: `blocks(keys)` gives its block over a
+    batch of position keys, checked once per batch when `validate` is set."""
 
-    Three storage kinds: a single shared matrix ("uniform"), a rule producing
-    a diagonal phase vector per position ("diagonal"), or a general rule
-    producing a matrix per position ("rule").
-    """
+    __slots__ = ("group", "_blocks", "validate")
 
-    __slots__ = ("group", "_kind", "_matrix", "_rule", "validate_components")
-
-    def __init__(self, group: CayleyGroup, kind: str, matrix=None, rule=None,
-                 validate_components: bool = True):
+    def __init__(self, group: CayleyGroup, blocks, validate: bool = True):
         self.group = group
-        self._kind = kind
-        self._matrix = matrix
-        self._rule = rule
-        self.validate_components = validate_components
+        self._blocks = blocks
+        self.validate = validate
 
     @classmethod
     def uniform(cls, group: CayleyGroup, matrix, validate: bool = True) -> "LocalUnitary":
         m = as_complex_matrix(matrix, group.coin_dim)
         if validate:
             require_unitary(m, what="local unitary component")
-        return cls(group, "uniform", matrix=m, validate_components=False)
+        return cls(group, lambda keys: m[None], validate=False)
 
     @classmethod
     def identity(cls, group: CayleyGroup) -> "LocalUnitary":
@@ -265,64 +295,30 @@ class LocalUnitary:
 
     @classmethod
     def from_rule(cls, group: CayleyGroup, rule, validate: bool = True) -> "LocalUnitary":
-        return cls(group, "rule", rule=rule, validate_components=validate)
+        """rule(x) returns the coin-space matrix at element x."""
+        dim = group.coin_dim
+        return cls(group, lambda keys: elementwise(
+            lambda x: as_complex_matrix(rule(x), dim), group.elements_of(keys), (dim, dim)),
+            validate)
 
     @classmethod
     def diagonal(cls, group: CayleyGroup, diag_rule, validate: bool = True) -> "LocalUnitary":
         """diag_rule(x) returns the length-dim vector of diagonal phases."""
-        return cls(group, "diagonal", rule=diag_rule, validate_components=validate)
+        return cls(group, lambda keys: elementwise(diag_rule, group.elements_of(keys),
+                                                   (group.coin_dim,)), validate)
 
-    @property
-    def uniform_flag(self) -> bool:
-        return self._kind == "uniform"
-
-    @property
-    def diagonal_flag(self) -> bool:
-        return self._kind == "diagonal"
-
-    def diag_at(self, x) -> np.ndarray:
-        if self._kind != "diagonal":
-            raise SpecError("diag_at is only defined for diagonal local unitaries")
-        vec = np.asarray(self._rule(x), dtype=complex).reshape(-1)
-        if vec.shape[0] != self.group.coin_dim:
-            raise NonUnitaryError("diagonal rule returned a vector of wrong length")
-        if self.validate_components and np.abs(np.abs(vec) - 1.0).max() > 1e-12:
-            raise NonUnitaryError(f"diagonal entries at {x!r} are not complex units")
-        return vec
+    def block(self, keys: np.ndarray) -> np.ndarray:
+        block = self._blocks(keys)
+        if self.validate:
+            require_block(self.group, keys, block, "local unitary component")
+        return block
 
     def component(self, x) -> np.ndarray:
-        if self._kind == "uniform":
-            return self._matrix
-        if self._kind == "diagonal":
-            return np.diag(self.diag_at(x))
-        m = as_complex_matrix(self._rule(x), self.group.coin_dim)
-        if self.validate_components:
-            require_unitary(m, what=f"local unitary component at {x!r}")
-        return m
+        """The coin-space matrix at element x."""
+        block = self.block(self.group.keys([x]))
+        return block[0] if block.ndim == 3 else np.diag(block[0])
 
     def apply(self, state: WalkState) -> WalkState:
         if state.group != self.group:
             raise SpecError("operator and state live on different groups")
-        if self._kind == "uniform":
-            amps = state.amps @ self._matrix.T
-        elif self._kind == "diagonal":
-            phases = np.array([self.diag_at(x) for x in state.elements()], dtype=complex)
-            amps = state.amps * phases if state.n_positions else state.amps.copy()
-        else:
-            amps = np.empty_like(state.amps)
-            for i, x in enumerate(state.elements()):
-                amps[i] = self.component(x) @ state.amps[i]
-        return _clean(self.group, state.positions, amps)
-
-
-def apply_local(op: LocalUnitary, state: WalkState) -> WalkState:
-    """Apply a local operation; position distributions are preserved."""
-    return op.apply(state)
-
-
-def inner_product(a: WalkState, b: WalkState) -> complex:
-    return a.inner(b)
-
-
-def position_distribution(state: WalkState) -> dict:
-    return state.position_distribution()
+        return apply_block(state, self.block(state.positions))

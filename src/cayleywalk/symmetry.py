@@ -9,7 +9,8 @@ stored as a phase field u(n, x, c).
 Three constructor families restrict the phase field so that the transform
 preserves space homogeneity, time homogeneity, or both. Their closed forms
 hang on the decomposition x = xt * c0^k (xt in the zero-net-exponent
-subgroup, k the coset index) and a window sequence eta evaluated at n - k.
+subgroup, k the coset index) and a window sequence eta evaluated at n - k;
+they are evaluated on whole batches of position keys (see states).
 """
 
 from __future__ import annotations
@@ -18,62 +19,69 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FamilyPreconditionError, NonUnitaryError, SpecError
+from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
-from .states import LocalUnitary, WalkState
+from .states import LocalUnitary, WalkState, apply_block, elementwise, merge_keys, require_block
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
 
 
-def _as_unit(value, what: str = "phase") -> complex:
-    u = complex(value)
-    if abs(abs(u) - 1.0) > UNIT_TOL:
-        raise NonUnitaryError(f"{what} has modulus {abs(u):.6f}, expected 1")
-    return u
-
-
 class PhaseField:
     """Diagonal dressing phases u(n, x, c) for steps n >= 1.
 
-    Step 0 is excluded on purpose: the step-0 dressing is a general local
-    unitary and lives in SymmetryTransform.u0.
+    `phases(n, keys)` gives the (N, dim) phases at step n over a batch of
+    position keys, checked to be complex units once per batch. Step 0 is
+    excluded on purpose: the step-0 dressing is a general local unitary and
+    lives in SymmetryTransform.u0.
     """
 
-    __slots__ = ("group", "_rule")
+    __slots__ = ("group", "_phases")
 
     def __init__(self, group: CayleyGroup, rule):
+        """Phase field of a scalar rule(n, x, c) -> complex unit."""
+        dim = group.coin_dim
         self.group = group
-        self._rule = rule
+        self._phases = lambda n, keys: elementwise(
+            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,))
 
-    def at(self, n: int, x, c: int) -> complex:
+    @classmethod
+    def batched(cls, group: CayleyGroup, phases) -> "PhaseField":
+        """Phase field of phases(n, keys) -> (N, dim) complex array."""
+        field = cls(group, None)
+        field._phases = phases
+        return field
+
+    def phases(self, n: int, keys: np.ndarray) -> np.ndarray:
         n = int(n)
         if n < 1:
             raise SpecError(
                 "phase field is defined for n >= 1; the step-0 dressing is U0")
-        return _as_unit(self._rule(n, x, int(c)), f"u({n}, {x!r}, {c})")
+        return require_block(self.group, keys, self._phases(n, keys), f"step-{n} phase")
+
+    def at(self, n: int, x, c: int) -> complex:
+        return complex(self.phases(n, self.group.keys([x]))[0, int(c)])
 
     @classmethod
     def ones(cls, group: CayleyGroup) -> "PhaseField":
-        return cls(group, lambda n, x, c: 1.0 + 0j)
+        return cls.batched(group, lambda n, keys: np.ones((len(keys), group.coin_dim),
+                                                          dtype=complex))
 
     @classmethod
     def from_table(cls, group: CayleyGroup, table: dict,
                    default: complex = 1.0 + 0j) -> "PhaseField":
         """Tabulated phases keyed by (n, x, c); `default` fills the rest."""
-        default = _as_unit(default, "default phase")
-        norm_table = {}
+        dim = group.coin_dim
+        default = require_unit(default, what="default phase")
+        units = {}
         for (n, x, c), u in table.items():
-            key = (int(n), group.validate(x), int(c))
-            if key[0] < 1:
+            if int(n) < 1:
                 raise SpecError("phase tables start at n = 1")
-            norm_table[key] = _as_unit(u, f"table phase at {key}")
-
-        def rule(n, x, c):
-            return norm_table.get((n, group.validate(x), c), default)
-
-        return cls(group, rule)
+            key = (int(n), int(group.keys([x])[0]), int(c))
+            units[key] = require_unit(u, what=f"table phase at {(n, x, c)}")
+        return cls.batched(group, lambda n, keys: elementwise(
+            lambda k: [units.get((n, k, c), default) for c in range(dim)], keys.tolist(), (dim,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,24 +99,39 @@ class UnitaryCharacter:
     """Multiplicative map from group elements to complex units.
 
     domain is "full_group" or "causal_subgroup"; the latter promises the rule
-    is only ever evaluated on zero-net-exponent elements.
+    is only ever evaluated on zero-net-exponent elements. `values(keys)`
+    gives the character over a batch of position keys.
     """
 
-    __slots__ = ("group", "domain", "_rule", "descriptor")
+    __slots__ = ("group", "domain", "_values", "descriptor")
 
     def __init__(self, group: CayleyGroup, domain: str, rule, descriptor=None,
                  validate: bool = True):
+        """Character of a scalar rule(x) -> complex unit."""
         if domain not in ("full_group", "causal_subgroup"):
             raise SpecError(f"unknown character domain {domain!r}")
         self.group = group
         self.domain = domain
-        self._rule = rule
+        self._values = lambda keys: elementwise(rule, group.elements_of(keys))
         self.descriptor = descriptor
         if validate:
             self._check_multiplicative()
 
+    @classmethod
+    def batched(cls, group: CayleyGroup, domain: str, values, descriptor=None,
+                validate: bool = True) -> "UnitaryCharacter":
+        """Character of values(keys) -> (N,) complex array."""
+        char = cls(group, domain, None, descriptor, validate=False)
+        char._values = values
+        if validate:
+            char._check_multiplicative()
+        return char
+
+    def values(self, keys: np.ndarray) -> np.ndarray:
+        return require_block(self.group, keys, self._values(keys), "character value")
+
     def __call__(self, x) -> complex:
-        return _as_unit(self._rule(x), f"character value at {x!r}")
+        return complex(self.values(self.group.keys([x]))[0])
 
     def _domain_elements(self, rng, count: int) -> list:
         xs = self.group.random_elements(rng, count)
@@ -128,16 +151,17 @@ class UnitaryCharacter:
             a_list = self._domain_elements(rng, 1000)
             b_list = self._domain_elements(rng, 1000)
             pairs = list(zip(a_list, b_list))
-        for a, b in pairs:
-            lhs = self(group.mul(a, b))
-            if abs(lhs - self(a) * self(b)) > UNIT_TOL:
-                raise SpecError(
-                    f"character is not multiplicative at ({a!r}, {b!r})")
+        lhs = self.values(group.keys([group.mul(a, b) for a, b in pairs]))
+        rhs = (self.values(group.keys([a for a, _ in pairs]))
+               * self.values(group.keys([b for _, b in pairs])))
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= UNIT_TOL))
+        if bad.size:
+            raise SpecError(f"character is not multiplicative at {pairs[bad[0]]!r}")
 
 
 def trivial_character(group: CayleyGroup, domain: str = "full_group") -> UnitaryCharacter:
-    return UnitaryCharacter(group, domain, lambda x: 1.0 + 0j,
-                            descriptor={"kind": "trivial"}, validate=False)
+    return UnitaryCharacter.batched(group, domain, lambda keys: np.ones(len(keys), dtype=complex),
+                                    descriptor={"kind": "trivial"}, validate=False)
 
 
 def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
@@ -154,7 +178,7 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
         if kind == "cyclic" and abs(np.exp(1j * phi * group.n) - 1.0) > 1e-9:
             raise SpecError(
                 f"exp character needs phi * {group.n} to be a multiple of 2*pi")
-        rule = lambda x: np.exp(1j * phi * x)
+        vec = np.array([phi])
         descriptor = {"kind": "exp_linear", "phi": phi}
     elif kind in ("lattice", "hypercube"):
         vec = np.asarray(phi, dtype=float).reshape(-1)
@@ -165,11 +189,11 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
             if np.abs(np.exp(1j * vec * period) - 1.0).max() > 1e-9:
                 raise SpecError(
                     f"exp character needs each phi component commensurate with period {period}")
-        rule = lambda x: np.exp(1j * float(np.dot(vec, x)))
         descriptor = {"kind": "exp_linear", "phi": [float(v) for v in vec]}
     else:
         raise SpecError(f"exp character not defined for group kind {kind!r}")
-    return UnitaryCharacter(group, domain, rule, descriptor, validate=validate)
+    values = lambda keys: np.exp(1j * (group.coords(keys) @ vec))
+    return UnitaryCharacter.batched(group, domain, values, descriptor, validate=validate)
 
 
 def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
@@ -180,20 +204,20 @@ def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
         m = int(mask)
         if kind == "cyclic" and (m * group.n) % 2:
             raise SpecError("sign character requires an even period")
-        rule = lambda x: complex((-1) ** ((m * x) % 2))
+        vec = np.array([m])
         descriptor = {"kind": "sign", "mask": m}
     elif kind in ("lattice", "hypercube"):
-        vec = tuple(int(v) % 2 for v in mask)
+        vec = np.array([int(v) % 2 for v in mask], dtype=np.int64)
         if len(vec) != group.d:
             raise SpecError(f"mask must have length {group.d}")
         if kind == "lattice" and group.period is not None and group.period % 2:
-            if any(vec):
+            if vec.any():
                 raise SpecError("sign character requires an even period")
-        rule = lambda x: complex((-1) ** (sum(m * v for m, v in zip(vec, x)) % 2))
-        descriptor = {"kind": "sign", "mask": list(vec)}
+        descriptor = {"kind": "sign", "mask": vec.tolist()}
     else:
         raise SpecError(f"sign character not defined for group kind {kind!r}")
-    return UnitaryCharacter(group, domain, rule, descriptor, validate=validate)
+    values = lambda keys: (1.0 - 2.0 * ((group.coords(keys) @ vec) % 2)).astype(complex)
+    return UnitaryCharacter.batched(group, domain, values, descriptor, validate=validate)
 
 
 def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> UnitaryCharacter:
@@ -204,30 +228,30 @@ def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> 
 
 
 def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
-    """Normalize an eta window into a callable on all integers.
+    """Normalize an eta window into a function on integers or integer arrays.
 
     For finite coset count chi the window has length chi and extends by
     eta(m - chi) = eta(m) * rho0 (plain periodicity when rho0 = 1). For
     infinite chi any callable (or None, or a plain periodic list) is allowed.
+    The values of a callable are checked where they are used, in the phases.
     """
-    rho0 = _as_unit(rho0, "eta extension factor")
+    rho0 = require_unit(rho0, what="eta extension factor")
     if eta is None:
         # The trivial window still needs the rho0 twist across wraps.
         eta = [1.0 + 0j] * (group.chi or 1)
     if callable(eta):
-        return lambda m: _as_unit(eta(int(m)), f"eta({m})")
-    seq = [_as_unit(v, "eta entry") for v in eta]
+        return lambda m: elementwise(lambda v: eta(int(v)), np.ravel(m)).reshape(np.shape(m))
+    seq = require_unit(np.asarray(eta, dtype=complex).reshape(-1), what="eta entry")
     chi = group.chi
     if chi is not None:
         if len(seq) != chi:
             raise SpecError(
                 f"eta window must have length chi = {chi}, got {len(seq)}")
         def extension(m):
-            j, m0 = divmod(int(m), chi)
+            j, m0 = np.divmod(m, chi)
             return seq[m0] * rho0 ** (-j)
         return extension
-    period = len(seq)
-    return lambda m: seq[int(m) % period]
+    return lambda m: seq[np.mod(m, len(seq))]
 
 
 def _require_nonseparating(group: CayleyGroup) -> None:
@@ -237,7 +261,7 @@ def _require_nonseparating(group: CayleyGroup) -> None:
 
 
 def _check_epsilon(group: CayleyGroup, epsilon) -> complex:
-    eps = _as_unit(epsilon, "epsilon")
+    eps = require_unit(epsilon, what="epsilon")
     if group.chi is None and abs(eps - 1.0) > UNIT_TOL:
         raise FamilyPreconditionError(
             "epsilon must be 1 when the coset count is infinite")
@@ -257,6 +281,22 @@ def identity_symmetry(group: CayleyGroup) -> SymmetryTransform:
     return t
 
 
+def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
+    """A diagonal U' given as a unit vector or a diagonal matrix."""
+    arr = np.asarray(value, dtype=complex)
+    if arr.ndim == 1:
+        vec = arr
+    elif arr.ndim == 2:
+        if np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
+            raise FamilyPreconditionError(f"U' must be diagonal {ctx}".rstrip())
+        vec = np.diagonal(arr).copy()
+    else:
+        raise SpecError("U' entries must be vectors or matrices")
+    if vec.shape[0] != group.coin_dim:
+        raise SpecError(f"U' has size {vec.shape[0]}, expected {group.coin_dim}")
+    return require_unit(vec, what="U' diagonal entry")
+
+
 def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     """Split a space-homogeneous U' argument into (U'_0 matrix, diag rule).
 
@@ -267,38 +307,12 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     """
     dim = group.coin_dim
     ones = np.ones(dim, dtype=complex)
-
-    def as_diag_vector(value, ctx):
-        arr = np.asarray(value, dtype=complex)
-        if arr.ndim == 1:
-            vec = arr.reshape(-1)
-        elif arr.ndim == 2:
-            if np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
-                raise FamilyPreconditionError(
-                    f"U' must be diagonal {ctx}")
-            vec = np.diagonal(arr).copy()
-        else:
-            raise SpecError("U' entries must be vectors or matrices")
-        if vec.shape[0] != dim:
-            raise SpecError(f"U' has size {vec.shape[0]}, expected {dim}")
-        for v in vec:
-            _as_unit(v, "U' diagonal entry")
-        return vec
-
     if uprime is None:
         return np.eye(dim, dtype=complex), lambda n: ones
     if callable(uprime):
-        cache: dict[int, np.ndarray] = {}
-        def diag_rule(n):
-            n = int(n)
-            vec = cache.get(n)
-            if vec is None:
-                vec = as_diag_vector(uprime(n), f"for steps n >= 1 (n = {n})")
-                cache[n] = vec
-            return vec
         u0m = as_complex_matrix(uprime(0), dim)
         require_unitary(u0m, what="U'(0)")
-        return u0m, diag_rule
+        return u0m, lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})")
     if isinstance(uprime, tuple) and len(uprime) == 2:
         u0m = as_complex_matrix(uprime[0], dim)
         require_unitary(u0m, what="U'(0)")
@@ -306,14 +320,14 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
         if rest is None:
             return u0m, lambda n: ones
         if callable(rest):
-            return u0m, lambda n: as_diag_vector(rest(n), f"for n = {n}")
-        vec = as_diag_vector(rest, "for steps n >= 1")
+            return u0m, lambda n: _uprime_diagonal(group, rest(n), f"for n = {n}")
+        vec = _uprime_diagonal(group, rest, "for steps n >= 1")
         return u0m, lambda n: vec
     arr = np.asarray(uprime, dtype=complex)
     if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
         require_unitary(as_complex_matrix(arr, dim), what="U'(0)")
         return arr.astype(complex), lambda n: ones
-    vec = as_diag_vector(arr, "when given as a single vector")
+    vec = _uprime_diagonal(group, arr, "when given as a single vector")
     return np.diag(vec), lambda n: vec
 
 
@@ -337,30 +351,31 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
     rho0 = rho(group.pow_c0(group.chi)) if group.chi is not None else 1.0 + 0j
     eta_fn = _eta_extension(group, eta, rho0)
 
-    def phase_rule(n, x, c):
-        xt, k = group.decompose(x)
-        return eta_fn(n - k) * rho(xt) * diag_rule(n)[c]
+    def positional(n, keys):
+        """eta(n - k) * rho(xt) at each key."""
+        xt, k = group.decompose_keys(keys)
+        return eta_fn(n - k) * rho.values(xt)
 
-    def u0_rule(x):
-        xt, k = group.decompose(x)
-        return eta_fn(-k) * rho(xt) * u0_mat
-
-    u0 = LocalUnitary.from_rule(group, u0_rule, validate=False)
+    u0 = LocalUnitary(group, lambda keys: positional(0, keys)[:, None, None] * u0_mat)
+    phases = PhaseField.batched(
+        group, lambda n, keys: positional(n, keys)[:, None] * diag_rule(n))
     params = {"eta": eta_fn, "rho": rho, "uprime0": u0_mat,
               "uprime_diag": diag_rule, "rho0": rho0}
-    return SymmetryTransform(group, u0, PhaseField(group, phase_rule),
-                             "space_homog", params)
+    return SymmetryTransform(group, u0, phases, "space_homog", params)
 
 
 def _normalize_delta(group: CayleyGroup, delta):
+    """delta as a function of a key batch -> (N, dim) array."""
+    dim = group.coin_dim
     if delta is None:
-        return lambda x, c: 1.0 + 0j
+        return lambda keys: np.ones((len(keys), dim), dtype=complex)
     if callable(delta):
-        return lambda x, c: _as_unit(delta(x, c), f"delta({x!r}, {c})")
-    table = {}
-    for (x, c), value in delta.items():
-        table[(group.validate(x), int(c))] = _as_unit(value, "delta entry")
-    return lambda x, c: table.get((group.validate(x), c), 1.0 + 0j)
+        return lambda keys: elementwise(lambda x: [delta(x, c) for c in range(dim)],
+                                        group.elements_of(keys), (dim,))
+    units = {(int(group.keys([x])[0]), int(c)): require_unit(value, what="delta entry")
+             for (x, c), value in delta.items()}
+    return lambda keys: elementwise(lambda k: [units.get((k, c), 1.0) for c in range(dim)],
+                                    keys.tolist(), (dim,))
 
 
 def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
@@ -377,19 +392,12 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
     eta_fn = _eta_extension(group, eta)
     delta_fn = _normalize_delta(group, delta)
 
-    def phase_rule(n, x, c):
-        k = group.coset_index(x)
-        return eps ** n * eta_fn(n - k) * delta_fn(x, c)
+    def phases(n, keys):
+        return (eps ** n * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
 
-    def u0_diag(x):
-        k = group.coset_index(x)
-        return np.array([eta_fn(-k) * delta_fn(x, c)
-                         for c in range(group.coin_dim)], dtype=complex)
-
-    u0 = LocalUnitary.diagonal(group, u0_diag, validate=False)
     params = {"epsilon": eps, "eta": eta_fn, "delta": delta_fn}
-    return SymmetryTransform(group, u0, PhaseField(group, phase_rule),
-                             "time_homog", params)
+    return SymmetryTransform(group, LocalUnitary(group, lambda keys: phases(0, keys)),
+                             PhaseField.batched(group, phases), "time_homog", params)
 
 
 def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
@@ -407,40 +415,17 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
     if gamma.domain != "full_group":
         raise FamilyPreconditionError(
             "fully homogeneous symmetries need a character of the whole group")
-    if uprime is None:
-        uvec = np.ones(group.coin_dim, dtype=complex)
-    else:
-        arr = np.asarray(uprime, dtype=complex)
-        if arr.ndim == 2:
-            if np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
-                raise FamilyPreconditionError("U' must be diagonal")
-            arr = np.diagonal(arr).copy()
-        uvec = arr.reshape(-1)
-        if uvec.shape[0] != group.coin_dim:
-            raise SpecError(f"U' has size {uvec.shape[0]}, expected {group.coin_dim}")
-        for v in uvec:
-            _as_unit(v, "U' diagonal entry")
+    uvec = (np.ones(group.coin_dim, dtype=complex) if uprime is None
+            else _uprime_diagonal(group, uprime))
     eta_fn = _eta_extension(group, eta)
 
-    def phase_rule(n, x, c):
-        k = group.coset_index(x)
-        return eta_fn(n - k) * eps ** n * gamma(x) * uvec[c]
+    def phases(n, keys):
+        k = group.coset_indices(keys)
+        return (eta_fn(n - k) * eps ** n * gamma.values(keys))[:, None] * uvec
 
-    def u0_diag(x):
-        k = group.coset_index(x)
-        return eta_fn(-k) * gamma(x) * uvec
-
-    u0 = LocalUnitary.diagonal(group, u0_diag, validate=False)
     params = {"epsilon": eps, "eta": eta_fn, "gamma": gamma, "uprime": uvec}
-    return SymmetryTransform(group, u0, PhaseField(group, phase_rule),
-                             "full_homog", params)
-
-
-def symmetry_phase_at(t: SymmetryTransform, n: int, x, c: int) -> complex:
-    """Evaluate the dressing phase u(n, x, c); n must be >= 1."""
-    if int(n) < 1:
-        raise SpecError("step-0 dressing is U0, not a diagonal phase")
-    return t.phases.at(n, x, c)
+    return SymmetryTransform(group, LocalUnitary(group, lambda keys: phases(0, keys)),
+                             PhaseField.batched(group, phases), "full_homog", params)
 
 
 def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:
@@ -448,6 +433,17 @@ def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:
     if psi0.group != t.group:
         raise SpecError("symmetry and state live on different groups")
     return t.u0.apply(psi0)
+
+
+def _shifted_phases(phases: PhaseField, n: int, keys: np.ndarray) -> np.ndarray:
+    """(N, dim) array of u(n, x * s_c, c): each coin's phase at the position
+    its shift moves it to, with the field evaluated once per position."""
+    group = phases.group
+    dim = group.coin_dim
+    shifted, inverse = merge_keys(np.concatenate(
+        [group.shift_rows(keys, c) for c in range(dim)]))
+    values = phases.phases(n, shifted)
+    return values[inverse.reshape(dim, len(keys)), np.arange(dim)[:, None]].T
 
 
 def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
@@ -462,21 +458,17 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
         raise SpecError("symmetry and coin live on different groups")
     if t.family == "general" and t.params.get("identity"):
         return coin
-    gens = group.generators
-    dim = group.coin_dim
 
-    def rule(n, x):
-        c_mat = coin.matrix_at(n, x)
-        v = np.array([t.phases.at(n + 1, group.mul(x, gens[c]), c)
-                      for c in range(dim)], dtype=complex)
-        if n == 0:
-            return (v[:, None] * c_mat) @ t.u0.component(x).conj().T
-        u = np.array([t.phases.at(n, x, d) for d in range(dim)], dtype=complex)
-        return (v[:, None] * c_mat) * np.conj(u)[None, :]
+    def blocks(n, keys):
+        m = _shifted_phases(t.phases, n + 1, keys)[:, :, None] * coin.block(n, keys)
+        u = t.u0.block(keys) if n == 0 else t.phases.phases(n, keys)
+        if u.ndim == 2:
+            return m * np.conj(u)[:, None, :]
+        return m @ np.swapaxes(u.conj(), -1, -2)
 
     new_time = coin.time_homogeneous and t.family in ("time_homog", "full_homog")
     new_space = coin.space_homogeneous and t.family in ("space_homog", "full_homog")
-    return QuantumCoin(group, rule, time_homogeneous=new_time,
+    return QuantumCoin(group, blocks, time_homogeneous=new_time,
                        space_homogeneous=new_space, validate=True)
 
 
@@ -485,9 +477,4 @@ def apply_dressing(t: SymmetryTransform, n: int, state: WalkState) -> WalkState:
     n = int(n)
     if n == 0:
         return t.u0.apply(state)
-    phases = t.phases
-    dim = t.group.coin_dim
-    op = LocalUnitary.diagonal(
-        t.group, lambda x: [phases.at(n, x, c) for c in range(dim)],
-        validate=False)
-    return op.apply(state)
+    return apply_block(state, t.phases.phases(n, state.positions))

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism,
-                            apply_generalized_dressing, compose,
+from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             enumerate_automorphisms, generalized_transform,
-                            identity_automorphism, invert, permutation_apply)
+                            invert, permutation_apply)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
 from .states import LocalUnitary, WalkState
 from .symmetry import PhaseField, SymmetryTransform, apply_dressing, transform_coin, transform_state
-from .walk import QuantumCoin, WalkInstance, evolve
+from .walk import PROBE_STEPS, QuantumCoin, WalkInstance, evolve, homogeneity_spreads
 
 
 @dataclass(frozen=True)
@@ -62,16 +61,16 @@ def _report(case_id, residuals, tol) -> VerificationReport:
 def corrupted_phases(base: PhaseField, at, factor: complex = -1.0) -> PhaseField:
     """Copy of a phase field with the unit at one (n, x, c) multiplied by
     `factor`, a deliberately wrong dressing for negative controls."""
-    group = base.group
-    n0, x0, c0 = int(at[0]), group.validate(at[1]), int(at[2])
+    n0, key0, c0 = int(at[0]), base.group.keys([at[1]])[0], int(at[2])
 
-    def rule(n, x, c):
-        u = base.at(n, x, c)
-        if n == n0 and c == c0 and group.validate(x) == x0:
-            return u * factor
+    def phases(n, keys):
+        u = base.phases(n, keys)
+        if n == n0:
+            u = u.copy()
+            u[keys == key0, c0] *= factor
         return u
 
-    return PhaseField(group, rule)
+    return PhaseField.batched(base.group, phases)
 
 
 def _split_transform(transform):
@@ -150,41 +149,7 @@ def check_probability_map(coin: QuantumCoin, psi0: WalkState, transform,
     return _report(case_id, residuals, tol)
 
 
-def _probe_positions(group: CayleyGroup) -> list:
-    probes = [group.identity]
-    probes.extend(group.generators)
-    probes.append(group.mul(group.c0, group.c0))
-    seen, out = set(), []
-    for x in probes:
-        key = group.encode(x)
-        if key not in seen:
-            seen.add(key)
-            out.append(x)
-    return out
-
-
-def homogeneity_spreads(coin: QuantumCoin, n_probe=(0, 1, 2, 3),
-                        positions_probe=None) -> tuple[float, float]:
-    """(time spread, space spread): worst matrix deviation across probes."""
-    if positions_probe is None:
-        positions_probe = _probe_positions(coin.group)
-    n_probe = [int(n) for n in n_probe]
-    time_spread = 0.0
-    space_spread = 0.0
-    mats = {(n, i): coin.matrix_at(n, x)
-            for n in n_probe for i, x in enumerate(positions_probe)}
-    for i in range(len(positions_probe)):
-        for n in n_probe[1:]:
-            time_spread = max(time_spread,
-                              float(np.abs(mats[(n, i)] - mats[(n_probe[0], i)]).max()))
-    for n in n_probe:
-        for i in range(1, len(positions_probe)):
-            space_spread = max(space_spread,
-                               float(np.abs(mats[(n, i)] - mats[(n, 0)]).max()))
-    return time_spread, space_spread
-
-
-def check_homogeneity(coin: QuantumCoin, n_probe=(0, 1, 2, 3),
+def check_homogeneity(coin: QuantumCoin, n_probe=PROBE_STEPS,
                       positions_probe=None, tol: float = 1e-12) -> tuple[bool, bool]:
     """(time-homogeneous, space-homogeneous) by probing the coin rule."""
     time_spread, space_spread = homogeneity_spreads(coin, n_probe, positions_probe)

@@ -2,8 +2,8 @@
 
 One step applies the current coin (a local operation) and then the
 conditional shift T sending |x, c> to |x s_c, c>. Coins may depend on the
-time step and the position; declared homogeneity flags unlock cached and
-vectorized fast paths and are spot-checked at construction.
+time step and the position; declared homogeneity flags unlock a cached
+shared matrix and are probed at construction.
 """
 
 from __future__ import annotations
@@ -13,27 +13,32 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import WalkState, _clean, merge_keys, nonzero_rows
+from .states import WalkState, apply_block, elementwise, merge_keys, nonzero_rows, require_block
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
+# Steps at which homogeneity is probed.
+PROBE_STEPS = (0, 1, 2, 3, 5)
 
 
 class QuantumCoin:
-    """Time- and position-dependent coin: rule(n, x) -> coin-space unitary."""
+    """Time- and position-dependent coin. `blocks(n, keys)` gives the coin's
+    block at step n over a batch of position keys: (1, dim, dim) when shared,
+    (N, dim, dim) per position (see states.apply_block)."""
 
-    __slots__ = ("group", "_rule", "time_homogeneous", "space_homogeneous",
-                 "validate", "_cache")
+    __slots__ = ("group", "_blocks", "time_homogeneous", "space_homogeneous",
+                 "validate", "_cache", "_identity")
 
-    def __init__(self, group: CayleyGroup, rule, time_homogeneous: bool = False,
+    def __init__(self, group: CayleyGroup, blocks, time_homogeneous: bool = False,
                  space_homogeneous: bool = False, validate: bool = True):
         self.group = group
-        self._rule = rule
+        self._blocks = blocks
         self.time_homogeneous = bool(time_homogeneous)
         self.space_homogeneous = bool(space_homogeneous)
         self.validate = validate
         self._cache: dict = {}
-        if validate:
+        self._identity = group.keys([group.identity])
+        if validate and (self.time_homogeneous or self.space_homogeneous):
             self._probe_flags()
 
     # -- constructors ---------------------------------------------------------
@@ -43,73 +48,83 @@ class QuantumCoin:
         m = as_complex_matrix(matrix, group.coin_dim)
         if validate:
             require_unitary(m, what="coin matrix")
-        coin = cls(group, lambda n, x: m, time_homogeneous=True,
+        return cls(group, lambda n, keys: m[None], time_homogeneous=True,
                    space_homogeneous=True, validate=False)
-        coin._cache["uniform"] = m
-        return coin
 
     @classmethod
     def from_rule(cls, group: CayleyGroup, rule, time_homogeneous: bool = False,
                   space_homogeneous: bool = False, validate: bool = True) -> "QuantumCoin":
-        return cls(group, rule, time_homogeneous, space_homogeneous, validate)
+        """rule(n, x) returns the coin-space matrix at step n, element x."""
+        dim = group.coin_dim
+
+        def blocks(n, keys):
+            return elementwise(lambda x: as_complex_matrix(rule(n, x), dim),
+                               group.elements_of(keys), (dim, dim))
+
+        return cls(group, blocks, time_homogeneous, space_homogeneous, validate)
 
     @classmethod
     def table(cls, group: CayleyGroup, matrices, validate: bool = True) -> "QuantumCoin":
         """Space-homogeneous coin cycling through a finite list over time."""
-        mats = [as_complex_matrix(m, group.coin_dim) for m in matrices]
+        mats = np.array([as_complex_matrix(m, group.coin_dim) for m in matrices])
         if validate:
-            for i, m in enumerate(mats):
-                require_unitary(m, what=f"coin matrix #{i}")
+            require_unitary(mats, what="coin matrix")
         period = len(mats)
-        return cls(group, lambda n, x: mats[n % period],
+        return cls(group, lambda n, keys: mats[n % period][None],
                    time_homogeneous=(period == 1), space_homogeneous=True,
                    validate=False)
 
     # -- access -----------------------------------------------------------------
 
-    def matrix_at(self, n: int, x=None) -> np.ndarray:
-        """Coin matrix at step n, position x (identity if omitted)."""
-        if x is None:
-            x = self.group.identity
-        if self.time_homogeneous and self.space_homogeneous:
-            m = self._cache.get("uniform")
-            if m is None:
-                m = self._checked(0, self.group.identity)
-                self._cache["uniform"] = m
-            return m
-        if self.space_homogeneous:
-            key = 0 if self.time_homogeneous else int(n)
-            m = self._cache.get(key)
-            if m is None:
-                m = self._checked(key, self.group.identity)
-                if len(self._cache) < 4096:
-                    self._cache[key] = m
-            return m
-        return self._checked(0 if self.time_homogeneous else int(n), x)
-
-    def _checked(self, n: int, x) -> np.ndarray:
-        m = as_complex_matrix(self._rule(n, x), self.group.coin_dim)
-        if self.validate:
-            require_unitary(m, what=f"coin at step {n}, position {x!r}")
+    def block(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The coin's block at step n over `keys`; a space-homogeneous coin
+        gives its shared matrix, evaluated once per step at the identity."""
+        n = 0 if self.time_homogeneous else int(n)
+        if not self.space_homogeneous:
+            return self._evaluate(n, keys)
+        m = self._cache.get(n)
+        if m is None:
+            m = self._evaluate(n, self._identity)
+            if len(self._cache) < 4096:
+                self._cache[n] = m
         return m
 
+    def matrix_at(self, n: int, x=None) -> np.ndarray:
+        """Coin matrix at step n, position x (identity if omitted)."""
+        return self.block(n, self._identity if x is None else self.group.keys([x]))[0]
+
+    def _evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The rule's block at step n, ignoring the homogeneity flags."""
+        block = self._blocks(n, keys)
+        if self.validate:
+            require_block(self.group, keys, block, f"step-{n} coin")
+        return block
+
     def _probe_flags(self) -> None:
-        """Spot-check that declared homogeneity matches the rule: time at a
-        few fixed steps, space at every generator and a few seeded random
-        positions, so a coin varying along any one generator is caught."""
-        g = self.group
-        base = self._checked(0, g.identity)
-        if self.time_homogeneous:
-            for n in (1, 2, 5):
-                if not np.abs(self._checked(n, g.identity) - base).max() <= 1e-12:
-                    raise SpecError(
-                        "coin declared time-homogeneous but varies with the step")
-        if self.space_homogeneous:
-            xs = list(g.generators) + g.random_elements(np.random.default_rng(0), 4)
-            for x in xs:
-                if not np.abs(self._checked(0, x) - base).max() <= 1e-12:
-                    raise SpecError(
-                        "coin declared space-homogeneous but varies with position")
+        """Check that declared homogeneity matches the rule."""
+        time_spread, space_spread = homogeneity_spreads(self)
+        if self.time_homogeneous and not time_spread <= 1e-12:
+            raise SpecError("coin declared time-homogeneous but varies with the step")
+        if self.space_homogeneous and not space_spread <= 1e-12:
+            raise SpecError("coin declared space-homogeneous but varies with position")
+
+
+def homogeneity_spreads(coin: QuantumCoin, n_probe=PROBE_STEPS,
+                        positions_probe=None) -> tuple[float, float]:
+    """(time spread, space spread): the worst deviation of the coin rule's
+    matrices across probe steps and positions, whatever the coin's flags. The
+    default positions (identity, every generator, c0 * c0 and four seeded
+    random elements) catch a coin varying along any one generator."""
+    g = coin.group
+    if positions_probe is None:
+        positions_probe = ([g.identity, *g.generators, g.mul(g.c0, g.c0)]
+                           + g.random_elements(np.random.default_rng(0), 4))
+    keys = g.keys(positions_probe)
+    shape = (len(keys), g.coin_dim, g.coin_dim)
+    mats = np.stack([np.broadcast_to(coin._evaluate(int(n), keys), shape) for n in n_probe])
+    # np.max propagates a NaN matrix, which then fails every tolerance
+    return (float(np.max(np.abs(mats - mats[:1]))),
+            float(np.max(np.abs(mats - mats[:, :1]))))
 
 
 def hadamard_coin(group: CayleyGroup) -> QuantumCoin:
@@ -158,13 +173,7 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
 def apply_coin(coin: QuantumCoin, state: WalkState, n: int) -> WalkState:
     if coin.group != state.group:
         raise SpecError("coin and state live on different groups")
-    if coin.space_homogeneous:
-        m = coin.matrix_at(n)
-        return _clean(state.group, state.positions, state.amps @ m.T)
-    amps = np.empty_like(state.amps)
-    for i, x in enumerate(state.elements()):
-        amps[i] = coin.matrix_at(n, x) @ state.amps[i]
-    return _clean(state.group, state.positions, amps)
+    return apply_block(state, coin.block(n, state.positions))
 
 
 def step(coin: QuantumCoin, state: WalkState, n: int) -> WalkState:
@@ -186,9 +195,6 @@ class WalkInstance:
         self.group = group
         self.coin = coin
         self.initial_state = initial_state
-
-    def evolve(self, n_max: int) -> list[WalkState]:
-        return evolve(self, n_max)
 
 
 def evolve(instance: WalkInstance, n_max: int) -> list[WalkState]:

@@ -118,6 +118,18 @@ def test_decompose_roundtrip(group, rng):
         assert group.mul(xt, group.pow_c0(k)) == x
 
 
+@pytest.mark.parametrize("group", all_groups() + [
+    make_group("line", generators=(-1,)), CyclicGroup(12, generators=(1, 4, 7)),
+    LatticeGroup(2, period=5), LatticeGroup(3, c0_index=3), HypercubeGroup(3, c0_index=1)],
+    ids=repr)
+def test_batched_decompose_matches_scalar(group, rng):
+    xs = group.random_elements(rng, 12)
+    keys = group.keys(xs)
+    xt_keys, ks = group.decompose_keys(keys)
+    assert list(zip(group.elements_of(xt_keys), ks.tolist())) == [group.decompose(x) for x in xs]
+    assert group.coset_indices(keys).tolist() == [group.coset_index(x) for x in xs]
+
+
 def test_cyclic_causal_structure():
     causal = brute_force_causal(CyclicGroup(8))
     assert causal.subgroup == {0, 2, 4, 6}

@@ -71,6 +71,14 @@ def test_position_distribution_warns_when_unnormalized():
         state.position_distribution()
 
 
+def test_nan_rows_stay_visible():
+    state = WalkState.from_terms(LineGroup(), [(0, 0, float("nan")), (1, 0, 1.0)])
+    assert state.support() == [0, 1]
+    with pytest.warns(UserWarning):
+        dist = state.position_distribution()
+    assert list(dist) == [0, 1] and np.isnan(dist[0]) and dist[1] == 1.0
+
+
 def test_records_roundtrip(rng):
     group = CyclicGroup(8)
     state = random_state(group, rng)
@@ -91,8 +99,8 @@ def test_uniform_local_unitary_matches_rule(rng):
     uniform = LocalUnitary.uniform(group, mat)
     ruled = LocalUnitary.from_rule(group, lambda x: mat)
     assert uniform.apply(state).distance(ruled.apply(state)) < 1e-14
-    assert uniform.uniform_flag
-    assert uniform.diagonal_flag is False
+    assert uniform.block(state.positions).shape == (1, 2, 2)
+    assert ruled.block(state.positions).shape == (state.n_positions, 2, 2)
 
 
 def test_diagonal_local_unitary(rng):

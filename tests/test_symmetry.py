@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup,
-                        LineGroup, LocalUnitary, PhaseField, SpecError, WalkState,
-                        apply_dressing, check_symmetry_relation, cyclic_character,
+                        LineGroup, LocalUnitary, NonUnitaryError, PhaseField, SpecError,
+                        WalkState, apply_dressing, check_symmetry_relation, cyclic_character,
                         exp_character, grover_coin, hadamard_coin, identity_symmetry,
                         make_full_homog_symmetry, make_general_symmetry, make_group,
                         make_space_homog_symmetry, make_time_homog_symmetry,
-                        sign_character, symmetry_phase_at, transform_coin,
-                        transform_state, trivial_character)
+                        sign_character, transform_coin, transform_state, trivial_character)
 from cayleywalk.linalg import random_phases, random_unitary
 from cayleywalk.verify import homogeneity_spreads
 
@@ -32,6 +31,15 @@ def test_phase_field_requires_unit_values():
     field = PhaseField(group, lambda n, x, c: 2.0)
     with pytest.raises(SpecError):
         field.at(1, 0, 0)
+
+
+def test_nan_phases_are_rejected(rng):
+    group = LineGroup()
+    with pytest.raises(NonUnitaryError):
+        PhaseField(group, lambda n, x, c: float("nan")).at(1, 0, 0)
+    diag = LocalUnitary.diagonal(group, lambda x: [float("nan"), 1.0])
+    with pytest.raises(NonUnitaryError):
+        diag.apply(random_state(group, rng))
 
 
 def test_phase_field_table_with_default():
@@ -83,10 +91,10 @@ def test_space_homog_phase_oracle():
     phi = 0.3
     rho = exp_character(group, phi, domain="causal_subgroup")
     t = make_space_homog_symmetry(group, rho=rho)
-    assert symmetry_phase_at(t, 1, 4, 0) == pytest.approx(np.exp(4j * phi))
+    assert t.phases.at(1, 4, 0) == pytest.approx(np.exp(4j * phi))
     eta = t.params["eta"]
     for n in (2, 5):
-        assert symmetry_phase_at(t, n, 4, 1) == pytest.approx(
+        assert t.phases.at(n, 4, 1) == pytest.approx(
             np.exp(4j * phi) * eta(n))
 
 
@@ -95,7 +103,7 @@ def test_time_homog_phase_oracle():
     eps = np.exp(1j * np.pi / 2)
     t = make_time_homog_symmetry(group, epsilon=eps)
     for n in (1, 2, 5):
-        assert symmetry_phase_at(t, n, 0, 0) == pytest.approx(eps ** n)
+        assert t.phases.at(n, 0, 0) == pytest.approx(eps ** n)
 
 
 def test_epsilon_needs_finite_coset_count():
@@ -126,7 +134,7 @@ def test_uprime_tail_must_be_diagonal():
     bad_tail = lambda n: np.eye(2) if n == 0 else np.array([[0, 1], [1, 0]])
     with pytest.raises(FamilyPreconditionError):
         t = make_space_homog_symmetry(group, uprime=bad_tail)
-        symmetry_phase_at(t, 1, 0, 0)
+        t.phases.at(1, 0, 0)
 
 
 def test_exp_character_commensurability():

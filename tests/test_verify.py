@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
-                        SymmetryTransform, VerificationReport, WalkState,
+                        NonUnitaryError, SymmetryTransform, VerificationReport, WalkState,
                         check_homogeneity, check_probability_map,
                         check_symmetry_relation, corrupted_phases, grover_coin,
                         hadamard_coin, identity_symmetry,
                         make_shifted_automorphism, make_generalized_symmetry,
                         make_full_homog_symmetry, make_time_homog_symmetry,
                         run_invariant_suite)
-from cayleywalk.verify import (assemble_coin_matrix, assemble_dressing_matrix,
+from cayleywalk.verify import (_report, assemble_coin_matrix, assemble_dressing_matrix,
                                assemble_step_matrix, homogeneity_spreads)
 from cayleywalk.walk import QuantumCoin
 
@@ -144,15 +144,27 @@ def test_identity_symmetry_relation_zero_on_every_group():
 
 
 def test_nan_corrupted_control_fails_with_nan_residual():
+    # a NaN dressing phase is rejected as a non-unit where it is evaluated
     group = LineGroup()
     coin = hadamard_coin(group)
     t = make_full_homog_symmetry(group, epsilon=1j)
     start = WalkState.localized(group, 0, [1.0, 0.0])
     assert check_symmetry_relation(coin, start, t, n_max=8).passed
     bad = corrupted_phases(t.phases, (5, 1, 0), factor=float("nan"))
-    report = check_symmetry_relation(coin, start, t, n_max=8, dressing=bad)
-    assert np.isnan(report.per_step_residuals[5])
-    assert max(report.per_step_residuals[:5] + report.per_step_residuals[6:]) < 1e-12
+    with pytest.raises(NonUnitaryError, match="step-5 phase at 1 "):
+        check_symmetry_relation(coin, start, t, n_max=8, dressing=bad)
+
+
+def test_nan_residual_fails_the_report():
+    report = _report("nan", [0.0, float("nan"), 1e-16], 1e-10)
     assert np.isnan(report.max_residual)
     assert not report.passed
     assert "[FAIL]" in str(report)
+
+
+def test_homogeneity_probe_does_not_skip_nan():
+    coin = QuantumCoin.from_rule(
+        LineGroup(), lambda n, x: np.eye(2) * (np.nan if x == 1 else 1), validate=False)
+    time_spread, space_spread = homogeneity_spreads(coin)
+    assert np.isnan(time_spread) and np.isnan(space_spread)
+    assert check_homogeneity(coin) == (False, False)
