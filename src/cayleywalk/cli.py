@@ -27,11 +27,11 @@ from .line import (LineCoinParams, build_line_coin, canonicalize_line_coin,
 from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_state,
                     parse_coin_spec, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
-                    write_distribution_csv)
+                    write_distribution_csv, write_distribution_json)
 from .symmetry import transform_coin, transform_state
 from .verify import (check_homogeneity, check_probability_map,
                      check_symmetry_relation, run_invariant_suite)
-from .walk import WalkInstance, evolve
+from .walk import WalkInstance, evolve_iter
 
 logger = logging.getLogger("cayleywalk")
 
@@ -85,23 +85,21 @@ def cmd_simulate(args) -> int:
     start = parse_state_spec(group, _read_spec_arg(args.start))
     if args.steps < 0:
         raise SpecError("steps must be nonnegative")
-    history = evolve(WalkInstance(group, coin, start), args.steps)
-    logger.info("simulated %d steps on %s", args.steps, group.kind)
-    if args.format == "csv":
-        fh = _open_out(args)
-        if fh is None:
-            write_distribution_csv(sys.stdout, group, history)
-        else:
-            with fh:
-                write_distribution_csv(fh, group, history)
+    states = evolve_iter(WalkInstance(group, coin, start), args.steps)
+    write = write_distribution_csv if args.format == "csv" else write_distribution_json
+    fh = _open_out(args)
+    if fh is None:
+        write(sys.stdout, group, states)
     else:
-        payload = [{"distribution": [
-                        {"p": p, "x": dump_element(x)}
-                        for x, p in sorted(st.position_distribution().items(),
-                                           key=lambda kv: group.sort_key(kv[0]))],
-                    "step": n}
-                   for n, st in enumerate(history)]
-        _emit(args, dump_json(payload) + "\n")
+        try:
+            with fh:
+                write(fh, group, states)
+        except BaseException:
+            # the rows are written as the walk runs: a failed run must not
+            # leave a truncated file behind
+            os.remove(args.out)
+            raise
+    logger.info("simulated %d steps on %s", args.steps, group.kind)
     return 0
 
 

@@ -182,8 +182,15 @@ class CayleyGroup:
     def decompose_keys(self, keys: np.ndarray):
         """decompose of each key of a batch: (keys of the xt, the k)."""
         k = self.coset_indices(keys)
-        xt = self.coords(keys) - k[:, None] * np.reshape(self.c0, -1)
-        return self.pack(xt if self._modulus is None else xt % self._modulus), k
+        return self._pack_wrapped(self.coords(keys) - k[:, None] * np.reshape(self.c0, -1)), k
+
+    def mul_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """mul of two key batches, pair by pair (every kind is abelian and
+        adds its coordinates)."""
+        return self._pack_wrapped(self.coords(a) + self.coords(b))
+
+    def _pack_wrapped(self, coords: np.ndarray) -> np.ndarray:
+        return self.pack(coords if self._modulus is None else coords % self._modulus)
 
     # -- misc -----------------------------------------------------------------
 
@@ -194,10 +201,15 @@ class CayleyGroup:
         return self.encode(x)
 
     def format_element(self, x) -> str:
-        x = self.validate(x)
-        if isinstance(x, tuple):
-            return "(" + ",".join(str(v) for v in x) + ")"
-        return str(x)
+        return self.labels(self.keys([x]))[0]
+
+    def labels(self, keys: np.ndarray) -> list[str]:
+        """Text labels of a key array: the integer, or "(a,b,...)"."""
+        coords = self.unpack(keys)
+        if coords.ndim == 1:
+            return list(map(str, coords.tolist()))
+        template = "(" + ",".join(["%d"] * coords.shape[1]) + ")"
+        return [template % row for row in map(tuple, coords.tolist())]
 
     def describe(self) -> dict:
         raise NotImplementedError

@@ -254,8 +254,7 @@ def _parse_state_text(group: CayleyGroup, text: str) -> WalkState:
 
 def dump_state(state: WalkState) -> list:
     recs = []
-    for (x, c), amp in sorted(state.terms().items(),
-                              key=lambda item: (state.group.sort_key(item[0][0]), item[0][1])):
+    for (x, c), amp in state.terms().items():  # (key, coin) order
         recs.append({"c": c, "im": float(amp.imag), "re": float(amp.real),
                      "x": dump_element(x)})
     return recs
@@ -408,25 +407,33 @@ def parse_automorphism_spec(group: CayleyGroup, value) -> ShiftedAutomorphism:
 # -- output writers ----------------------------------------------------------------
 
 
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def distribution_rows(group: CayleyGroup, states) -> list[tuple]:
-    rows = []
-    for n, state in enumerate(states):
-        dist = state.position_distribution(warn_unnormalized=False)
-        for x in sorted(dist, key=group.sort_key):
-            rows.append((n, group.format_element(x), dist[x]))
-    return rows
-
-
 def write_distribution_csv(fp, group: CayleyGroup, states) -> None:
-    """CSV of per-step distributions: columns step, x, probability."""
+    """CSV of per-step distributions: columns step, x, probability.
+
+    Each step's rows are written as soon as the step is drawn from `states`
+    (any iterable, such as `evolve_iter`), in key order, with the
+    probability as %.17g."""
     fp.write("step,x,probability\n")
-    for n, label, p in distribution_rows(group, states):
-        text = f'"{label}"' if "," in label else label
-        fp.write(f"{n},{text},{_format_float(p)}\n")
+    for n, state in enumerate(states):
+        keys, probs = state.position_probabilities()
+        fp.write("".join([f'{n},"{label}",{p:.17g}\n' if "," in label else
+                          f"{n},{label},{p:.17g}\n"
+                          for label, p in zip(group.labels(keys), probs.tolist())]))
+
+
+def write_distribution_json(fp, group: CayleyGroup, states) -> None:
+    """The JSON list [{"distribution": [{"p", "x"}, ...], "step"}, ...] of
+    per-step distributions, as dump_json writes it. Each step is written as
+    soon as it is drawn from `states`, rows in key order."""
+    n = -1
+    for n, state in enumerate(states):
+        keys, probs = state.position_probabilities()
+        step = {"distribution": [{"p": p, "x": dump_element(x)} for x, p in
+                                 zip(group.elements_of(keys), probs.tolist())],
+                "step": n}
+        # one level deeper than a top-level dump; no JSON string holds a newline
+        fp.write(("[\n  " if n == 0 else ",\n  ") + dump_json(step).replace("\n", "\n  "))
+    fp.write("[]\n" if n < 0 else "\n]\n")
 
 
 def dump_json(obj) -> str:

@@ -182,14 +182,22 @@ class WalkState:
 
     # -- observables -------------------------------------------------------------
 
+    def position_probabilities(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, probabilities) of the positions whose probability is above
+        PRUNE_TOL, in key order. A NaN probability is kept, so that a
+        corrupted row stays visible."""
+        probs = np.sum(np.abs(self.amps) ** 2, axis=1)
+        keep = ~(probs <= PRUNE_TOL)
+        return self.positions[keep], probs[keep]
+
     def position_distribution(self, warn_unnormalized: bool = True) -> dict:
         """Probability per position; NaN rows are kept and warned about."""
-        probs = np.sum(np.abs(self.amps) ** 2, axis=1)
+        keys, probs = self.position_probabilities()
         total = float(probs.sum())
         if warn_unnormalized and not abs(total - 1.0) <= 1e-6:
             warnings.warn(f"state norm^2 = {total:.6f}; distribution computed anyway",
                           stacklevel=2)
-        return {x: float(p) for x, p in zip(self.elements(), probs) if not p <= PRUNE_TOL}
+        return dict(zip(self.group.elements_of(keys), probs.tolist()))
 
     # -- serialization ------------------------------------------------------------
 

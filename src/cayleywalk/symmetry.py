@@ -133,30 +133,26 @@ class UnitaryCharacter:
     def __call__(self, x) -> complex:
         return complex(self.values(self.group.keys([x]))[0])
 
-    def _domain_elements(self, rng, count: int) -> list:
-        xs = self.group.random_elements(rng, count)
-        if self.domain == "causal_subgroup":
-            xs = [self.group.decompose(x)[0] for x in xs]
-        return xs
-
     def _check_multiplicative(self) -> None:
+        """Compare chi(ab) with chi(a) chi(b) on all pairs of a finite group
+        of order <= 128, otherwise on 1000 seeded random pairs."""
         group = self.group
         if group.is_finite and group.order <= 128:
-            pool = list(group.elements())
+            pool = group.pack(list(group.elements()))
             if self.domain == "causal_subgroup":
-                pool = [x for x in pool if group.coset_index(x) == 0]
-            pairs = [(a, b) for a in pool for b in pool]
+                pool = pool[group.coset_indices(pool) == 0]
+            a, b = np.repeat(pool, len(pool)), np.tile(pool, len(pool))
         else:
             rng = np.random.default_rng(20240917)
-            a_list = self._domain_elements(rng, 1000)
-            b_list = self._domain_elements(rng, 1000)
-            pairs = list(zip(a_list, b_list))
-        lhs = self.values(group.keys([group.mul(a, b) for a, b in pairs]))
-        rhs = (self.values(group.keys([a for a, _ in pairs]))
-               * self.values(group.keys([b for _, b in pairs])))
+            a, b = (group.pack(group.random_elements(rng, 1000)) for _ in range(2))
+            if self.domain == "causal_subgroup":
+                a, b = group.decompose_keys(a)[0], group.decompose_keys(b)[0]
+        lhs = self.values(group.mul_keys(a, b))
+        rhs = self.values(a) * self.values(b)
         bad = np.flatnonzero(~(np.abs(lhs - rhs) <= UNIT_TOL))
         if bad.size:
-            raise SpecError(f"character is not multiplicative at {pairs[bad[0]]!r}")
+            pair = tuple(group.elements_of(np.array([a[bad[0]], b[bad[0]]])))
+            raise SpecError(f"character is not multiplicative at {pair!r}")
 
 
 def trivial_character(group: CayleyGroup, domain: str = "full_group") -> UnitaryCharacter:

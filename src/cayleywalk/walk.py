@@ -8,6 +8,8 @@ shared matrix and are probed at construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import NumericDriftError, SpecError
@@ -197,21 +199,29 @@ class WalkInstance:
         self.initial_state = initial_state
 
 
-def evolve(instance: WalkInstance, n_max: int) -> list[WalkState]:
-    """States after 0..n_max steps; aborts if unitarity drifts numerically."""
+def evolve_iter(instance: WalkInstance, n_max: int) -> Iterator[WalkState]:
+    """Yield the states after 0..n_max steps, one at a time, so that a
+    consumer holds only the states it keeps. Aborts with NumericDriftError
+    if unitarity drifts numerically."""
     if n_max < 0:
         raise SpecError("step count must be nonnegative")
-    states = [instance.initial_state]
     current = instance.initial_state
+    yield current
     for n in range(int(n_max)):
         current = step(instance.coin, current, n)
         drift = abs(current.norm() - 1.0)
         if not drift <= DRIFT_TOL:  # also catches a NaN norm
             raise NumericDriftError(
                 f"norm drifted by {drift:.3e} after step {n + 1}")
-        states.append(current)
-    return states
+        yield current
+
+
+def evolve(instance: WalkInstance, n_max: int) -> list[WalkState]:
+    """The whole history of `evolve_iter`: states after 0..n_max steps."""
+    return list(evolve_iter(instance, n_max))
 
 
 def evolve_final(instance: WalkInstance, n_max: int) -> WalkState:
-    return evolve(instance, n_max)[-1]
+    for state in evolve_iter(instance, n_max):
+        pass
+    return state

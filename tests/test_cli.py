@@ -53,6 +53,59 @@ def test_simulate_rejects_non_unitary_coin():
     assert "error:" in result.stderr
 
 
+# A coin that fails only at step 7, after the probe steps (0, 1, 2, 3, 5)
+# accepted it, so the run fails while rows are already being written.
+H = 2 ** -0.5
+LATE_BAD_COIN = json.dumps({"kind": "rule_table", "default": [[H, H], [H, -H]],
+                            "entries": [{"n": 7, "matrix": [[1, 0], [0, 2]]}]})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_simulate_leaves_no_partial_file(tmp_path, fmt):
+    out = tmp_path / f"dist.{fmt}"
+    args = ["simulate", "--group", "line", "--coin", LATE_BAD_COIN, "--start", "0:(1,0)",
+            "--steps", "10", "--format", fmt]
+    result = run_cli(*args, "--out", str(out))
+    assert result.returncode == 2
+    assert "step-7 coin" in result.stderr
+    assert not out.exists()
+    if fmt == "csv":
+        # on stdout the rows of the steps before the failure are already out
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout.splitlines()[-1].startswith("7,")
+
+
+# `python -m cayleywalk ARGS` that writes its own peak resident memory (VmHWM)
+# to the file named by its first argument.
+HWM_MAIN = """
+import runpy, sys
+hwm_file = sys.argv.pop(1)
+try:
+    runpy.run_module("cayleywalk", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as src, open(hwm_file, "w") as dst:
+        dst.write(next(line for line in src if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status for the peak resident memory")
+def test_simulate_memory_does_not_grow_with_steps(tmp_path):
+    peaks = {}
+    for steps in (100, 1000):
+        hwm = tmp_path / f"hwm{steps}"
+        result = subprocess.run(
+            [sys.executable, "-c", HWM_MAIN, str(hwm), "simulate", "--group", "line",
+             "--coin", "hadamard", "--start", "0:(1,0)", "--steps", str(steps),
+             "--out", str(tmp_path / "dist.csv")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        peaks[steps] = int(hwm.read_text().split()[1]) / 1024.0
+    # a held history of 1000 line states and its rows took ~90 MB more
+    assert abs(peaks[1000] - peaks[100]) < 20.0, peaks
+
+
 def test_verify_passes_for_valid_symmetry():
     result = run_cli("verify", "--group", "line", "--coin", "hadamard",
                      "--start", "0:(1,0)", "--steps", "20",

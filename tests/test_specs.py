@@ -16,7 +16,8 @@ from cayleywalk import (HypercubeGroup, LineGroup, SpecError, WalkState,
 from cayleywalk.linalg import hadamard_matrix, rotation_matrix
 from cayleywalk.specs import (dump_complex, dump_element, parse_automorphism_spec,
                               parse_complex, parse_element, parse_line_params,
-                              parse_matrix)
+                              parse_matrix, write_distribution_json)
+from cayleywalk.states import PRUNE_TOL
 from cayleywalk.walk import WalkInstance, evolve
 
 
@@ -198,6 +199,100 @@ def test_line_csv_labels_are_bare_integers():
     buf = io.StringIO()
     write_distribution_csv(buf, group, history)
     assert buf.getvalue().splitlines()[1] == "0,0,1"
+
+
+def _rowwise_csv(group, states) -> str:
+    """The row-wise CSV writer that the streaming one replaced, kept as its
+    oracle: a dict per step, sorted by sort_key, labels by format_element."""
+    lines = ["step,x,probability\n"]
+    for n, state in enumerate(states):
+        dist = state.position_distribution(warn_unnormalized=False)
+        for x in sorted(dist, key=group.sort_key):
+            label = group.format_element(x)
+            text = f'"{label}"' if "," in label else label
+            lines.append(f"{n},{text},{format(float(dist[x]), '.17g')}\n")
+    return "".join(lines)
+
+
+def _payload_json(group, states) -> str:
+    """dump_json of the whole `simulate --format json` payload, the oracle
+    of the streaming JSON writer."""
+    payload = [{"distribution": [
+                    {"p": p, "x": dump_element(x)}
+                    for x, p in sorted(st.position_distribution(warn_unnormalized=False).items(),
+                                       key=lambda kv: group.sort_key(kv[0]))],
+                "step": n}
+               for n, st in enumerate(states)]
+    return dump_json(payload) + "\n"
+
+
+WRITER_GROUPS = ["line", "cyclic:8", "lattice:2", "lattice:2:6", "hypercube:3"]
+
+
+def _writer_history(spec: str) -> tuple:
+    """A few steps of a walk on the group, then a state holding a NaN row and
+    a row whose probability is below PRUNE_TOL."""
+    group = parse_group_spec(spec)
+    dim = group.coin_dim
+    start = WalkState.localized(group, group.identity, np.arange(1, dim + 1) / np.sqrt(
+        np.sum(np.arange(1, dim + 1) ** 2)))
+    coin = hadamard_coin(group) if dim == 2 else parse_coin_spec(group, "grover")
+    history = evolve(WalkInstance(group, coin, start), 4)
+    x, y, z = history[-1].elements()[:3]
+    odd = WalkState.from_terms(group, [(x, 0, np.nan), (y, dim - 1, 0.1 * np.sqrt(PRUNE_TOL)),
+                                       (z, 0, 0.6), (z, dim - 1, 0.8j)])
+    return group, history + [odd, WalkState.zero(group)]
+
+
+@pytest.mark.parametrize("spec", WRITER_GROUPS)
+def test_csv_writer_matches_rowwise_oracle(spec):
+    group, history = _writer_history(spec)
+    buf = io.StringIO()
+    write_distribution_csv(buf, group, iter(history))
+    text = buf.getvalue()
+    assert text == _rowwise_csv(group, history)
+    odd_rows = [line for line in text.splitlines() if line.startswith(f"{len(history) - 2},")]
+    assert len(odd_rows) == 2 and odd_rows[0].endswith(",nan")
+
+
+@pytest.mark.parametrize("spec", WRITER_GROUPS)
+def test_json_writer_matches_whole_payload_dump(spec):
+    group, history = _writer_history(spec)
+    for states in (history, history[:1], []):
+        buf = io.StringIO()
+        write_distribution_json(buf, group, iter(states))
+        assert buf.getvalue() == _payload_json(group, states)
+
+
+@pytest.mark.parametrize("writer, oracle, tail", [
+    (write_distribution_csv, _rowwise_csv, 0),
+    (write_distribution_json, _payload_json, len("\n]\n"))], ids=["csv", "json"])
+def test_writers_stream_each_step_before_drawing_the_next(writer, oracle, tail):
+    group, history = _writer_history("lattice:2")
+    buf = io.StringIO()
+    drawn = []
+
+    def states():
+        for k, state in enumerate(history):
+            if k:
+                # step k-1 is written in full before step k is drawn
+                expected = oracle(group, history[:k])
+                assert buf.getvalue() == expected[:len(expected) - tail]
+            drawn.append(k)
+            yield state
+
+    writer(buf, group, states())
+    assert drawn == list(range(len(history)))
+    assert buf.getvalue() == oracle(group, history)
+
+
+def test_dump_state_lists_records_in_key_and_coin_order():
+    group = parse_group_spec("lattice:2")
+    state = WalkState.from_terms(group, [((1, -2), 1, 0.5), ((-3, 4), 0, 0.5),
+                                         ((1, -2), 0, 0.5j), ((-3, -4), 1, 0.5)])
+    order = [(tuple(r["x"]), r["c"]) for r in dump_state(state)]
+    assert order == sorted(order, key=lambda xc: (group.sort_key(xc[0]), xc[1]))
+    assert len(order) == 4
 
 
 def test_dump_json_is_sorted():

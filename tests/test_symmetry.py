@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,30 @@ def test_character_multiplicativity_is_validated():
     with pytest.raises(SpecError):
         UnitaryCharacter(group, "full_group",
                          lambda x: np.exp(1j * 0.1 * x), descriptor=None)
+
+
+@pytest.mark.parametrize("group, domain", [
+    (HypercubeGroup(3), "full_group"), (HypercubeGroup(3), "causal_subgroup"),
+    (LineGroup(), "full_group"), (LineGroup(), "causal_subgroup")])
+def test_batched_non_multiplicative_character_is_rejected(group, domain):
+    from cayleywalk import UnitaryCharacter
+
+    def values(keys):  # exp(0.3i |x|^2): not multiplicative on either group
+        return np.exp(0.3j * np.sum(group.coords(keys) ** 2, axis=1))
+
+    with pytest.raises(SpecError, match="not multiplicative at") as info:
+        UnitaryCharacter.batched(group, domain, values)
+    a, b = ast.literal_eval(str(info.value).split(" at ", 1)[1])
+    assert abs(values(group.keys([group.mul(a, b)]))[0]
+               - values(group.keys([a]))[0] * values(group.keys([b]))[0]) > 1e-12
+    if group.is_finite:
+        # the first failing pair of the all-pairs scan
+        pool = [x for x in group.elements()
+                if domain == "full_group" or group.coset_index(x) == 0]
+        first = next((x, y) for x in pool for y in pool
+                     if abs(values(group.keys([group.mul(x, y)]))[0]
+                            - values(group.keys([x]))[0] * values(group.keys([y]))[0]) > 1e-12)
+        assert (a, b) == first
 
 
 @pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(3)],

@@ -8,7 +8,7 @@ import pytest
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
                         WalkInstance, WalkState, apply_coin, apply_shift, evolve,
-                        evolve_final, grover_coin, hadamard_coin, identity_coin, step)
+                        evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk.linalg import random_unitary, require_unit
 
 from conftest import random_state
@@ -68,6 +68,29 @@ def test_evolution_history_and_norms(rng):
     assert len(history) == 11
     for state in history:
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_evolve_iter_draws_each_step_on_demand(rng):
+    group = LineGroup()
+    steps_taken = []
+
+    def blocks(n, keys):
+        steps_taken.append(n)
+        return hadamard_coin(group).block(n, keys)
+
+    coin = QuantumCoin(group, blocks, validate=False)
+    start = random_state(group, rng)
+    instance = WalkInstance(group, coin, start)
+    states = evolve_iter(instance, 1000)
+    assert steps_taken == []
+    first = [next(states) for _ in range(3)]
+    assert steps_taken == [0, 1]
+    history = evolve(instance, 6)
+    for a, b in zip(first, history):
+        assert a.distance(b) == 0.0
+    assert evolve_final(instance, 6).distance(history[-1]) == 0.0
+    with pytest.raises(SpecError):
+        next(evolve_iter(instance, -1))
 
 
 def test_cyclic_wraparound():
