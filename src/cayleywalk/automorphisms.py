@@ -217,12 +217,13 @@ def _permute_coins(block: np.ndarray, p) -> np.ndarray:
 
 
 def conjugate_local(a: ShiftedAutomorphism, op: LocalUnitary) -> LocalUnitary:
-    """Conjugated local operator: component at y is Pc^dag U(a(y)) Pc."""
+    """Conjugated local operator: step-n component at y is Pc^dag U(n, a(y)) Pc."""
     if op.group != a.group:
         raise SpecError("automorphism and operator live on different groups")
     perm = list(a.perm)
-    return LocalUnitary(a.group, lambda keys: _permute_coins(op.block(a.apply_keys(keys)), perm),
-                        validate=False)
+    return LocalUnitary.batched(
+        a.group, lambda n, keys: _permute_coins(op.block(n, a.apply_keys(keys)), perm),
+        validate=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +254,7 @@ def generalized_transform(gs: GeneralizedSymmetry, coin: QuantumCoin,
     Applies the inner ordinary transform, then conjugates the coin and
     relabels the state by the permutation operator.
     """
-    inner_coin = transform_coin(gs.inner, coin)
-    inner_state = transform_state(gs.inner, psi0)
+    inner_coin, inner_state = transform_pair(gs.inner, coin, psi0)
     new_state = permutation_apply(gs.perm, inner_state)
     if gs.perm.is_identity:
         return inner_coin, new_state
@@ -270,6 +270,14 @@ def generalized_transform(gs: GeneralizedSymmetry, coin: QuantumCoin,
                            space_homogeneous=inner_coin.space_homogeneous,
                            validate=False)
     return new_coin, new_state
+
+
+def transform_pair(transform, coin: QuantumCoin, psi0: WalkState):
+    """Transformed (coin, initial state) pair of an ordinary or a
+    generalized symmetry."""
+    if isinstance(transform, GeneralizedSymmetry):
+        return generalized_transform(transform, coin, psi0)
+    return transform_coin(transform, coin), transform_state(transform, psi0)
 
 
 def enumerate_automorphisms(group: CayleyGroup, shift=None) -> list[ShiftedAutomorphism]:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .automorphisms import GeneralizedSymmetry, enumerate_automorphisms, generalized_transform
+from .automorphisms import enumerate_automorphisms, transform_pair
 from .errors import (CayleyWalkError, DegenerateCoinError, FamilyPreconditionError,
                      NumericDriftError, SpecError)
 from .groups import CayleyGroup, brute_force_causal
@@ -28,12 +28,15 @@ from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_sta
                     parse_coin_spec, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv, write_distribution_json)
-from .symmetry import transform_coin, transform_state
 from .verify import (check_homogeneity, check_probability_map,
                      check_symmetry_relation, run_invariant_suite)
 from .walk import WalkInstance, evolve_iter
 
 logger = logging.getLogger("cayleywalk")
+
+# Exit code of each error class, first match wins (see the module docstring).
+EXIT_CODES = ((DegenerateCoinError, 5), (FamilyPreconditionError, 4), (NumericDriftError, 3),
+              (CayleyWalkError, 2))
 
 
 def _read_spec_arg(value: str):
@@ -41,11 +44,14 @@ def _read_spec_arg(value: str):
     if value is None:
         return None
     text = value.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    try:
+        if text.startswith("{") or text.startswith("["):
+            return json.loads(text)
+        if os.path.isfile(text):
+            with open(text, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+    except ValueError as exc:  # bad JSON, or a file that is not UTF-8 text
+        raise SpecError(f"invalid JSON: {exc}") from exc
     return text
 
 
@@ -108,11 +114,7 @@ def cmd_transform(args) -> int:
     coin = parse_coin_spec(group, _read_spec_arg(args.coin))
     start = parse_state_spec(group, _read_spec_arg(args.start))
     symmetry, _ = parse_symmetry_spec(group, _read_spec_arg(args.symmetry))
-    if isinstance(symmetry, GeneralizedSymmetry):
-        new_coin, new_state = generalized_transform(symmetry, coin, start)
-    else:
-        new_coin = transform_coin(symmetry, coin)
-        new_state = transform_state(symmetry, start)
+    new_coin, new_state = transform_pair(symmetry, coin, start)
     positions = _window_positions(group, args.window)
     table = [{"matrix": dump_matrix(new_coin.matrix_at(n, x)),
               "n": n, "x": dump_element(x)}
@@ -345,18 +347,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DegenerateCoinError as exc:
+    except CayleyWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except FamilyPreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericDriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SpecError, CayleyWalkError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

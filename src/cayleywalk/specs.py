@@ -8,21 +8,39 @@ sorted JSON keys, repr-style float formatting, stable row order.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism, make_generalized_symmetry
-from .errors import SpecError
+from .errors import CayleyWalkError, SpecError
 from .groups import CayleyGroup, make_group
 from .line import LineCoinParams, build_line_coin
 from .states import LocalUnitary, WalkState
-from .symmetry import (PhaseField, SymmetryTransform, UnitaryCharacter,
+from .symmetry import (SymmetryTransform, UnitaryCharacter,
                        cyclic_character, exp_character, make_full_homog_symmetry,
                        make_general_symmetry, make_space_homog_symmetry,
                        make_time_homog_symmetry, sign_character, trivial_character)
 from .verify import corrupted_phases
 from .walk import QuantumCoin, grover_coin, hadamard_coin, identity_coin, rotation_coin
+
+
+def _reads_input(parse):
+    """Mark `parse` as a reader of outside input: a malformed value it meets
+    (a missing field, a value of the wrong type, an unparsable number) is
+    reported as SpecError, not as the KeyError, TypeError or ValueError
+    Python raises for it. The package's own errors pass through."""
+    @functools.wraps(parse)
+    def reader(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except CayleyWalkError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed input to {parse.__name__}: {exc!r}") from exc
+    return reader
+
 
 def parse_complex(value) -> complex:
     """Accept {"re","im"}, [re, im], a number, or an "a+bi" string."""
@@ -88,16 +106,14 @@ def _load_obj(value):
         return value
     text = str(value).strip()
     if text.startswith("{") or text.startswith("["):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON: {exc}") from exc
+        return json.loads(text)
     return text
 
 
 # -- group specs ------------------------------------------------------------------
 
 
+@_reads_input
 def parse_group_spec(value) -> CayleyGroup:
     """Group from a dict spec or a shorthand string.
 
@@ -145,6 +161,7 @@ _NAMED_COINS = {
 }
 
 
+@_reads_input
 def parse_line_params(value) -> LineCoinParams:
     value = _load_obj(value)
     if isinstance(value, str):
@@ -154,13 +171,11 @@ def parse_line_params(value) -> LineCoinParams:
         if name == "hadamard":
             return LineCoinParams(1j, -1j, 1.0 + 0j, float(np.pi / 4))
         raise SpecError(f"unknown named line coin {value['named']!r}")
-    try:
-        return LineCoinParams(parse_complex(value["omega"]), parse_complex(value["mu"]),
-                              parse_complex(value["nu"]), float(value["psi"]))
-    except KeyError as exc:
-        raise SpecError(f"line params spec is missing {exc}") from exc
+    return LineCoinParams(parse_complex(value["omega"]), parse_complex(value["mu"]),
+                          parse_complex(value["nu"]), float(value["psi"]))
 
 
+@_reads_input
 def parse_coin_spec(group: CayleyGroup, value) -> QuantumCoin:
     """Coin from a named shorthand or a structured spec.
 
@@ -214,6 +229,7 @@ def parse_coin_spec(group: CayleyGroup, value) -> QuantumCoin:
 # -- state specs ------------------------------------------------------------------
 
 
+@_reads_input
 def parse_state_spec(group: CayleyGroup, value, normalize: bool = True) -> WalkState:
     """State from records or the "x:(a0,a1,...)" localized shorthand."""
     value = _load_obj(value)
@@ -304,6 +320,7 @@ def _parse_uprime(group: CayleyGroup, value, allow_matrix: bool):
     return arr
 
 
+@_reads_input
 def parse_symmetry_spec(group: CayleyGroup, value):
     """Symmetry from a family spec; returns (transform, dressing override).
 
@@ -316,30 +333,24 @@ def parse_symmetry_spec(group: CayleyGroup, value):
     if not isinstance(value, dict):
         raise SpecError(f"symmetry spec must be an object, got {value!r}")
     family = value.get("family")
+    inner, dressing = None, None
     if family == "generalized":
         perm = parse_automorphism_spec(group, value.get("perm", {}))
-        inner_spec = value.get("inner")
-        if inner_spec is None:
-            inner, dressing = None, None
-        else:
-            inner, dressing = parse_symmetry_spec(group, inner_spec)
+        if value.get("inner") is not None:
+            inner, dressing = parse_symmetry_spec(group, value["inner"])
             if isinstance(inner, GeneralizedSymmetry):
                 raise SpecError("generalized symmetries cannot be nested")
         transform = make_generalized_symmetry(perm, inner)
-        corrupt = value.get("corrupt_phase")
-        if corrupt is not None:
-            dressing = _corruption(transform.inner.phases, corrupt)
-        return transform, dressing
-    if family == "general":
+    elif family == "general":
         u0_spec = value.get("U0")
-        u0 = (LocalUnitary.identity(group) if u0_spec is None
-              else LocalUnitary.uniform(group, parse_matrix(u0_spec, group.coin_dim)))
+        u0 = LocalUnitary.uniform(group, np.eye(group.coin_dim) if u0_spec is None
+                                  else parse_matrix(u0_spec, group.coin_dim))
         table = {}
         for entry in value.get("phase_table", []):
             key = (int(entry["n"]), parse_element(group, entry["x"]), int(entry["c"]))
             table[key] = parse_complex(entry["value"])
-        phases = PhaseField.from_table(group, table,
-                                       parse_complex(value.get("default", 1.0)))
+        phases = LocalUnitary.from_table(group, table,
+                                         parse_complex(value.get("default", 1.0)))
         transform = make_general_symmetry(u0, phases)
     elif family == "space_homog":
         rho = parse_character_spec(group, value.get("character"), "causal_subgroup")
@@ -364,17 +375,12 @@ def parse_symmetry_spec(group: CayleyGroup, value):
             uprime=_parse_uprime(group, value.get("Uprime"), allow_matrix=False))
     else:
         raise SpecError(f"unknown symmetry family {family!r}")
-    dressing = None
     corrupt = value.get("corrupt_phase")
     if corrupt is not None:
-        dressing = _corruption(transform.phases, corrupt)
+        at = (int(corrupt["n"]), parse_element(group, corrupt["x"]), int(corrupt["c"]))
+        dressing = corrupted_phases(getattr(transform, "inner", transform).phases, at,
+                                    parse_complex(corrupt.get("factor", -1.0)))
     return transform, dressing
-
-
-def _corruption(phases: PhaseField, spec: dict) -> PhaseField:
-    at = (int(spec["n"]), parse_element(phases.group, spec["x"]), int(spec["c"]))
-    factor = parse_complex(spec.get("factor", -1.0))
-    return corrupted_phases(phases, at, factor)
 
 
 def symmetry_to_spec(t: SymmetryTransform) -> dict:

@@ -279,54 +279,124 @@ def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
     return _clean(state.group, state.positions, amps)
 
 
+def lookup_rows(group: CayleyGroup, table: dict, default: complex):
+    """Batch lookup in a table {(x, c): value}: a function of a key batch
+    giving its (N, dim) rows, with `default` where the table has no entry.
+    The table's position keys are sorted once; each batch is looked up with
+    searchsorted."""
+    dim = group.coin_dim
+    rows: dict = {}
+    for (x, c), value in table.items():
+        if not 0 <= int(c) < dim:
+            raise SpecError(f"coin index {c} out of range [0, {dim})")
+        key = int(group.keys([x])[0])
+        rows.setdefault(key, np.full(dim, default, dtype=complex))[int(c)] = value
+    known = np.array(sorted(rows), dtype=np.int64)
+    # row known.size is the default, where every miss is sent
+    values = np.array([rows[k] for k in known.tolist()] + [np.full(dim, default)], dtype=complex)
+    padded = np.append(known, 0)
+
+    def lookup(keys: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(known, keys)
+        at[padded[at] != keys] = known.size
+        return values[at]
+
+    return lookup
+
+
 class LocalUnitary:
-    """Position-controlled unitary: `blocks(keys)` gives its block over a
-    batch of position keys, checked once per batch when `validate` is set."""
+    """Position-controlled unitary that may depend on the step:
+    `blocks(n, keys)` gives its step-n block over a batch of position keys
+    (see apply_block), checked once per batch when `validate` is set.
+    Step-free operators ignore n. A symmetry's dressing is one such
+    operator: an arbitrary local unitary U0 at step 0, diagonal phases
+    u(n, x, c) after."""
 
     __slots__ = ("group", "_blocks", "validate")
 
-    def __init__(self, group: CayleyGroup, blocks, validate: bool = True):
+    def __init__(self, group: CayleyGroup, rule):
+        """Diagonal operator of a scalar phase rule(n, x, c) -> complex unit."""
+        dim = group.coin_dim
         self.group = group
-        self._blocks = blocks
-        self.validate = validate
+        self._blocks = lambda n, keys: elementwise(
+            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,))
+        self.validate = True
+
+    @classmethod
+    def batched(cls, group: CayleyGroup, blocks, validate: bool = True) -> "LocalUnitary":
+        """Operator of blocks(n, keys) -> block array."""
+        op = cls(group, None)
+        op._blocks = blocks
+        op.validate = validate
+        return op
 
     @classmethod
     def uniform(cls, group: CayleyGroup, matrix, validate: bool = True) -> "LocalUnitary":
         m = as_complex_matrix(matrix, group.coin_dim)
         if validate:
             require_unitary(m, what="local unitary component")
-        return cls(group, lambda keys: m[None], validate=False)
+        return cls.batched(group, lambda n, keys: m[None], validate=False)
 
     @classmethod
     def identity(cls, group: CayleyGroup) -> "LocalUnitary":
-        return cls.uniform(group, np.eye(group.coin_dim, dtype=complex), validate=False)
+        """Unit phases at every step and position."""
+        return cls.batched(group, lambda n, keys: np.ones((len(keys), group.coin_dim),
+                                                          dtype=complex), validate=False)
 
     @classmethod
     def from_rule(cls, group: CayleyGroup, rule, validate: bool = True) -> "LocalUnitary":
         """rule(x) returns the coin-space matrix at element x."""
         dim = group.coin_dim
-        return cls(group, lambda keys: elementwise(
+        return cls.batched(group, lambda n, keys: elementwise(
             lambda x: as_complex_matrix(rule(x), dim), group.elements_of(keys), (dim, dim)),
             validate)
 
     @classmethod
     def diagonal(cls, group: CayleyGroup, diag_rule, validate: bool = True) -> "LocalUnitary":
         """diag_rule(x) returns the length-dim vector of diagonal phases."""
-        return cls(group, lambda keys: elementwise(diag_rule, group.elements_of(keys),
-                                                   (group.coin_dim,)), validate)
+        return cls.batched(group, lambda n, keys: elementwise(
+            diag_rule, group.elements_of(keys), (group.coin_dim,)), validate)
 
-    def block(self, keys: np.ndarray) -> np.ndarray:
-        block = self._blocks(keys)
-        if self.validate:
-            require_block(self.group, keys, block, "local unitary component")
-        return block
+    @classmethod
+    def from_table(cls, group: CayleyGroup, table: dict,
+                   default: complex = 1.0 + 0j) -> "LocalUnitary":
+        """Diagonal phases tabulated by (n, x, c) for n >= 1; `default` fills
+        the rest. Every value is checked here, once."""
+        default = require_unit(default, what="default phase")
+        by_step: dict = {}
+        for (n, x, c), u in table.items():
+            if int(n) < 1:
+                raise SpecError("phase tables start at n = 1")
+            by_step.setdefault(int(n), {})[(x, c)] = require_unit(
+                u, what=f"table phase at {(n, x, c)}")
+        steps = {n: lookup_rows(group, entries, default) for n, entries in by_step.items()}
+        untabulated = lookup_rows(group, {}, default)
+        return cls.batched(group, lambda n, keys: steps.get(n, untabulated)(keys),
+                           validate=False)
 
-    def component(self, x) -> np.ndarray:
-        """The coin-space matrix at element x."""
-        block = self.block(self.group.keys([x]))
+    def block(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The step-n block over `keys`."""
+        n = int(n)
+        block = self._blocks(n, keys)
+        return self.check(n, keys, block) if self.validate else block
+
+    def check(self, n: int, keys: np.ndarray, block) -> np.ndarray:
+        """`block` as the step-n block over `keys`, checked once (see
+        require_block)."""
+        kind = "phase" if np.ndim(block) == 2 else "local unitary"
+        return require_block(self.group, keys, block, f"step-{n} {kind}")
+
+    def component(self, x, n: int = 0) -> np.ndarray:
+        """The coin-space matrix at element x and step n."""
+        block = self.block(n, self.group.keys([x]))
         return block[0] if block.ndim == 3 else np.diag(block[0])
 
-    def apply(self, state: WalkState) -> WalkState:
+    def at(self, n: int, x, c: int) -> complex:
+        """Entry (c, c) of the step-n component at x: the phase u(n, x, c)
+        of a diagonal operator."""
+        return complex(self.component(x, n)[int(c), int(c)])
+
+    def apply(self, state: WalkState, n: int = 0) -> WalkState:
         if state.group != self.group:
             raise SpecError("operator and state live on different groups")
-        return apply_block(state, self.block(state.positions))
+        return apply_block(state, self.block(n, state.positions))

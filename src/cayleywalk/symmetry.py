@@ -2,9 +2,10 @@
 
 A symmetry sends (coin, initial state) to (transformed coin, transformed
 state) such that the transformed evolution equals the original one dressed by
-a local unitary at every step. The dressing at step 0 is an arbitrary local
-unitary U0; at steps n >= 1 it is diagonal in the position/coin basis and is
-stored as a phase field u(n, x, c).
+a local unitary U(n) at every step. U(0) is an arbitrary local unitary U0; at
+steps n >= 1 U(n) is diagonal in the position/coin basis, the phase field
+u(n, x, c). The whole sequence is one step-dependent states.LocalUnitary,
+also named PhaseField here.
 
 Three constructor families restrict the phase field so that the transform
 preserves space homogeneity, time homogeneity, or both. Their closed forms
@@ -22,75 +23,23 @@ import numpy as np
 from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
-from .states import LocalUnitary, WalkState, apply_block, elementwise, merge_keys, require_block
+from .states import LocalUnitary, WalkState, elementwise, lookup_rows, merge_keys, require_block
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
 
 
-class PhaseField:
-    """Diagonal dressing phases u(n, x, c) for steps n >= 1.
-
-    `phases(n, keys)` gives the (N, dim) phases at step n over a batch of
-    position keys, checked to be complex units once per batch. Step 0 is
-    excluded on purpose: the step-0 dressing is a general local unitary and
-    lives in SymmetryTransform.u0.
-    """
-
-    __slots__ = ("group", "_phases")
-
-    def __init__(self, group: CayleyGroup, rule):
-        """Phase field of a scalar rule(n, x, c) -> complex unit."""
-        dim = group.coin_dim
-        self.group = group
-        self._phases = lambda n, keys: elementwise(
-            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,))
-
-    @classmethod
-    def batched(cls, group: CayleyGroup, phases) -> "PhaseField":
-        """Phase field of phases(n, keys) -> (N, dim) complex array."""
-        field = cls(group, None)
-        field._phases = phases
-        return field
-
-    def phases(self, n: int, keys: np.ndarray) -> np.ndarray:
-        n = int(n)
-        if n < 1:
-            raise SpecError(
-                "phase field is defined for n >= 1; the step-0 dressing is U0")
-        return require_block(self.group, keys, self._phases(n, keys), f"step-{n} phase")
-
-    def at(self, n: int, x, c: int) -> complex:
-        return complex(self.phases(n, self.group.keys([x]))[0, int(c)])
-
-    @classmethod
-    def ones(cls, group: CayleyGroup) -> "PhaseField":
-        return cls.batched(group, lambda n, keys: np.ones((len(keys), group.coin_dim),
-                                                          dtype=complex))
-
-    @classmethod
-    def from_table(cls, group: CayleyGroup, table: dict,
-                   default: complex = 1.0 + 0j) -> "PhaseField":
-        """Tabulated phases keyed by (n, x, c); `default` fills the rest."""
-        dim = group.coin_dim
-        default = require_unit(default, what="default phase")
-        units = {}
-        for (n, x, c), u in table.items():
-            if int(n) < 1:
-                raise SpecError("phase tables start at n = 1")
-            key = (int(n), int(group.keys([x])[0]), int(c))
-            units[key] = require_unit(u, what=f"table phase at {(n, x, c)}")
-        return cls.batched(group, lambda n, keys: elementwise(
-            lambda k: [units.get((n, k, c), default) for c in range(dim)], keys.tolist(), (dim,)))
+# The dressing-phase name of the one local-operator type.
+PhaseField = LocalUnitary
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryTransform:
-    """A step-0 local unitary plus a diagonal phase field for later steps."""
+    """A symmetry's dressing: one local operator, U0 at step 0 and diagonal
+    phases after."""
 
     group: CayleyGroup
-    u0: LocalUnitary
-    phases: PhaseField
+    phases: LocalUnitary
     family: str = "general"
     params: dict = field(default_factory=dict)
 
@@ -264,17 +213,19 @@ def _check_epsilon(group: CayleyGroup, epsilon) -> complex:
     return eps
 
 
-def make_general_symmetry(u0: LocalUnitary, phases: PhaseField) -> SymmetryTransform:
-    """Unrestricted symmetry: any local U0 plus any diagonal phase field."""
+def make_general_symmetry(u0: LocalUnitary, phases: LocalUnitary) -> SymmetryTransform:
+    """Unrestricted symmetry: any local U0 at step 0, then the diagonal
+    phases of `phases` at steps n >= 1."""
     if u0.group != phases.group:
         raise SpecError("U0 and phase field must share one group")
-    return SymmetryTransform(u0.group, u0, phases, "general", {})
+    # each part checks its own blocks
+    dressing = LocalUnitary.batched(
+        u0.group, lambda n, keys: (phases if n else u0).block(n, keys), validate=False)
+    return SymmetryTransform(u0.group, dressing, "general", {})
 
 
 def identity_symmetry(group: CayleyGroup) -> SymmetryTransform:
-    t = SymmetryTransform(group, LocalUnitary.identity(group),
-                          PhaseField.ones(group), "general", {"identity": True})
-    return t
+    return SymmetryTransform(group, LocalUnitary.identity(group), "general", {"identity": True})
 
 
 def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
@@ -347,17 +298,17 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
     rho0 = rho(group.pow_c0(group.chi)) if group.chi is not None else 1.0 + 0j
     eta_fn = _eta_extension(group, eta, rho0)
 
-    def positional(n, keys):
-        """eta(n - k) * rho(xt) at each key."""
+    def blocks(n, keys):
+        """eta(n - k) * rho(xt) * U'(n) at each key."""
         xt, k = group.decompose_keys(keys)
-        return eta_fn(n - k) * rho.values(xt)
+        positional = eta_fn(n - k) * rho.values(xt)
+        if n == 0:
+            return positional[:, None, None] * u0_mat
+        return positional[:, None] * diag_rule(n)
 
-    u0 = LocalUnitary(group, lambda keys: positional(0, keys)[:, None, None] * u0_mat)
-    phases = PhaseField.batched(
-        group, lambda n, keys: positional(n, keys)[:, None] * diag_rule(n))
     params = {"eta": eta_fn, "rho": rho, "uprime0": u0_mat,
               "uprime_diag": diag_rule, "rho0": rho0}
-    return SymmetryTransform(group, u0, phases, "space_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, blocks), "space_homog", params)
 
 
 def _normalize_delta(group: CayleyGroup, delta):
@@ -368,10 +319,8 @@ def _normalize_delta(group: CayleyGroup, delta):
     if callable(delta):
         return lambda keys: elementwise(lambda x: [delta(x, c) for c in range(dim)],
                                         group.elements_of(keys), (dim,))
-    units = {(int(group.keys([x])[0]), int(c)): require_unit(value, what="delta entry")
-             for (x, c), value in delta.items()}
-    return lambda keys: elementwise(lambda k: [units.get((k, c), 1.0) for c in range(dim)],
-                                    keys.tolist(), (dim,))
+    return lookup_rows(group, {xc: require_unit(value, what="delta entry")
+                               for xc, value in delta.items()}, 1.0)
 
 
 def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
@@ -392,8 +341,7 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
         return (eps ** n * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
 
     params = {"epsilon": eps, "eta": eta_fn, "delta": delta_fn}
-    return SymmetryTransform(group, LocalUnitary(group, lambda keys: phases(0, keys)),
-                             PhaseField.batched(group, phases), "time_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, phases), "time_homog", params)
 
 
 def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
@@ -420,25 +368,22 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
         return (eta_fn(n - k) * eps ** n * gamma.values(keys))[:, None] * uvec
 
     params = {"epsilon": eps, "eta": eta_fn, "gamma": gamma, "uprime": uvec}
-    return SymmetryTransform(group, LocalUnitary(group, lambda keys: phases(0, keys)),
-                             PhaseField.batched(group, phases), "full_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, phases), "full_homog", params)
 
 
 def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:
-    """Transformed initial state: U0 applied to the original."""
-    if psi0.group != t.group:
-        raise SpecError("symmetry and state live on different groups")
-    return t.u0.apply(psi0)
+    """Transformed initial state: the step-0 dressing U0 applied to the original."""
+    return apply_dressing(t, 0, psi0)
 
 
-def _shifted_phases(phases: PhaseField, n: int, keys: np.ndarray) -> np.ndarray:
+def _shifted_phases(phases: LocalUnitary, n: int, keys: np.ndarray) -> np.ndarray:
     """(N, dim) array of u(n, x * s_c, c): each coin's phase at the position
     its shift moves it to, with the field evaluated once per position."""
     group = phases.group
     dim = group.coin_dim
     shifted, inverse = merge_keys(np.concatenate(
         [group.shift_rows(keys, c) for c in range(dim)]))
-    values = phases.phases(n, shifted)
+    values = phases.block(n, shifted)
     return values[inverse.reshape(dim, len(keys)), np.arange(dim)[:, None]].T
 
 
@@ -446,8 +391,8 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
     """Transformed coin rule built from the dressing.
 
     Component at (n, x) is V C(n, x) U(n, x)^dagger, where V holds the
-    step-(n+1) phases at the shifted positions x * s_c and U(n, x) is U0 for
-    n = 0 and the diagonal step-n phases otherwise.
+    step-(n+1) phases at the shifted positions x * s_c and U(n, x) is the
+    step-n dressing: U0 at n = 0, diagonal phases after.
     """
     group = t.group
     if coin.group != group:
@@ -457,7 +402,7 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
     def blocks(n, keys):
         m = _shifted_phases(t.phases, n + 1, keys)[:, :, None] * coin.block(n, keys)
-        u = t.u0.block(keys) if n == 0 else t.phases.phases(n, keys)
+        u = t.phases.block(n, keys)
         if u.ndim == 2:
             return m * np.conj(u)[:, None, :]
         return m @ np.swapaxes(u.conj(), -1, -2)
@@ -469,8 +414,5 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
 
 def apply_dressing(t: SymmetryTransform, n: int, state: WalkState) -> WalkState:
-    """Dress a step-n state: U0 for n = 0, diagonal phases for n >= 1."""
-    n = int(n)
-    if n == 0:
-        return t.u0.apply(state)
-    return apply_block(state, t.phases.phases(n, state.positions))
+    """Dress a step-n state with the symmetry's local operator U(n)."""
+    return t.phases.apply(state, n)

@@ -9,17 +9,17 @@ matrix relations. Structural (set/group-law) cases report 0.0 or 1.0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
-                            enumerate_automorphisms, generalized_transform,
-                            invert, permutation_apply)
+                            enumerate_automorphisms, invert, permutation_apply,
+                            transform_pair)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
 from .states import LocalUnitary, WalkState
-from .symmetry import PhaseField, SymmetryTransform, apply_dressing, transform_coin, transform_state
+from .symmetry import SymmetryTransform, apply_dressing
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
 from .walk import (PROBE_STEPS, QuantumCoin, WalkInstance, evolve, evolve_iter,
@@ -61,19 +61,25 @@ def _report(case_id, residuals, tol) -> VerificationReport:
                               residuals, float(tol))
 
 
-def corrupted_phases(base: PhaseField, at, factor: complex = -1.0) -> PhaseField:
-    """Copy of a phase field with the unit at one (n, x, c) multiplied by
-    `factor`, a deliberately wrong dressing for negative controls."""
+def corrupted_phases(base: LocalUnitary, at, factor: complex = -1.0) -> LocalUnitary:
+    """Copy of a dressing operator with row c of its step-n block at x
+    multiplied by `factor` (for n >= 1 the phase u(n, x, c), at n = 0 row c
+    of U0): a deliberately wrong dressing for negative controls."""
     n0, key0, c0 = int(at[0]), base.group.keys([at[1]])[0], int(at[2])
+    if n0 < 0 or not 0 <= c0 < base.group.coin_dim:
+        raise SpecError(f"no dressing entry to corrupt at n = {n0}, c = {c0}")
 
-    def phases(n, keys):
-        u = base.phases(n, keys)
-        if n == n0:
-            u = u.copy()
-            u[keys == key0, c0] *= factor
-        return u
+    def blocks(n, keys):
+        u = base.block(n, keys)
+        if n != n0:
+            return u
+        # a shared (1, dim, dim) matrix gets one row per position first
+        u = np.broadcast_to(u, (len(keys),) + u.shape[1:]).copy()
+        u[keys == key0, c0] *= factor
+        return base.check(n, keys, u)
 
-    return PhaseField.batched(base.group, phases)
+    # base checks its own blocks; only the corrupted one is checked here
+    return LocalUnitary.batched(base.group, blocks, validate=False)
 
 
 def _split_transform(transform):
@@ -86,14 +92,14 @@ def _split_transform(transform):
 
 def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform,
                             n_max: int = 50, tol: float = 1e-10,
-                            dressing: PhaseField | None = None,
+                            dressing: LocalUnitary | None = None,
                             case_id: str = "symmetry_relation") -> VerificationReport:
     """Certify the defining relation of a (possibly generalized) symmetry.
 
     Runs the original and the transformed walk side by side and compares the
     transformed state at each step against the dressed original. `dressing`
-    overrides the phase field used on the original trajectory, which is how a
-    corrupted-dressing negative control is expressed.
+    overrides the dressing operator applied to the original trajectory, which
+    is how a corrupted-dressing negative control is expressed.
     """
     inner, generalized = _split_transform(transform)
     group = inner.group
@@ -101,15 +107,10 @@ def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform,
         raise SpecError("coin, state and symmetry must share one group")
     if n_max < 1:
         raise SpecError("relation checks need n_max >= 1")
-    if generalized is not None:
-        new_coin, new_state = generalized_transform(generalized, coin, psi0)
-    else:
-        new_coin = transform_coin(inner, coin)
-        new_state = transform_state(inner, psi0)
+    new_coin, new_state = transform_pair(transform, coin, psi0)
     original = evolve_iter(WalkInstance(group, coin, psi0), n_max)
     transformed = evolve_iter(WalkInstance(group, new_coin, new_state), n_max)
-    dress = inner if dressing is None else SymmetryTransform(
-        group, inner.u0, dressing, inner.family, inner.params)
+    dress = inner if dressing is None else replace(inner, phases=dressing)
     residuals = []
     for n, (psi_n, phi_n) in enumerate(zip(original, transformed)):
         expected = apply_dressing(dress, n, psi_n)
@@ -132,13 +133,7 @@ def check_probability_map(coin: QuantumCoin, psi0: WalkState, transform,
     """
     inner, generalized = _split_transform(transform)
     group = inner.group
-    if transformed is not None:
-        new_coin, new_state = transformed
-    elif generalized is not None:
-        new_coin, new_state = generalized_transform(generalized, coin, psi0)
-    else:
-        new_coin = transform_coin(inner, coin)
-        new_state = transform_state(inner, psi0)
+    new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
     relabel = (generalized.perm.apply_element if generalized is not None
                else lambda x: x)
     original = evolve_iter(WalkInstance(group, coin, psi0), n_max)
@@ -195,35 +190,18 @@ def assemble_permutation_matrix(a: ShiftedAutomorphism) -> np.ndarray:
     return mat
 
 
-def assemble_local_matrix(op: LocalUnitary) -> np.ndarray:
-    """Block-diagonal matrix of a local operator on a finite group."""
+def assemble_local_matrix(op, n: int = 0) -> np.ndarray:
+    """Block-diagonal step-n matrix of a local operator or a coin (anything
+    with `block(n, keys)`) on a finite group."""
     group = op.group
-    labels = basis_labels(group)
-    index = _basis_index(group, labels)
-    dim = len(labels)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for x in group.elements():
-        block = op.component(x)
-        for c in range(group.coin_dim):
-            for d in range(group.coin_dim):
-                mat[index[(group.encode(x), c)], index[(group.encode(x), d)]] = block[c, d]
-    return mat
-
-
-def assemble_coin_matrix(coin: QuantumCoin, n: int) -> np.ndarray:
-    op = LocalUnitary.from_rule(coin.group, lambda x: coin.matrix_at(n, x),
-                                validate=False)
-    return assemble_local_matrix(op)
-
-
-def assemble_dressing_matrix(t: SymmetryTransform, n: int) -> np.ndarray:
-    """Dense step-n dressing: U0 for n = 0, diagonal phases for n >= 1."""
-    if int(n) == 0:
-        return assemble_local_matrix(t.u0)
-    group = t.group
-    labels = basis_labels(group)
-    diag = np.array([t.phases.at(n, x, c) for x, c in labels], dtype=complex)
-    return np.diag(diag)
+    dim = group.coin_dim
+    keys = group.keys(list(group.elements()))
+    block = op.block(n, keys)
+    blocks = np.broadcast_to(block if block.ndim == 3 else block[:, :, None] * np.eye(dim),
+                             (len(keys), dim, dim))
+    mat = np.zeros((len(keys), dim, len(keys), dim), dtype=complex)
+    mat[np.arange(len(keys)), :, np.arange(len(keys)), :] = blocks
+    return mat.reshape(len(keys) * dim, -1)
 
 
 # -- fixed invariant battery ----------------------------------------------------

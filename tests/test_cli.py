@@ -235,3 +235,75 @@ def test_log_level_env(tmp_path):
     quiet = simulate("error")
     assert quiet.returncode == 0
     assert "simulated 1 steps" not in quiet.stderr
+
+
+# A coin inside the unitarity tolerance (|a|^2 - 1 = 9.8e-13 < 1e-12) whose
+# norm still grows by |a| each step, past the drift tolerance after ~20400.
+DRIFTING_COIN = json.dumps({"kind": "uniform_matrix",
+                            "matrix": [[1.00000000000049, 0], [0, 1.00000000000049]]})
+LINE_WALK = ["--group", "line", "--coin", "hadamard", "--start", "0:(1,0)"]
+
+
+@pytest.mark.parametrize("code, args", [
+    (0, ["simulate", *LINE_WALK, "--steps", "3"]),
+    (1, ["verify", *LINE_WALK, "--steps", "6", "--symmetry",
+         '{"family": "time_homog", "corrupt_phase": {"n": 2, "x": 0, "c": 0}}']),
+    (2, ["simulate", "--group", "line", "--coin", "rotation:abc", "--start", "0:(1,0)",
+         "--steps", "1"]),
+    (3, ["simulate", "--group", "line", "--coin", DRIFTING_COIN, "--start", "0:(1,0)",
+         "--steps", "30000"]),
+    (4, ["verify", "--group", "halfline", "--coin", '{"kind": "uniform_matrix", "matrix": [[1]]}',
+         "--start", "0:(1)", "--symmetry", '{"family": "time_homog", "epsilon": -1}']),
+    (5, ["line", "symmetric-states", "--nu", "1+0i", "--psi", "0"]),
+], ids=["ok", "check_failed", "invalid_config", "norm_drift", "precondition", "degenerate"])
+def test_each_documented_exit_code(tmp_path, code, args):
+    result = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert ("error:" in result.stderr) == (code >= 2)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--group", "cyclic:x", "--coin", "hadamard", "--start", "0:(1,0)", "--steps", "1"],
+    ["simulate", *LINE_WALK[:4], "--start", '[{"c": 0, "re": 1}]', "--steps", "1"],
+    ["simulate", *LINE_WALK[:4], "--start", "0:(1,0)", "--steps", "1", "--coin", "{bad"],
+    ["verify", *LINE_WALK, "--symmetry",
+     '{"family": "general", "phase_table": [{"x": 0, "c": 0, "value": 1}]}'],
+    ["verify", *LINE_WALK, "--symmetry",
+     '{"family": "space_homog", "character": {"kind": "exp_linear"}}'],
+    ["verify", *LINE_WALK, "--symmetry", '{"family": "time_homog", "corrupt_phase": {"n": 1}}'],
+], ids=["group_count", "record_without_x", "bad_json", "table_entry_without_n",
+        "character_without_phi", "corruption_without_x"])
+def test_malformed_specs_exit_2_without_a_traceback(args):
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_key_error_in_a_handler_is_not_reported_as_invalid_configuration(monkeypatch):
+    from cayleywalk import cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["simulate", *LINE_WALK, "--steps", "1"])
+
+
+@pytest.mark.parametrize("family", ["general", "space_homog", "time_homog", "full_homog"])
+def test_step_zero_corruption_fails_verify(family):
+    spec = {"family": family, "corrupt_phase": {"n": 0, "x": 0, "c": 0}}
+    result = run_cli("verify", *LINE_WALK, "--steps", "6", "--symmetry", json.dumps(spec))
+    assert result.returncode == 1, result.stderr
+    by_case = {r["case"]: r for r in map(json.loads, result.stdout.splitlines())}
+    assert not by_case["symmetry_relation"]["passed"]
+    assert by_case["symmetry_relation"]["steps"][0] > 0.5
+    assert by_case["probability_map"]["passed"]
+
+
+def test_negative_corruption_step_exits_2():
+    spec = {"family": "time_homog", "corrupt_phase": {"n": -1, "x": 0, "c": 0}}
+    result = run_cli("verify", *LINE_WALK, "--steps", "6", "--symmetry", json.dumps(spec))
+    assert result.returncode == 2
+    assert "error:" in result.stderr

@@ -11,8 +11,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LocalUnitary, NonUnitaryErr
                         QuantumCoin, WalkState, apply_coin, apply_dressing, transform_coin,
                         transform_state)
 from cayleywalk.linalg import random_phases, random_unitary
-from cayleywalk.verify import (assemble_coin_matrix, assemble_dressing_matrix,
-                               assemble_local_matrix, basis_labels)
+from cayleywalk.verify import assemble_local_matrix, basis_labels
 
 from test_acceptance import FAMILIES, _draw_symmetry
 
@@ -45,7 +44,7 @@ def test_position_dependent_coin_matches_dense(group, rng):
     state = _full_state(group, rng)
     coin = _position_coin(group, 11)
     for n in (0, 3):
-        _assert_close(apply_coin(coin, state, n), assemble_coin_matrix(coin, n) @ _dense(state))
+        _assert_close(apply_coin(coin, state, n), assemble_local_matrix(coin, n) @ _dense(state))
 
 
 @GROUPS
@@ -56,9 +55,9 @@ def test_family_coin_and_dressing_match_dense(group, family, rng):
     new_coin = transform_coin(t, _position_coin(group, 12))
     for n in (0, 3):
         vec = _dense(state)
-        _assert_close(apply_coin(new_coin, state, n), assemble_coin_matrix(new_coin, n) @ vec)
-        _assert_close(apply_dressing(t, n, state), assemble_dressing_matrix(t, n) @ vec)
-    _assert_close(transform_state(t, state), assemble_local_matrix(t.u0) @ _dense(state))
+        _assert_close(apply_coin(new_coin, state, n), assemble_local_matrix(new_coin, n) @ vec)
+        _assert_close(apply_dressing(t, n, state), assemble_local_matrix(t.phases, n) @ vec)
+    _assert_close(transform_state(t, state), assemble_local_matrix(t.phases) @ _dense(state))
 
 
 @GROUPS

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
-                        WalkState)
+                        WalkState, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
-from cayleywalk.states import nonzero_rows
+from cayleywalk.states import lookup_rows, nonzero_rows
 
 from conftest import random_state
 
@@ -99,8 +99,8 @@ def test_uniform_local_unitary_matches_rule(rng):
     uniform = LocalUnitary.uniform(group, mat)
     ruled = LocalUnitary.from_rule(group, lambda x: mat)
     assert uniform.apply(state).distance(ruled.apply(state)) < 1e-14
-    assert uniform.block(state.positions).shape == (1, 2, 2)
-    assert ruled.block(state.positions).shape == (state.n_positions, 2, 2)
+    assert uniform.block(0, state.positions).shape == (1, 2, 2)
+    assert ruled.block(0, state.positions).shape == (state.n_positions, 2, 2)
 
 
 def test_diagonal_local_unitary(rng):
@@ -160,3 +160,28 @@ def test_nonzero_rows_keeps_nan_rows_and_drops_signed_zeros():
     amps = np.array([[np.nan, 0], [0, 0], [0, -0.0], [1e-300, 0], [0, 1j]], dtype=complex)
     assert nonzero_rows(amps).tolist() == [True, False, False, True, True]
     assert nonzero_rows(amps[:0]).tolist() == []
+
+
+@pytest.mark.parametrize("group", [LineGroup(), LatticeGroup(2)], ids=["line", "z2"])
+def test_table_lookup_hits_misses_and_default(group, rng):
+    xs = group.random_elements(rng, 12)
+    dim = group.coin_dim
+    # the first six positions are tabulated, some coin indices left out
+    table = {(x, c): np.exp(1j * (i + 0.1 * c)) for i, x in enumerate(xs[:6])
+             for c in range(dim) if (i + c) % 3}
+    default = np.exp(0.5j)
+    batch = xs[9:] + xs[2:5] + xs[6:9] + xs[:2] + xs[3:4]  # unsorted, mixed, repeated
+    got = lookup_rows(group, table, default)(group.keys(batch))
+    expect = np.array([[table.get((x, c), default) for c in range(dim)] for x in batch])
+    assert np.array_equal(got, expect)
+    assert np.array_equal(lookup_rows(group, {}, default)(group.keys(batch)),
+                          np.full((len(batch), dim), default))
+    # the two table-driven rules read the same rows
+    t = make_time_homog_symmetry(group, delta=table)
+    ones = {(x, c): table.get((x, c), 1.0) for x in batch for c in range(dim)}
+    assert np.array_equal(t.phases.block(0, group.keys(batch)),
+                          [[ones[(x, c)] for c in range(dim)] for x in batch])
+    field = LocalUnitary.from_table(group, {(4, x, c): u for (x, c), u in table.items()},
+                                    default)
+    assert np.array_equal(field.block(4, group.keys(batch)), expect)
+    assert np.array_equal(field.block(3, group.keys(batch)), np.full((len(batch), dim), default))

@@ -18,14 +18,20 @@ from cayleywalk.linalg import random_phases, random_unitary
 from cayleywalk.verify import homogeneity_spreads
 
 from conftest import random_state
+from test_acceptance import FAMILIES, _draw_symmetry
 
 
-def test_phase_field_rejects_step_zero():
+def test_phase_field_is_local_unitary_with_a_step_zero_block(rng):
+    assert PhaseField is LocalUnitary  # both as exported by cayleywalk
     group = LineGroup()
-    field = PhaseField.ones(group)
-    with pytest.raises(SpecError):
-        field.at(0, 0, 0)
+    field = LocalUnitary.identity(group)
+    assert field.at(0, 0, 0) == 1.0
     assert field.at(1, 0, 0) == 1.0
+    u0 = random_unitary(2, rng)
+    t = make_general_symmetry(LocalUnitary.uniform(group, u0),
+                              PhaseField(group, lambda n, x, c: 1j))
+    assert np.array_equal(t.phases.component(3, 0), u0)
+    assert np.array_equal(t.phases.component(3, 2), 1j * np.eye(2))
 
 
 def test_phase_field_requires_unit_values():
@@ -260,9 +266,14 @@ def test_eta_quasi_periodic_extension():
 def test_transform_state_applies_step_zero_unitary(rng):
     group = LineGroup()
     u0 = LocalUnitary.uniform(group, random_unitary(2, rng))
-    t = make_general_symmetry(u0, PhaseField.ones(group))
+    t = make_general_symmetry(u0, LocalUnitary.identity(group))
     state = random_state(group, rng)
     assert transform_state(t, state).distance(u0.apply(state)) < 1e-14
+    # unit phases after step 0: the coin changes only at step 0
+    coin = hadamard_coin(group)
+    new_coin = transform_coin(t, coin)
+    assert np.allclose(new_coin.matrix_at(0), coin.matrix_at(0) @ u0.component(0).conj().T)
+    assert np.array_equal(new_coin.matrix_at(2, 5), coin.matrix_at(2, 5))
 
 
 def test_apply_dressing_step_zero_vs_later(rng):
@@ -277,6 +288,14 @@ def test_apply_dressing_step_zero_vs_later(rng):
         expect = (-1.0) ** ((3 - k) % 2)
         assert dressed3.amplitude(x, 0) == pytest.approx(
             expect * state.amplitude(x, 0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_step_zero_dressing_is_the_state_transform(family, rng):
+    group = CyclicGroup(8)
+    t = _draw_symmetry(family, group, rng)
+    state = random_state(group, rng)
+    assert apply_dressing(t, 0, state).distance(transform_state(t, state)) == 0.0
 
 
 def test_phase_well_defined_across_redecomposition():

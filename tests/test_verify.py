@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
-                        NonUnitaryError, SymmetryTransform, VerificationReport, WalkState,
-                        check_homogeneity, check_probability_map,
+                        NonUnitaryError, SpecError, SymmetryTransform, VerificationReport,
+                        WalkState, check_homogeneity, check_probability_map,
                         check_symmetry_relation, corrupted_phases, grover_coin,
                         hadamard_coin, identity_symmetry,
                         make_shifted_automorphism, make_generalized_symmetry,
                         make_full_homog_symmetry, make_time_homog_symmetry,
-                        run_invariant_suite)
-from cayleywalk.verify import (_report, assemble_coin_matrix, assemble_dressing_matrix,
-                               assemble_step_matrix, homogeneity_spreads)
+                        parse_symmetry_spec, run_invariant_suite)
+from cayleywalk.verify import (_report, assemble_local_matrix, assemble_step_matrix,
+                               homogeneity_spreads)
 from cayleywalk.walk import QuantumCoin
 
 from conftest import random_state
@@ -57,6 +57,24 @@ def test_corruption_leaves_other_entries_alone():
     assert bad.at(4, 1, 0) == pytest.approx(-t.phases.at(4, 1, 0))
     assert bad.at(4, 1, 1) == pytest.approx(t.phases.at(4, 1, 1))
     assert bad.at(3, 1, 0) == pytest.approx(t.phases.at(3, 1, 0))
+
+
+def test_step_zero_corruption_fails_and_negative_step_is_rejected():
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    start = WalkState.localized(group, 0, [1.0, 0.0])
+    t, bad = parse_symmetry_spec(group, {"family": "general",
+                                         "corrupt_phase": {"n": 0, "x": 0, "c": 0}})
+    report = check_symmetry_relation(coin, start, t, n_max=6, dressing=bad)
+    assert not report.passed
+    assert report.per_step_residuals[0] == pytest.approx(2.0)
+    # a shared U0 matrix is corrupted at x only
+    assert np.array_equal(bad.component(1, 0), t.phases.component(1, 0))
+    with pytest.raises(SpecError):
+        corrupted_phases(t.phases, (-1, 0, 0))
+    with pytest.raises(SpecError):
+        parse_symmetry_spec(group, {"family": "time_homog",
+                                    "corrupt_phase": {"n": -1, "x": 0, "c": 0}})
 
 
 def test_probability_map_detects_wrong_pair(rng):
@@ -104,7 +122,7 @@ def test_dressing_matrix_matches_state_action(rng):
     labels = basis_labels(group)
     vec = np.array([state.amplitude(x, c) for x, c in labels])
     for n in (0, 3):
-        mat = assemble_dressing_matrix(t, n)
+        mat = assemble_local_matrix(t.phases, n)
         dressed = apply_dressing(t, n, state)
         expect = mat @ vec
         got = np.array([dressed.amplitude(x, c) for x, c in labels])
@@ -113,7 +131,7 @@ def test_dressing_matrix_matches_state_action(rng):
 
 def test_coin_matrix_assembly_is_block_diagonal():
     group = CyclicGroup(4)
-    mat = assemble_coin_matrix(hadamard_coin(group), 0)
+    mat = assemble_local_matrix(hadamard_coin(group), 0)
     assert mat.shape == (8, 8)
     assert np.abs(mat @ mat.conj().T - np.eye(8)).max() < 1e-12
 
