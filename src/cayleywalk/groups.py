@@ -200,16 +200,16 @@ class CayleyGroup:
     def sort_key(self, x):
         return self.encode(x)
 
-    def format_element(self, x) -> str:
-        return self.labels(self.keys([x]))[0]
+    @property
+    def label_template(self) -> str:
+        """%-template of an element's text label, filled with its
+        coordinates: "%d" on the integer kinds, "(%d,...,%d)" on the tuple
+        kinds."""
+        e = self.identity
+        return "(" + ",".join(["%d"] * len(e)) + ")" if isinstance(e, tuple) else "%d"
 
-    def labels(self, keys: np.ndarray) -> list[str]:
-        """Text labels of a key array: the integer, or "(a,b,...)"."""
-        coords = self.unpack(keys)
-        if coords.ndim == 1:
-            return list(map(str, coords.tolist()))
-        template = "(" + ",".join(["%d"] * coords.shape[1]) + ")"
-        return [template % row for row in map(tuple, coords.tolist())]
+    def format_element(self, x) -> str:
+        return self.label_template % self.encode(x)
 
     def describe(self) -> dict:
         raise NotImplementedError

@@ -413,32 +413,56 @@ def parse_automorphism_spec(group: CayleyGroup, value) -> ShiftedAutomorphism:
 # -- output writers ----------------------------------------------------------------
 
 
+def _fill_rows(row: str, sep: str, columns: list) -> str:
+    """`row` once per row, joined by `sep` and filled in one % operation:
+    row i takes the i-th entry of each column, in column order."""
+    width, count = len(columns), len(columns[0])
+    values = [None] * (width * count)
+    for j, column in enumerate(columns):
+        values[j::width] = column
+    return sep.join([row] * count) % tuple(values)
+
+
 def write_distribution_csv(fp, group: CayleyGroup, states) -> None:
     """CSV of per-step distributions: columns step, x, probability.
 
     Each step's rows are written as soon as the step is drawn from `states`
     (any iterable, such as `evolve_iter`), in key order, with the
-    probability as %.17g."""
+    probability as %.17g. A label holding a comma is quoted."""
+    label = group.label_template
+    if "," in label:
+        label = f'"{label}"'
     fp.write("step,x,probability\n")
     for n, state in enumerate(states):
         keys, probs = state.position_probabilities()
-        fp.write("".join([f'{n},"{label}",{p:.17g}\n' if "," in label else
-                          f"{n},{label},{p:.17g}\n"
-                          for label, p in zip(group.labels(keys), probs.tolist())]))
+        fp.write(_fill_rows(f"{n},{label},%.17g\n", "",
+                            group.coords(keys).T.tolist() + [probs.tolist()]))
+
+
+# json.dumps's spelling of the floats that have no JSON literal
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_distribution_json(fp, group: CayleyGroup, states) -> None:
     """The JSON list [{"distribution": [{"p", "x"}, ...], "step"}, ...] of
-    per-step distributions, as dump_json writes it. Each step is written as
-    soon as it is drawn from `states`, rows in key order."""
+    per-step distributions, in the bytes dump_json gives the whole list.
+    Each step is written as soon as it is drawn from `states`, rows in key
+    order."""
+    # one row in dump_json's layout: indent=2, sorted keys, three levels deep
+    e = group.identity
+    x = ("[" + ",".join(["\n          %d"] * len(e)) + "\n        ]"
+         if isinstance(e, tuple) else "%d")
+    row = '{\n        "p": %s,\n        "x": ' + x + "\n      }"
     n = -1
     for n, state in enumerate(states):
         keys, probs = state.position_probabilities()
-        step = {"distribution": [{"p": p, "x": dump_element(x)} for x, p in
-                                 zip(group.elements_of(keys), probs.tolist())],
-                "step": n}
-        # one level deeper than a top-level dump; no JSON string holds a newline
-        fp.write(("[\n  " if n == 0 else ",\n  ") + dump_json(step).replace("\n", "\n  "))
+        ps = probs.tolist()
+        if not np.isfinite(probs).all():
+            ps = [_JSON_NONFINITE.get(repr(p), p) for p in ps]
+        rows = _fill_rows(row, ",\n      ", [ps] + group.coords(keys).T.tolist())
+        distribution = f"[\n      {rows}\n    ]" if rows else "[]"
+        fp.write(("[\n  " if n == 0 else ",\n  ")
+                 + f'{{\n    "distribution": {distribution},\n    "step": {n}\n  }}')
     fp.write("[]\n" if n < 0 else "\n]\n")
 
 

@@ -156,8 +156,8 @@ class WalkState:
 
     def normalized(self) -> "WalkState":
         n = self.norm()
-        if n < 1e-12:
-            raise SpecError("cannot normalize a (near-)zero state")
+        if not 1e-12 <= n < np.inf:  # also catches a NaN norm
+            raise SpecError(f"cannot normalize a state of norm {n:.3e}")
         return WalkState(self.group, self.positions, self.amps / n)
 
     def inner(self, other: "WalkState") -> complex:

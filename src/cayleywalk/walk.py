@@ -192,7 +192,7 @@ class WalkInstance:
         if coin.group != group or initial_state.group != group:
             raise SpecError("walk components must share one group")
         n = initial_state.norm()
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # also catches a NaN norm
             raise SpecError(f"initial state must be normalized (norm = {n:.3e})")
         self.group = group
         self.coin = coin

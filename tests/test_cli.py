@@ -53,6 +53,19 @@ def test_simulate_rejects_non_unitary_coin():
     assert "error:" in result.stderr
 
 
+def test_simulate_rejects_a_nan_start_state_as_invalid_input(tmp_path):
+    out = tmp_path / "dist.csv"
+    args = ["simulate", "--group", "line", "--coin", "hadamard", "--start", "0:(nan,0)",
+            "--steps", "2"]
+    result = run_cli(*args, "--out", str(out))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and "error: cannot normalize" in result.stderr
+    assert not out.exists()
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+
+
 # A coin that fails only at step 7, after the probe steps (0, 1, 2, 3, 5)
 # accepted it, so the run fails while rows are already being written.
 H = 2 ** -0.5

@@ -286,6 +286,52 @@ def test_writers_stream_each_step_before_drawing_the_next(writer, oracle, tail):
     assert buf.getvalue() == oracle(group, history)
 
 
+# Long histories, so that each step is many rows of one bulk-formatted
+# template; lattice:1 has tuple labels without a comma, left unquoted.
+LONG_HISTORIES = [("line", 200), ("lattice:2", 20), ("lattice:2:6", 20), ("hypercube:6", 6),
+                  ("lattice:1", 10)]
+
+
+@pytest.mark.parametrize("spec, steps", LONG_HISTORIES)
+def test_writers_match_oracles_on_long_histories(spec, steps):
+    group = parse_group_spec(spec)
+    dim = group.coin_dim
+    weights = np.arange(1, dim + 1)
+    start = WalkState.localized(group, group.identity, weights / np.linalg.norm(weights))
+    coin = hadamard_coin(group) if dim == 2 else parse_coin_spec(group, "grover")
+    history = evolve(WalkInstance(group, coin, start), steps)
+    for writer, oracle in ((write_distribution_csv, _rowwise_csv),
+                           (write_distribution_json, _payload_json)):
+        buf = io.StringIO()
+        writer(buf, group, iter(history))
+        assert buf.getvalue() == oracle(group, history)
+
+
+class _NegatedProbabilities(WalkState):
+    """A state that reports its probabilities negated, so an inf row reads -inf."""
+
+    __slots__ = ()
+
+    def position_probabilities(self):
+        keys, probs = super().position_probabilities()
+        return keys, -probs
+
+
+def test_writers_spell_infinite_probabilities_as_csv_and_json_do():
+    group = parse_group_spec("lattice:2")
+    state = WalkState.from_terms(group, [((0, 1), 0, np.inf), ((1, 0), 1, 0.5)])
+    history = [state, _NegatedProbabilities(group, state.positions, state.amps)]
+    csv, js = io.StringIO(), io.StringIO()
+    write_distribution_csv(csv, group, iter(history))
+    write_distribution_json(js, group, iter(history))
+    assert csv.getvalue() == _rowwise_csv(group, history)
+    assert js.getvalue() == _payload_json(group, history)
+    assert csv.getvalue().splitlines()[1:] == ['0,"(0,1)",inf', '0,"(1,0)",0.25',
+                                               '1,"(0,1)",-inf', '1,"(1,0)",-0.25']
+    assert [line.strip() for line in js.getvalue().splitlines() if '"p"' in line] == [
+        '"p": Infinity,', '"p": 0.25,', '"p": -Infinity,', '"p": -0.25,']
+
+
 def test_dump_state_lists_records_in_key_and_coin_order():
     group = parse_group_spec("lattice:2")
     state = WalkState.from_terms(group, [((1, -2), 1, 0.5), ((-3, 4), 0, 0.5),

@@ -156,6 +156,15 @@ def test_instance_requires_normalized_start():
                      WalkState.from_terms(group, [(0, 0, 2.0)]))
 
 
+def test_nan_start_state_is_invalid_input():
+    group = LineGroup()
+    nan_state = WalkState.localized(group, 0, [np.nan, 0.0])
+    with pytest.raises(SpecError):
+        nan_state.normalized()
+    with pytest.raises(SpecError):
+        WalkInstance(group, hadamard_coin(group), nan_state)
+
+
 def test_walk_spreads_linearly():
     group = LineGroup()
     start = WalkState.localized(group, 0, [INV_SQRT2, 1j * INV_SQRT2])
