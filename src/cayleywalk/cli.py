@@ -4,7 +4,8 @@ Subcommands: simulate, transform, verify, line (canonicalize | mirror |
 symmetric-states), group (causal | automorphisms). Spec-valued flags accept
 inline JSON, a path to a JSON file, or documented shorthands. Exit codes:
 0 success, 1 verification failure, 2 invalid configuration, 3 numeric norm
-drift, 4 symmetry-family precondition violation, 5 degenerate line coin.
+drift, 4 symmetry-family precondition violation, 5 degenerate line coin,
+70 internal error (see `run`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -37,6 +39,8 @@ logger = logging.getLogger("cayleywalk")
 # Exit code of each error class, first match wins (see the module docstring).
 EXIT_CODES = ((DegenerateCoinError, 5), (FamilyPreconditionError, 4), (NumericDriftError, 3),
               (CayleyWalkError, 2))
+# Exit code of any other exception: a bug, not an outcome (EX_SOFTWARE).
+EXIT_INTERNAL = 70
 
 
 def _read_spec_arg(value: str):
@@ -352,5 +356,18 @@ def main(argv=None) -> int:
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
+def run(argv=None) -> int:
+    """The `cayleywalk` script and `python -m cayleywalk`: main, with any
+    exception that main does not map reported as an internal error, so that
+    it cannot pass for a failed check (exit 1). main itself still raises it
+    for API callers."""
+    try:
+        return main(argv)
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

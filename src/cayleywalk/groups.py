@@ -441,6 +441,7 @@ class LatticeGroup(_MixedRadixGroup):
         else:
             bits = 62 // d
             self._set_radix(2 ** bits, -2 ** (bits - 1))
+            self._digit_shifts = [bits * (d - 1 - i) for i in range(d)]
         self.period = period
         gens = []
         minus_one = -1 if period is None else period - 1
@@ -511,9 +512,11 @@ class LatticeGroup(_MixedRadixGroup):
         if adjoint:
             delta = -delta
         weight = self._weights[axis]
-        digit = keys // weight % self.radix
         if self.period is not None:
+            digit = keys // weight % self.radix
             return keys + ((digit + delta) % self.radix - digit) * weight
+        # on Z^d the radix and the weights are powers of two
+        digit = (keys >> self._digit_shifts[axis]) & (self.radix - 1)
         if np.any(digit == (self.radix - 1 if delta > 0 else 0)):
             raise EncodingError(f"lattice shift along axis {axis} leaves the packed "
                                 f"coordinate range [{self.lo}, {self.hi}]")

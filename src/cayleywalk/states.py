@@ -47,7 +47,7 @@ def merge_keys(keys: np.ndarray):
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return np.compress(first, ordered), inverse
 
 
 class WalkState:
@@ -188,7 +188,7 @@ class WalkState:
         corrupted row stays visible."""
         probs = np.sum(np.abs(self.amps) ** 2, axis=1)
         keep = ~(probs <= PRUNE_TOL)
-        return self.positions[keep], probs[keep]
+        return np.compress(keep, self.positions), np.compress(keep, probs)
 
     def position_distribution(self, warn_unnormalized: bool = True) -> dict:
         """Probability per position; NaN rows are kept and warned about."""
@@ -234,13 +234,16 @@ def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray,
         amps = np.where(np.abs(amps) < prune, 0.0, amps)
     keep = nonzero_rows(amps)
     if not keep.all():
-        positions, amps = positions[keep], amps[keep]
+        positions, amps = np.compress(keep, positions), np.compress(keep, amps, axis=0)
     return WalkState(group, positions, amps)
 
 
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
+    if np.array_equal(a.positions, b.positions):
+        # the usual case (a state and its dressed or transformed twin): no merge
+        return WalkState(a.group, a.positions, a.amps + sign * b.amps)
     positions, inverse = merge_keys(np.concatenate([a.positions, b.positions]))
     out = np.zeros((positions.shape[0], a.amps.shape[1]), dtype=complex)
     # each operand's keys are unique, so plain indexed updates do not collide
@@ -310,9 +313,15 @@ class LocalUnitary:
     (see apply_block), checked once per batch when `validate` is set.
     Step-free operators ignore n. A symmetry's dressing is one such
     operator: an arbitrary local unitary U0 at step 0, diagonal phases
-    u(n, x, c) after."""
+    u(n, x, c) after.
 
-    __slots__ = ("group", "_blocks", "validate")
+    Rules must be pure functions of (n, keys): `block` keeps its last
+    MEMO_SIZE blocks and hands them out again, read-only, for an equal n and
+    key array (a relation check asks for each dressing block three times)."""
+
+    __slots__ = ("group", "_blocks", "validate", "_memo")
+
+    MEMO_SIZE = 2
 
     def __init__(self, group: CayleyGroup, rule):
         """Diagonal operator of a scalar phase rule(n, x, c) -> complex unit."""
@@ -321,6 +330,7 @@ class LocalUnitary:
         self._blocks = lambda n, keys: elementwise(
             lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,))
         self.validate = True
+        self._memo: list = []  # (n, keys, block), oldest first
 
     @classmethod
     def batched(cls, group: CayleyGroup, blocks, validate: bool = True) -> "LocalUnitary":
@@ -375,10 +385,23 @@ class LocalUnitary:
                            validate=False)
 
     def block(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The step-n block over `keys`."""
+        """The step-n block over `keys`, read-only."""
         n = int(n)
+        for m, known, block in self._memo:
+            if m == n and np.array_equal(known, keys):
+                return block
         block = self._blocks(n, keys)
-        return self.check(n, keys, block) if self.validate else block
+        if self.validate:
+            block = self.check(n, keys, block)
+        # a read-only view, so that neither the memo nor the rule's own array
+        # can be written through it
+        block = block.view()
+        block.flags.writeable = False
+        # evict in insertion order: a stale entry from an earlier check of
+        # the same operator must not outlive the current ones
+        self._memo.append((n, keys.copy(), block))
+        del self._memo[:-self.MEMO_SIZE]
+        return block
 
     def check(self, n: int, keys: np.ndarray, block) -> np.ndarray:
         """`block` as the step-n block over `keys`, checked once (see

@@ -392,7 +392,10 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
     Component at (n, x) is V C(n, x) U(n, x)^dagger, where V holds the
     step-(n+1) phases at the shifted positions x * s_c and U(n, x) is the
-    step-n dressing: U0 at n = 0, diagonal phases after.
+    step-n dressing: U0 at n = 0, diagonal phases after. The shifted
+    positions are the next state's positions unless a row is pruned, so the
+    dressing's memo serves the step-(n+1) phases again as U(n+1) one step
+    later.
     """
     group = t.group
     if coin.group != group:
@@ -409,8 +412,14 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
     new_time = coin.time_homogeneous and t.family in ("time_homog", "full_homog")
     new_space = coin.space_homogeneous and t.family in ("space_homog", "full_homog")
-    return QuantumCoin(group, blocks, time_homogeneous=new_time,
-                       space_homogeneous=new_space, validate=True)
+    # each factor of a block is checked where it is made (the coin's and the
+    # dressing's own checks), so the product is not checked again; only the
+    # flags this transform claims are probed, once
+    new_coin = QuantumCoin(group, blocks, time_homogeneous=new_time,
+                           space_homogeneous=new_space, validate=False)
+    if new_time or new_space:
+        new_coin._probe_flags()
+    return new_coin
 
 
 def apply_dressing(t: SymmetryTransform, n: int, state: WalkState) -> WalkState:

@@ -304,6 +304,47 @@ def test_key_error_in_a_handler_is_not_reported_as_invalid_configuration(monkeyp
         cli.main(["simulate", *LINE_WALK, "--steps", "1"])
 
 
+# `python -m cayleywalk ARGS` with a simulate handler that fails on a bug
+BROKEN_MAIN = """
+import runpy
+from cayleywalk import cli
+
+def broken(args):
+    raise KeyError("internal")
+
+cli.cmd_simulate = broken
+runpy.run_module("cayleywalk", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_an_internal_error_exits_70_not_as_a_failed_check(monkeypatch, capsys):
+    from cayleywalk import cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    # package errors keep their codes through the wrapper
+    assert cli.run(["simulate", "--group", "line", "--coin", "nonsense",
+                    "--start", "0:(1,0)", "--steps", "1"]) == 2
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    capsys.readouterr()
+    assert cli.run(["simulate", *LINE_WALK, "--steps", "1"]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "KeyError: 'internal'" in err
+    # `python -m cayleywalk` goes through the same wrapper
+    result = subprocess.run([sys.executable, "-c", BROKEN_MAIN, "simulate", *LINE_WALK,
+                             "--steps", "1"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 70
+    assert "internal error:" in result.stderr and "Traceback" in result.stderr
+
+
+def test_the_installed_script_is_the_wrapper():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"cayleywalk": "cayleywalk.cli:run"}
+
+
 @pytest.mark.parametrize("family", ["general", "space_homog", "time_homog", "full_homog"])
 def test_step_zero_corruption_fails_verify(family):
     spec = {"family": family, "corrupt_phase": {"n": 0, "x": 0, "c": 0}}

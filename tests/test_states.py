@@ -185,3 +185,91 @@ def test_table_lookup_hits_misses_and_default(group, rng):
                                     default)
     assert np.array_equal(field.block(4, group.keys(batch)), expect)
     assert np.array_equal(field.block(3, group.keys(batch)), np.full((len(batch), dim), default))
+
+
+def _merged_combine(a, b, sign):
+    """Reference for a +/- b: merge both key sets with np.unique, then add
+    each operand at its rows."""
+    positions, inverse = np.unique(np.concatenate([a.positions, b.positions]),
+                                   return_inverse=True)
+    out = np.zeros((positions.shape[0], a.group.coin_dim), dtype=complex)
+    out[inverse[:a.n_positions]] = a.amps
+    out[inverse[a.n_positions:]] += sign * b.amps
+    return positions, out
+
+
+def _on(group, keys, rng):
+    keys = np.asarray(keys, dtype=np.int64)
+    amps = rng.normal(size=(len(keys), 2)) + 1j * rng.normal(size=(len(keys), 2))
+    return WalkState(group, keys, amps)
+
+
+def test_combine_matches_the_merge_bit_for_bit(rng):
+    group = LineGroup()
+    with_nan = _on(group, [-2, 0, 3], rng)
+    with_nan.amps[1, 0] = np.nan
+    pairs = {
+        "equal": (_on(group, [-2, 0, 3], rng), _on(group, [-2, 0, 3], rng)),
+        "overlapping": (_on(group, [-2, 0, 3], rng), _on(group, [0, 3, 5], rng)),
+        "disjoint": (_on(group, [-2, 0], rng), _on(group, [1, 4], rng)),
+        "empty": (WalkState.zero(group), WalkState.zero(group)),
+        "one empty": (_on(group, [1, 2], rng), WalkState.zero(group)),
+        "nan, equal": (with_nan, _on(group, [-2, 0, 3], rng)),
+        "nan, overlapping": (_on(group, [0, 7], rng), with_nan),
+    }
+    for name, (a, b) in pairs.items():
+        for sign, got in ((1.0, a + b), (-1.0, a - b)):
+            positions, amps = _merged_combine(a, b, sign)
+            assert np.array_equal(got.positions, positions), name
+            assert got.amps.tobytes() == amps.tobytes(), name
+    # the NaN row is kept, at its position
+    diff = pairs["nan, equal"][0] - pairs["nan, equal"][1]
+    assert np.isnan(diff.amps[1, 0]) and diff.positions[1] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: LocalUnitary.identity(g),
+    lambda g: LocalUnitary.uniform(g, hadamard_matrix()),
+    lambda g: LocalUnitary(g, lambda n, x, c: np.exp(0.3j * (n + x + c))),
+    lambda g: LocalUnitary.from_table(g, {(1, 0, 0): 1j}),
+], ids=["identity", "uniform", "scalar rule", "table"])
+def test_local_unitary_blocks_are_read_only(make):
+    group = LineGroup()
+    op = make(group)
+    keys = group.keys([-1, 0, 1])
+    for _ in range(2):  # evaluated, then served again
+        block = op.block(1, keys)
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+
+def test_read_only_blocks_leave_the_rule_array_writable():
+    group = LineGroup()
+    table = np.ones((3, 2), dtype=complex)
+    op = LocalUnitary.batched(group, lambda n, keys: table)
+    op.block(1, group.keys([-1, 0, 1]))
+    table[0, 0] = 1j  # still the caller's own array
+    assert op.block(2, group.keys([-1, 0, 1]))[0, 0] == 1j
+
+
+def test_block_memo_serves_equal_keys_and_only_those():
+    group = LineGroup()
+
+    def rule(n, x, c):
+        return np.exp(0.1j * (n * n + x - c))
+
+    op = LocalUnitary(group, rule)
+    fresh = LocalUnitary(group, rule)
+    keys = [group.keys(range(-n, n + 1, 2)) for n in range(8)]
+    for n in range(1, 7):
+        for m, k in ((n + 1, keys[n + 1]), (n, keys[n].copy()), (n, keys[n])):
+            block = op.block(m, k)
+            assert block.tobytes() == fresh.block(m, k).tobytes()
+        # a single-key lookup between steps changes no later block
+        assert op.at(n, 0 if n % 2 == 0 else 1, 0) == fresh.at(n, 0 if n % 2 == 0 else 1, 0)
+    # the memo holds keys by value: a caller rewriting its array gets a new block
+    probe = group.keys([3, 5])
+    first = op.block(9, probe)
+    probe[:] = group.keys([7, 9])
+    assert op.block(9, probe).tobytes() == fresh.block(9, group.keys([7, 9])).tobytes()
+    assert op.block(9, probe).tobytes() != first.tobytes()

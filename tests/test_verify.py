@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
+from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
                         NonUnitaryError, SpecError, SymmetryTransform, VerificationReport,
                         WalkState, check_homogeneity, check_probability_map,
                         check_symmetry_relation, corrupted_phases, grover_coin,
                         hadamard_coin, identity_symmetry,
                         make_shifted_automorphism, make_generalized_symmetry,
-                        make_full_homog_symmetry, make_time_homog_symmetry,
-                        parse_symmetry_spec, run_invariant_suite)
+                        make_full_homog_symmetry, make_general_symmetry,
+                        make_time_homog_symmetry, parse_symmetry_spec, run_invariant_suite,
+                        transform_coin)
+from cayleywalk.linalg import hadamard_matrix
 from cayleywalk.verify import (_report, assemble_local_matrix, assemble_step_matrix,
                                homogeneity_spreads)
-from cayleywalk.walk import QuantumCoin
+from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
 from conftest import random_state
 
@@ -186,3 +189,74 @@ def test_homogeneity_probe_does_not_skip_nan():
     time_spread, space_spread = homogeneity_spreads(coin)
     assert np.isnan(time_spread) and np.isnan(space_spread)
     assert check_homogeneity(coin) == (False, False)
+
+
+def _counted_general_symmetry(group, calls: Counter):
+    """A general-family symmetry whose scalar phase rule counts its calls."""
+    def rule(n, x, c):
+        calls[(n, x, c)] += 1
+        return np.exp(1j * (0.4 * n + 0.9 * x + 1.3 * c))
+
+    return make_general_symmetry(LocalUnitary.uniform(group, hadamard_matrix()),
+                                 LocalUnitary(group, rule))
+
+
+def test_relation_check_evaluates_each_phase_about_once():
+    group = LineGroup()
+    calls = Counter()
+    t = _counted_general_symmetry(group, calls)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    for _ in range(2):  # a second check of the same transform starts afresh
+        calls.clear()
+        report = check_symmetry_relation(hadamard_coin(group), start, t, n_max=40)
+        assert report.passed
+        # without the block memo each (n, x, c) was evaluated three times
+        assert sum(calls.values()) <= 1.1 * len(calls), (sum(calls.values()), len(calls))
+
+
+def test_corrupted_control_on_a_memoized_dressing_fails_at_its_site():
+    group = LineGroup()
+    t = _counted_general_symmetry(group, Counter())
+    coin = hadamard_coin(group)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    assert check_symmetry_relation(coin, start, t, n_max=8).passed  # fills the memo
+    n0, x0, c0 = 5, 1, 0
+    amp = evolve(WalkInstance(group, coin, start), n0)[n0].amplitude(x0, c0)
+    report = check_symmetry_relation(coin, start, t, n_max=8,
+                                     dressing=corrupted_phases(t.phases, (n0, x0, c0)))
+    assert not report.passed
+    assert report.per_step_residuals[n0] == pytest.approx(2 * abs(amp))
+    assert max(r for n, r in enumerate(report.per_step_residuals) if n != n0) < 1e-12
+    # the corruption did not leak into the memoized base
+    assert check_symmetry_relation(coin, start, t, n_max=8).passed
+
+
+def test_a_non_unit_phase_is_caught_where_it_is_made():
+    group = LineGroup()
+    rule = lambda n, x, c: 2.0 if (n, x, c) == (3, 1, 0) else 1.0
+    t = make_general_symmetry(LocalUnitary.identity(group), LocalUnitary(group, rule))
+    start = WalkState.localized(group, 0, [1.0, 0.0])
+    with pytest.raises(NonUnitaryError, match="step-3 phase at 1 "):
+        check_symmetry_relation(hadamard_coin(group), start, t, n_max=6)
+
+
+def test_transformed_coin_flags_are_probed_when_it_is_built():
+    group = LineGroup()
+    # u(n) = exp(0.1i n^2) makes C'(n) vary with n despite the family label
+    phases = LocalUnitary.batched(
+        group, lambda n, keys: np.full((len(keys), 2), np.exp(0.1j * n * n)))
+    with pytest.raises(SpecError, match="time-homogeneous"):
+        transform_coin(SymmetryTransform(group, phases, "time_homog"), hadamard_coin(group))
+
+
+def test_a_non_unitary_user_coin_is_caught_inside_the_transformed_coin():
+    group = LineGroup()
+    h = hadamard_matrix()
+    coin = QuantumCoin.from_rule(group, lambda n, x: 2 * h if x == 2 else h)
+    new_coin = transform_coin(make_time_homog_symmetry(group, epsilon=1j), coin)
+    new_coin.block(2, group.keys([0]))
+    with pytest.raises(NonUnitaryError, match="step-2 coin at 2 "):
+        new_coin.block(2, group.keys([0, 2]))
+    start = WalkState.localized(group, 0, [1.0, 0.0])
+    with pytest.raises(NonUnitaryError, match="step-2 coin at 2 "):
+        check_symmetry_relation(coin, start, make_time_homog_symmetry(group), n_max=4)
