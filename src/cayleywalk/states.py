@@ -282,11 +282,25 @@ def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
     return _clean(state.group, state.positions, amps)
 
 
+def find_keys(known: np.ndarray, keys: np.ndarray):
+    """(at, found): the index of each key of a batch in the sorted,
+    duplicate-free key array `known`, known.size where it is not there.
+
+    The batch is merged into `known` with merge_keys: a relation check calls
+    no np.searchsorted otherwise, and its first call in a process maps about
+    64 KB more of numpy's code."""
+    merged, inverse = merge_keys(np.concatenate([known, keys]))
+    slot = np.full(merged.shape[0], known.shape[0])
+    slot[inverse[:known.shape[0]]] = np.arange(known.shape[0])
+    at = slot[inverse[known.shape[0]:]]
+    return at, at < known.shape[0]
+
+
 def lookup_rows(group: CayleyGroup, table: dict, default: complex):
     """Batch lookup in a table {(x, c): value}: a function of a key batch
     giving its (N, dim) rows, with `default` where the table has no entry.
     The table's position keys are sorted once; each batch is looked up with
-    searchsorted."""
+    find_keys."""
     dim = group.coin_dim
     rows: dict = {}
     for (x, c), value in table.items():
@@ -297,14 +311,42 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
     known = np.array(sorted(rows), dtype=np.int64)
     # row known.size is the default, where every miss is sent
     values = np.array([rows[k] for k in known.tolist()] + [np.full(dim, default)], dtype=complex)
-    padded = np.append(known, 0)
 
     def lookup(keys: np.ndarray) -> np.ndarray:
-        at = np.searchsorted(known, keys)
-        at[padded[at] != keys] = known.size
-        return values[at]
+        return values[find_keys(known, keys)[0]]
 
     return lookup
+
+
+class RowMemo:
+    """A step-free rule rows(keys) -> (N, dim) rows, evaluated once per key.
+
+    Each batch evaluates the rule only on its keys not seen before, once
+    each and in key order, and looks the rest up with find_keys. Rows are
+    kept for as long as the memo lives, so the rule must be a pure function
+    of the key. A batch on which the rule raises stores nothing."""
+
+    __slots__ = ("_rows", "_table")
+
+    def __init__(self, rows, dim: int):
+        self._rows = rows
+        # (sorted keys, their rows), replaced as one object so that a reader
+        # never pairs the keys of one version with the rows of another
+        self._table = (np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        known, values = self._table
+        at, found = find_keys(known, keys)
+        if not found.all():
+            new, _ = merge_keys(np.compress(~found, keys))
+            rows = self._rows(new)
+            known, inverse = merge_keys(np.concatenate([known, new]))
+            merged = np.empty((known.shape[0], values.shape[1]), dtype=complex)
+            merged[inverse] = np.concatenate([values, rows])
+            values = merged
+            self._table = (known, values)
+            at = find_keys(known, keys)[0]
+        return values[at]
 
 
 class LocalUnitary:

@@ -11,11 +11,13 @@ Three constructor families restrict the phase field so that the transform
 preserves space homogeneity, time homogeneity, or both. Their closed forms
 hang on the decomposition x = xt * c0^k (xt in the zero-net-exponent
 subgroup, k the coset index) and a window sequence eta evaluated at n - k;
-they are evaluated on whole batches of position keys (see states).
+they are evaluated on whole batches of position keys (see states). Each
+factor is checked where it is made, so a product is not checked again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,8 @@ import numpy as np
 from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
-from .states import LocalUnitary, WalkState, elementwise, lookup_rows, merge_keys, require_block
+from .states import (LocalUnitary, RowMemo, WalkState, elementwise, lookup_rows, merge_keys,
+                     require_block)
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
@@ -49,10 +52,12 @@ class UnitaryCharacter:
 
     domain is "full_group" or "causal_subgroup"; the latter promises the rule
     is only ever evaluated on zero-net-exponent elements. `values(keys)`
-    gives the character over a batch of position keys.
+    gives the character over a batch of position keys. A user rule's values
+    are checked on every batch; the built-in closed forms (trivial, exp,
+    sign, cyclic) give units by construction and are not.
     """
 
-    __slots__ = ("group", "domain", "_values", "descriptor")
+    __slots__ = ("group", "domain", "values", "descriptor")
 
     def __init__(self, group: CayleyGroup, domain: str, rule, descriptor=None,
                  validate: bool = True):
@@ -61,7 +66,8 @@ class UnitaryCharacter:
             raise SpecError(f"unknown character domain {domain!r}")
         self.group = group
         self.domain = domain
-        self._values = lambda keys: elementwise(rule, group.elements_of(keys))
+        self.values = _checked_values(
+            group, lambda keys: elementwise(rule, group.elements_of(keys)))
         self.descriptor = descriptor
         if validate:
             self._check_multiplicative()
@@ -70,14 +76,7 @@ class UnitaryCharacter:
     def batched(cls, group: CayleyGroup, domain: str, values, descriptor=None,
                 validate: bool = True) -> "UnitaryCharacter":
         """Character of values(keys) -> (N,) complex array."""
-        char = cls(group, domain, None, descriptor, validate=False)
-        char._values = values
-        if validate:
-            char._check_multiplicative()
-        return char
-
-    def values(self, keys: np.ndarray) -> np.ndarray:
-        return require_block(self.group, keys, self._values(keys), "character value")
+        return _closed_form(group, domain, _checked_values(group, values), descriptor, validate)
 
     def __call__(self, x) -> complex:
         return complex(self.values(self.group.keys([x]))[0])
@@ -104,9 +103,25 @@ class UnitaryCharacter:
             raise SpecError(f"character is not multiplicative at {pair!r}")
 
 
+def _checked_values(group: CayleyGroup, values):
+    """values(keys), checked to be complex units on every batch."""
+    return lambda keys: require_block(group, keys, values(keys), "character value")
+
+
+def _closed_form(group: CayleyGroup, domain: str, values, descriptor,
+                 validate: bool = True) -> UnitaryCharacter:
+    """Character of values(keys) as given: a built-in closed form, whose
+    values are units by construction and so are not checked per batch."""
+    char = UnitaryCharacter(group, domain, None, descriptor, validate=False)
+    char.values = values
+    if validate:
+        char._check_multiplicative()
+    return char
+
+
 def trivial_character(group: CayleyGroup, domain: str = "full_group") -> UnitaryCharacter:
-    return UnitaryCharacter.batched(group, domain, lambda keys: np.ones(len(keys), dtype=complex),
-                                    descriptor={"kind": "trivial"}, validate=False)
+    return _closed_form(group, domain, lambda keys: np.ones(len(keys), dtype=complex),
+                        {"kind": "trivial"}, validate=False)
 
 
 def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
@@ -137,8 +152,12 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
         descriptor = {"kind": "exp_linear", "phi": [float(v) for v in vec]}
     else:
         raise SpecError(f"exp character not defined for group kind {kind!r}")
+    # the closed form gives units only for a finite phi (math.isfinite: a
+    # first np.isfinite call raises a process's peak memory by about 0.2 MB)
+    if not all(map(math.isfinite, vec.tolist())):
+        raise SpecError(f"exp character needs a finite phi, got {phi!r}")
     values = lambda keys: np.exp(1j * (group.coords(keys) @ vec))
-    return UnitaryCharacter.batched(group, domain, values, descriptor, validate=validate)
+    return _closed_form(group, domain, values, descriptor, validate)
 
 
 def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
@@ -162,13 +181,15 @@ def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
     else:
         raise SpecError(f"sign character not defined for group kind {kind!r}")
     values = lambda keys: (1.0 - 2.0 * ((group.coords(keys) @ vec) % 2)).astype(complex)
-    return UnitaryCharacter.batched(group, domain, values, descriptor, validate=validate)
+    return _closed_form(group, domain, values, descriptor, validate)
 
 
 def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> UnitaryCharacter:
     """Character exp(2*pi*i*j*x/N) of the order-N cyclic group."""
     if group.kind != "cyclic":
         raise SpecError("cyclic characters need a cyclic group")
+    if not math.isfinite(j):
+        raise SpecError(f"cyclic character index {j!r} is not finite")
     return exp_character(group, 2.0 * np.pi * int(j) / group.n, domain)
 
 
@@ -178,14 +199,19 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     For finite coset count chi the window has length chi and extends by
     eta(m - chi) = eta(m) * rho0 (plain periodicity when rho0 = 1). For
     infinite chi any callable (or None, or a plain periodic list) is allowed.
-    The values of a callable are checked where they are used, in the phases.
+    A list is checked here, once; a callable each time it is evaluated.
     """
     rho0 = require_unit(rho0, what="eta extension factor")
     if eta is None:
         # The trivial window still needs the rho0 twist across wraps.
         eta = [1.0 + 0j] * (group.chi or 1)
     if callable(eta):
-        return lambda m: elementwise(lambda v: eta(int(v)), np.ravel(m)).reshape(np.shape(m))
+        def evaluate(m):
+            flat = np.ravel(m)
+            values = require_unit(elementwise(lambda v: eta(int(v)), flat), what="eta",
+                                  where=lambda i: f"m = {flat[i]}")
+            return values.reshape(np.shape(m))
+        return evaluate
     seq = require_unit(np.asarray(eta, dtype=complex).reshape(-1), what="eta entry")
     chi = group.chi
     if chi is not None:
@@ -229,7 +255,8 @@ def identity_symmetry(group: CayleyGroup) -> SymmetryTransform:
 
 
 def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
-    """A diagonal U' given as a unit vector or a diagonal matrix."""
+    """A diagonal U' given as a unit vector or a diagonal matrix, checked;
+    `ctx` says which U' in an error."""
     arr = np.asarray(value, dtype=complex)
     if arr.ndim == 1:
         vec = arr
@@ -241,7 +268,7 @@ def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
         raise SpecError("U' entries must be vectors or matrices")
     if vec.shape[0] != group.coin_dim:
         raise SpecError(f"U' has size {vec.shape[0]}, expected {group.coin_dim}")
-    return require_unit(vec, what="U' diagonal entry")
+    return require_unit(vec, what=f"U' diagonal entry {ctx}".rstrip())
 
 
 def _normalize_uprime_sequence(group: CayleyGroup, uprime):
@@ -308,17 +335,21 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
 
     params = {"eta": eta_fn, "rho": rho, "uprime0": u0_mat,
               "uprime_diag": diag_rule, "rho0": rho0}
-    return SymmetryTransform(group, LocalUnitary.batched(group, blocks), "space_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, blocks, validate=False),
+                             "space_homog", params)
 
 
 def _normalize_delta(group: CayleyGroup, delta):
-    """delta as a function of a key batch -> (N, dim) array."""
+    """delta as a function of a key batch -> (N, dim) array of checked units.
+    A callable's row at a position is evaluated and checked once, the first
+    time it is asked for (see states.RowMemo)."""
     dim = group.coin_dim
     if delta is None:
         return lambda keys: np.ones((len(keys), dim), dtype=complex)
     if callable(delta):
-        return lambda keys: elementwise(lambda x: [delta(x, c) for c in range(dim)],
-                                        group.elements_of(keys), (dim,))
+        return RowMemo(lambda keys: require_block(group, keys, elementwise(
+            lambda x: [delta(x, c) for c in range(dim)], group.elements_of(keys), (dim,)),
+            "delta"), dim)
     return lookup_rows(group, {xc: require_unit(value, what="delta entry")
                                for xc, value in delta.items()}, 1.0)
 
@@ -329,8 +360,10 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
 
     Phases follow u(n, x, c) = epsilon^n * eta(n - k) * delta(x, c) for all
     n, with the step-0 dressing the diagonal local unitary given by the same
-    formula at n = 0. delta maps (element, coin index) to a unit; epsilon
-    must be 1 when the coset count is infinite; eta is plain chi-periodic.
+    formula at n = 0. delta maps (element, coin index) to a unit and must be
+    a pure function of them: its row at a position is evaluated once and
+    kept for as long as the transform lives. epsilon must be 1 when the
+    coset count is infinite; eta is plain chi-periodic.
     """
     _require_nonseparating(group)
     eps = _check_epsilon(group, epsilon)
@@ -341,7 +374,8 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
         return (eps ** n * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
 
     params = {"epsilon": eps, "eta": eta_fn, "delta": delta_fn}
-    return SymmetryTransform(group, LocalUnitary.batched(group, phases), "time_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
+                             "time_homog", params)
 
 
 def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
@@ -368,7 +402,8 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
         return (eta_fn(n - k) * eps ** n * gamma.values(keys))[:, None] * uvec
 
     params = {"epsilon": eps, "eta": eta_fn, "gamma": gamma, "uprime": uvec}
-    return SymmetryTransform(group, LocalUnitary.batched(group, phases), "full_homog", params)
+    return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
+                             "full_homog", params)
 
 
 def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:

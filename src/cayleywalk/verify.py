@@ -39,6 +39,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
+    @property
+    def first_failing_step(self) -> int | None:
+        """The first step whose residual exceeds the tolerance or is NaN;
+        None for a passing report."""
+        failing = ~(np.asarray(self.per_step_residuals, dtype=float) <= self.tolerance)
+        return int(np.argmax(failing)) if failing.any() else None
+
     def to_json(self) -> str:
         return json.dumps({
             "case": self.case_id,
@@ -50,7 +57,10 @@ class VerificationReport:
 
     def __str__(self):
         flag = "PASS" if self.passed else "FAIL"
-        return f"[{flag}] {self.case_id}: max residual {self.max_residual:.3e} (tol {self.tolerance:.1e})"
+        step = self.first_failing_step
+        where = "" if step is None else f", first failing step {step}"
+        return (f"[{flag}] {self.case_id}: max residual {self.max_residual:.3e} "
+                f"(tol {self.tolerance:.1e}){where}")
 
 
 def _report(case_id, residuals, tol) -> VerificationReport:

@@ -8,7 +8,9 @@ import pytest
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
                         WalkState, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
-from cayleywalk.states import lookup_rows, nonzero_rows
+from cayleywalk.errors import NonUnitaryError
+from cayleywalk.states import (RowMemo, elementwise, lookup_rows, nonzero_rows,
+                               require_block)
 
 from conftest import random_state
 
@@ -273,3 +275,59 @@ def test_block_memo_serves_equal_keys_and_only_those():
     probe[:] = group.keys([7, 9])
     assert op.block(9, probe).tobytes() == fresh.block(9, group.keys([7, 9])).tobytes()
     assert op.block(9, probe).tobytes() != first.tobytes()
+
+
+def _counted_rule(group, seen: list, bad=None):
+    """A pure rule of the key, one row of phases per position, that records
+    every key it evaluates and gives a non-unit row at element `bad`."""
+    dim = group.coin_dim
+
+    def row(x):
+        if x == bad:
+            return [2.0] * dim
+        t = sum(x) if isinstance(x, tuple) else x
+        return [np.exp(1j * (0.7 * t + 0.3 * c * t + 0.1 * c)) for c in range(dim)]
+
+    def rows(keys):
+        seen.extend(keys.tolist())
+        return require_block(group, keys, elementwise(row, group.elements_of(keys), (dim,)),
+                             "test row")
+
+    return rows
+
+
+@pytest.mark.parametrize("group, batches", [
+    (LineGroup(), [[3, -2, 3, 7, -2, 0], [-9, -3], [], [7, -9, 11], [-4, 12, -4]]),
+    (LineGroup(), [[-3, -7, -3], [0], [0, -7, -1, 0]]),  # 0 past every stored key
+    (LatticeGroup(2), [[(1, -2), (0, 0), (1, -2), (-5, 3)], [], [(0, 0), (2, 2), (-5, 3)]]),
+], ids=["line", "line-zero-past-end", "z2"])
+def test_row_memo_matches_direct_evaluation(group, batches):
+    seen, direct = [], []
+    memo = RowMemo(_counted_rule(group, seen), group.coin_dim)
+    reference = _counted_rule(group, direct)
+    for batch in batches:
+        keys = group.keys(batch) if batch else np.empty(0, dtype=np.int64)
+        got = memo(keys)
+        assert got.shape == (len(batch), group.coin_dim)
+        assert np.array_equal(got, reference(keys))
+    # every key was evaluated once, on the batch that first held it
+    distinct = {int(k) for batch in batches if batch for k in group.keys(batch)}
+    assert sorted(seen) == sorted(distinct)
+
+
+def test_row_memo_stores_nothing_from_a_failing_batch():
+    group = LineGroup()
+    seen = []
+    memo = RowMemo(_counted_rule(group, seen, bad=5), group.coin_dim)
+    reference = _counted_rule(group, [])
+    memo(group.keys([1, 2]))
+    with pytest.raises(NonUnitaryError, match="test row at 5 "):
+        memo(group.keys([2, 3, 5]))
+    # the memo stays usable, and the good keys of the failing batch are
+    # evaluated again when they are next asked for
+    keys = group.keys([3, 1, -4])
+    assert np.array_equal(memo(keys), reference(keys))
+    with pytest.raises(NonUnitaryError, match="test row at 5 "):
+        memo(group.keys([5, 1]))
+    # only unseen keys are evaluated, in key order; 3 twice, as [2, 3, 5] failed
+    assert seen == [1, 2, 3, 5, -4, 3, 5]

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import ast
+import cmath
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup,
+from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup, LatticeGroup,
                         LineGroup, LocalUnitary, NonUnitaryError, PhaseField, SpecError,
-                        WalkState, apply_dressing, check_symmetry_relation, cyclic_character,
-                        exp_character, grover_coin, hadamard_coin, identity_symmetry,
-                        make_full_homog_symmetry, make_general_symmetry, make_group,
-                        make_space_homog_symmetry, make_time_homog_symmetry,
+                        UnitaryCharacter, WalkState, apply_dressing, check_symmetry_relation,
+                        cyclic_character, exp_character, grover_coin, hadamard_coin,
+                        identity_symmetry, make_full_homog_symmetry, make_general_symmetry,
+                        make_group, make_space_homog_symmetry, make_time_homog_symmetry,
                         sign_character, transform_coin, transform_state, trivial_character)
 from cayleywalk.linalg import random_phases, random_unitary
 from cayleywalk.verify import homogeneity_spreads
@@ -311,3 +313,94 @@ def test_phase_well_defined_across_redecomposition():
         alt_xt = group.mul(xt, group.inv(group.pow_c0(2)))
         shifted_rep = eta_fn(5 - (k + 2)) * rho_fn(alt_xt)
         assert canonical == pytest.approx(shifted_rep)
+
+
+# -- family phases are checked at their factors -----------------------------------
+
+
+def test_time_homog_delta_runs_once_per_position():
+    group = LineGroup()
+    calls = Counter()
+
+    def delta(x, c):
+        calls[(x, c)] += 1
+        return cmath.exp(1j * (0.3 * x + 0.7 * c))
+
+    t = make_time_homog_symmetry(group, epsilon=1j, delta=delta)
+    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    first = check_symmetry_relation(coin, start, t, n_max=100)
+    assert first.passed
+    assert sum(calls.values()) == len(calls) > 400
+    # a second check of the same transform evaluates nothing again
+    calls.clear()
+    second = check_symmetry_relation(coin, start, t, n_max=100)
+    assert sum(calls.values()) == 0
+    assert second.per_step_residuals == first.per_step_residuals
+
+
+def _bad_eta(m):
+    return 2.0 if m == 3 else 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: make_space_homog_symmetry(g, eta=_bad_eta),
+    lambda g: make_time_homog_symmetry(g, eta=_bad_eta)], ids=["space_homog", "time_homog"])
+def test_non_unit_eta_callable_is_named(make):
+    group = LineGroup()
+    t = make(group)
+    t.phases.block(2, group.keys([0, 1]))  # m = 2, 1
+    with pytest.raises(NonUnitaryError, match="eta at m = 3 "):
+        t.phases.block(4, group.keys([0, 1]))  # m = 4, 3
+
+
+def test_non_unit_delta_is_named_on_every_check():
+    group = LineGroup()
+    t = make_time_homog_symmetry(group, delta=lambda x, c: 2.0 if (x, c) == (1, 0) else 1.0)
+    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    for _ in range(2):
+        with pytest.raises(NonUnitaryError, match="delta at 1 "):
+            check_symmetry_relation(coin, start, t, n_max=5)
+
+
+def test_non_unit_uprime_callable_is_named():
+    group = LineGroup()
+    t = make_space_homog_symmetry(
+        group, uprime=lambda n: np.eye(2) if n != 4 else np.array([1.0, 2.0]))
+    t.phases.block(3, group.keys([0]))
+    with pytest.raises(NonUnitaryError, match=r"U' diagonal entry .*n = 4"):
+        t.phases.block(4, group.keys([0]))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_non_unit_user_character_is_named(batched):
+    group = LineGroup()
+    if batched:
+        rho = UnitaryCharacter.batched(
+            group, "causal_subgroup",
+            lambda keys: np.where(group.coords(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
+            validate=False)
+        gamma = UnitaryCharacter.batched(
+            group, "full_group",
+            lambda keys: np.where(group.coords(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
+            validate=False)
+    else:
+        rho = UnitaryCharacter(group, "causal_subgroup", lambda x: 2.0 if x == 4 else 1.0,
+                               validate=False)
+        gamma = UnitaryCharacter(group, "full_group", lambda x: 2.0 if x == 4 else 1.0,
+                                 validate=False)
+    space = make_space_homog_symmetry(group, rho=rho)
+    full = make_full_homog_symmetry(group, gamma=gamma)
+    for t in (space, full):
+        t.phases.block(1, group.keys([0, 1, -1]))
+        with pytest.raises(NonUnitaryError, match="character value at 4 "):
+            t.phases.block(1, group.keys([0, 4]))
+
+
+def test_built_in_characters_reject_a_non_finite_phase():
+    with pytest.raises(SpecError, match="finite"):
+        exp_character(LineGroup(), float("nan"), validate=False)
+    with pytest.raises(SpecError, match="finite"):
+        exp_character(LatticeGroup(2), [0.1, float("inf")], validate=False)
+    for j in (float("nan"), float("inf")):
+        with pytest.raises(SpecError, match="finite"):
+            cyclic_character(CyclicGroup(8), j)

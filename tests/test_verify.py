@@ -23,6 +23,7 @@ from cayleywalk.verify import (_report, assemble_local_matrix, assemble_step_mat
 from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
 from conftest import random_state
+from test_acceptance import _draw_symmetry
 
 
 def test_report_json_shape():
@@ -34,6 +35,34 @@ def test_report_json_shape():
     failing = VerificationReport("demo", 2e-3, (2e-3,), 1e-10)
     assert not failing.passed
     assert "[FAIL]" in str(failing)
+
+
+def test_report_names_its_first_failing_step():
+    passing = VerificationReport("demo", 5e-11, (0.0, 5e-11), 1e-10)
+    assert passing.first_failing_step is None
+    failing = VerificationReport("demo", float("nan"), (0.0, 1e-11, float("nan"), 1.0), 1e-10)
+    assert failing.first_failing_step == 2
+    assert str(failing).endswith(", first failing step 2")
+    assert set(json.loads(failing.to_json())) == {"case", "max_residual", "passed", "steps",
+                                                  "tol"}
+
+
+@pytest.mark.parametrize("family", ["general", "space_homog", "time_homog", "full_homog"])
+def test_corrupted_control_reports_its_step(family):
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    start = WalkState.localized(group, 0, np.array([1.0, 1j]) / np.sqrt(2))
+    t = _draw_symmetry(family, group, np.random.default_rng(7))
+    n0 = 6
+    psi = evolve(WalkInstance(group, coin, start), n0)[n0]
+    (x, c), amp = max(psi.terms().items(), key=lambda item: abs(item[1]))
+    assert abs(amp) > 1e-3
+    clean = check_symmetry_relation(coin, start, t, n_max=12)
+    assert clean.first_failing_step is None
+    bad = check_symmetry_relation(coin, start, t, n_max=12,
+                                  dressing=corrupted_phases(t.phases, (n0, x, c)))
+    assert bad.first_failing_step == n0
+    assert f"first failing step {n0}" in str(bad)
 
 
 def test_corrupted_phase_fails_check():
