@@ -30,8 +30,7 @@ from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_sta
                     parse_coin_spec, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv, write_distribution_json)
-from .verify import (check_homogeneity, check_probability_map,
-                     check_symmetry_relation, run_invariant_suite)
+from .verify import check_homogeneity, check_symmetry, run_invariant_suite
 from .walk import WalkInstance, evolve_iter
 
 logger = logging.getLogger("cayleywalk")
@@ -161,12 +160,8 @@ def cmd_verify(args) -> int:
         coin = parse_coin_spec(group, _read_spec_arg(args.coin))
         start = parse_state_spec(group, _read_spec_arg(args.start))
         symmetry, dressing = parse_symmetry_spec(group, _read_spec_arg(args.symmetry))
-        reports.append(check_symmetry_relation(
-            coin, start, symmetry, n_max=args.steps, tol=args.tol,
-            dressing=dressing, case_id="symmetry_relation"))
-        reports.append(check_probability_map(
-            coin, start, symmetry, n_max=args.steps, tol=args.tol,
-            case_id="probability_map"))
+        reports.extend(check_symmetry(coin, start, symmetry, n_max=args.steps, tol=args.tol,
+                                      dressing=dressing))
     if args.suite or not args.symmetry:
         reports.extend(run_invariant_suite(group, seed=args.seed))
     lines = "\n".join(r.to_json() for r in reports) + "\n"

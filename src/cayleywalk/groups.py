@@ -57,6 +57,8 @@ class CayleyGroup:
         self.generators = gens
         self.c0_index = int(c0_index)
         self.chi: int | None = None  # set by subclasses
+        # (keys, adjoint, plan) of states.shift_plan, oldest first
+        self.shift_plans: list = []
 
     # -- group law (subclass responsibility) --------------------------------
 

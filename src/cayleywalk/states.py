@@ -25,6 +25,8 @@ from .linalg import as_complex_matrix, require_unit, require_unitary
 
 # Amplitudes below this magnitude are dropped after inexact operations.
 PRUNE_TOL = 1e-15
+# Shift plans each group keeps (see shift_plan).
+PLAN_MEMO = 2
 
 
 def nonzero_rows(amps: np.ndarray) -> np.ndarray:
@@ -50,11 +52,45 @@ def merge_keys(keys: np.ndarray):
     return np.compress(first, ordered), inverse
 
 
+def memo_keys(keys: np.ndarray) -> np.ndarray:
+    """A key array as a memo may keep it: the array itself when it is
+    read-only and owns its data (no caller can write it), else a copy."""
+    if keys.flags.writeable or keys.base is not None:
+        return keys.copy()
+    return keys
+
+
+def shift_plan(group: CayleyGroup, keys: np.ndarray, adjoint: bool = False):
+    """(merged, inverse): merge_keys of the keys shifted by each of the
+    group's generators in turn (adjoint: by its inverse), so that coin c's
+    rows land at merged[inverse[c * N:(c + 1) * N]]. Both arrays are
+    read-only.
+
+    The group keeps its latest PLAN_MEMO plans, which are handed out again
+    for an equal key array and direction: a relation check shifts the same
+    support for the original walk, the transformed coin's shifted phases and
+    the transformed walk."""
+    adjoint = bool(adjoint)
+    for known, adj, plan in group.shift_plans:
+        if adj is adjoint and (known is keys or np.array_equal(known, keys)):
+            return plan
+    plan = merge_keys(np.concatenate(
+        [group.shift_rows(keys, c, adjoint=adjoint) for c in range(group.coin_dim)]))
+    for part in plan:
+        part.flags.writeable = False
+    # evict in insertion order, as LocalUnitary.block does
+    group.shift_plans.append((memo_keys(keys), adjoint, plan))
+    del group.shift_plans[:-PLAN_MEMO]
+    return plan
+
+
 class WalkState:
     """Finitely supported amplitude map on (group element, coin index) pairs.
 
     `positions` is the sorted, duplicate-free int64 key array of the group;
-    row i of `amps` holds the coin vector at positions[i].
+    row i of `amps` holds the coin vector at positions[i]. States never write
+    their positions, which may be read-only and shared: a shifted state's
+    are its group's shift plan keys (see shift_plan).
     """
 
     __slots__ = ("group", "positions", "amps", "_elements")
@@ -241,7 +277,7 @@ def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray,
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
-    if np.array_equal(a.positions, b.positions):
+    if a.positions is b.positions or np.array_equal(a.positions, b.positions):
         # the usual case (a state and its dressed or transformed twin): no merge
         return WalkState(a.group, a.positions, a.amps + sign * b.amps)
     positions, inverse = merge_keys(np.concatenate([a.positions, b.positions]))
@@ -430,7 +466,7 @@ class LocalUnitary:
         """The step-n block over `keys`, read-only."""
         n = int(n)
         for m, known, block in self._memo:
-            if m == n and np.array_equal(known, keys):
+            if m == n and (known is keys or np.array_equal(known, keys)):
                 return block
         block = self._blocks(n, keys)
         if self.validate:
@@ -441,7 +477,7 @@ class LocalUnitary:
         block.flags.writeable = False
         # evict in insertion order: a stale entry from an earlier check of
         # the same operator must not outlive the current ones
-        self._memo.append((n, keys.copy(), block))
+        self._memo.append((n, memo_keys(keys), block))
         del self._memo[:-self.MEMO_SIZE]
         return block
 

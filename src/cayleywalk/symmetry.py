@@ -26,7 +26,7 @@ from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
 from .states import (LocalUnitary, RowMemo, WalkState, elementwise, lookup_rows, merge_keys,
-                     require_block)
+                     require_block, shift_plan)
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
@@ -199,7 +199,8 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     For finite coset count chi the window has length chi and extends by
     eta(m - chi) = eta(m) * rho0 (plain periodicity when rho0 = 1). For
     infinite chi any callable (or None, or a plain periodic list) is allowed.
-    A list is checked here, once; a callable each time it is evaluated.
+    A list is checked here, once; a callable once per distinct m in each
+    batch it is evaluated on.
     """
     rho0 = require_unit(rho0, what="eta extension factor")
     if eta is None:
@@ -207,10 +208,11 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
         eta = [1.0 + 0j] * (group.chi or 1)
     if callable(eta):
         def evaluate(m):
-            flat = np.ravel(m)
-            values = require_unit(elementwise(lambda v: eta(int(v)), flat), what="eta",
-                                  where=lambda i: f"m = {flat[i]}")
-            return values.reshape(np.shape(m))
+            # once per distinct m: a batch holds few values of n - k
+            distinct, inverse = merge_keys(np.ravel(m))
+            values = require_unit(elementwise(lambda v: eta(int(v)), distinct), what="eta",
+                                  where=lambda i: f"m = {distinct[i]}")
+            return values[inverse].reshape(np.shape(m))
         return evaluate
     seq = require_unit(np.asarray(eta, dtype=complex).reshape(-1), what="eta entry")
     chi = group.chi
@@ -271,13 +273,33 @@ def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
     return require_unit(vec, what=f"U' diagonal entry {ctx}".rstrip())
 
 
+def _latest_steps(rule):
+    """rule(n), kept for the latest eight steps asked for, so rule must be a
+    pure function of n. A relation check asks for each step's value about
+    three times, on neighbouring steps; eight entries also carry the values
+    that the transformed coin's flag probe asks for when it is built (steps
+    up to walk.PROBE_STEPS[-1] + 1) into the check's first steps."""
+    memo: dict = {}  # oldest first
+
+    def at(n):
+        value = memo.get(n)
+        if value is None:
+            value = memo[n] = rule(n)
+            if len(memo) > 8:
+                del memo[next(iter(memo))]
+        return value
+
+    return at
+
+
 def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     """Split a space-homogeneous U' argument into (U'_0 matrix, diag rule).
 
     Accepted forms: None (all identity); a unit vector (constant diagonal);
     a diagonal matrix (same); a non-diagonal matrix (U'_0 only, identity
     afterwards); a pair (U'_0, diag part); a callable n -> matrix/vector,
-    whose n >= 1 values must be diagonal.
+    whose n >= 1 values must be diagonal. A callable must be a pure function
+    of n: its checked diagonal is kept for the latest steps.
     """
     dim = group.coin_dim
     ones = np.ones(dim, dtype=complex)
@@ -286,7 +308,8 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     if callable(uprime):
         u0m = as_complex_matrix(uprime(0), dim)
         require_unitary(u0m, what="U'(0)")
-        return u0m, lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})")
+        return u0m, _latest_steps(
+            lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})"))
     if isinstance(uprime, tuple) and len(uprime) == 2:
         u0m = as_complex_matrix(uprime[0], dim)
         require_unitary(u0m, what="U'(0)")
@@ -294,7 +317,7 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
         if rest is None:
             return u0m, lambda n: ones
         if callable(rest):
-            return u0m, lambda n: _uprime_diagonal(group, rest(n), f"for n = {n}")
+            return u0m, _latest_steps(lambda n: _uprime_diagonal(group, rest(n), f"for n = {n}"))
         vec = _uprime_diagonal(group, rest, "for steps n >= 1")
         return u0m, lambda n: vec
     arr = np.asarray(uprime, dtype=complex)
@@ -312,7 +335,8 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
     Phases follow u(n, x, c) = eta(n - k) * rho(xt) * U'(n)[c, c] with
     x = xt * c0^k; rho is a character of the zero-net-exponent subgroup, U'(0)
     may be any coin-space unitary while U'(n) is diagonal for n >= 1, and eta
-    extends by eta(m - chi) = eta(m) * rho(c0^chi).
+    extends by eta(m - chi) = eta(m) * rho(c0^chi). A callable U' or eta must
+    be a pure function of its argument, as delta must be.
     """
     _require_nonseparating(group)
     if rho is None:
@@ -414,10 +438,8 @@ def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:
 def _shifted_phases(phases: LocalUnitary, n: int, keys: np.ndarray) -> np.ndarray:
     """(N, dim) array of u(n, x * s_c, c): each coin's phase at the position
     its shift moves it to, with the field evaluated once per position."""
-    group = phases.group
-    dim = group.coin_dim
-    shifted, inverse = merge_keys(np.concatenate(
-        [group.shift_rows(keys, c) for c in range(dim)]))
+    dim = phases.group.coin_dim
+    shifted, inverse = shift_plan(phases.group, keys)
     values = phases.block(n, shifted)
     return values[inverse.reshape(dim, len(keys)), np.arange(dim)[:, None]].T
 

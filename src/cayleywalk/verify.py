@@ -18,7 +18,7 @@ from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             transform_pair)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
-from .states import LocalUnitary, WalkState
+from .states import LocalUnitary, WalkState, merge_keys
 from .symmetry import SymmetryTransform, apply_dressing
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
@@ -100,61 +100,85 @@ def _split_transform(transform):
     raise SpecError(f"not a symmetry transform: {transform!r}")
 
 
-def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform,
-                            n_max: int = 50, tol: float = 1e-10,
-                            dressing: LocalUnitary | None = None,
-                            case_id: str = "symmetry_relation") -> VerificationReport:
-    """Certify the defining relation of a (possibly generalized) symmetry.
+def check_symmetry(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 50,
+                   tol: float = 1e-10, *, relation: str | None = "symmetry_relation",
+                   probability: str | None = "probability_map",
+                   dressing: LocalUnitary | None = None,
+                   transformed: tuple | None = None) -> list[VerificationReport]:
+    """Certify the claims of a (possibly generalized) symmetry from one
+    evolution of the original and one of the transformed walk.
 
-    Runs the original and the transformed walk side by side and compares the
-    transformed state at each step against the dressed original. `dressing`
-    overrides the dressing operator applied to the original trajectory, which
-    is how a corrupted-dressing negative control is expressed.
+    `relation` and `probability` are the case ids of the two claims' reports,
+    returned in that order; None leaves a claim out. The defining relation
+    compares the transformed state at each step against the dressed
+    original; `dressing` overrides the dressing operator applied to the
+    original trajectory, which is how a corrupted-dressing negative control
+    is expressed. The probability map compares measured distributions:
+    ordinary symmetries leave them unchanged, generalized ones relabel them
+    by x -> shift * phi(x). `transformed` supplies the claimed (coin, state)
+    pair instead of deriving it, so a wrong claim can be exhibited as a
+    failing report.
     """
     inner, generalized = _split_transform(transform)
     group = inner.group
     if coin.group != group or psi0.group != group:
         raise SpecError("coin, state and symmetry must share one group")
-    if n_max < 1:
+    if relation is not None and n_max < 1:
         raise SpecError("relation checks need n_max >= 1")
-    new_coin, new_state = transform_pair(transform, coin, psi0)
+    new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
     original = evolve_iter(WalkInstance(group, coin, psi0), n_max)
-    transformed = evolve_iter(WalkInstance(group, new_coin, new_state), n_max)
+    new = evolve_iter(WalkInstance(group, new_coin, new_state), n_max)
     dress = inner if dressing is None else replace(inner, phases=dressing)
-    residuals = []
-    for n, (psi_n, phi_n) in enumerate(zip(original, transformed)):
-        expected = apply_dressing(dress, n, psi_n)
-        if generalized is not None:
-            expected = permutation_apply(generalized.perm, expected)
-        residuals.append((phi_n - expected).norm())
-    return _report(case_id, residuals, tol)
+    perm = None if generalized is None else generalized.perm
+    relation_residuals, probability_residuals = [], []
+    for n, (psi_n, phi_n) in enumerate(zip(original, new)):
+        if relation is not None:
+            expected = apply_dressing(dress, n, psi_n)
+            if perm is not None:
+                expected = permutation_apply(perm, expected)
+            relation_residuals.append((phi_n - expected).norm())
+        if probability is not None:
+            probability_residuals.append(_probability_residual(psi_n, phi_n, perm))
+    return [_report(case_id, residuals, tol) for case_id, residuals in
+            ((relation, relation_residuals), (probability, probability_residuals))
+            if case_id is not None]
+
+
+def _probability_residual(a: WalkState, b: WalkState, perm) -> float:
+    """Max-abs difference between b's position distribution and a's,
+    relabeled by the automorphism `perm` unless it is None."""
+    keys_a, probs_a = a.position_probabilities()
+    keys_b, probs_b = b.position_probabilities()
+    if perm is not None:
+        keys_a = perm.apply_keys(keys_a)
+    merged, inverse = merge_keys(np.concatenate([keys_a, keys_b]))
+    diff = np.zeros(merged.shape[0])
+    # each side's keys are unique, so plain indexed updates do not collide
+    diff[inverse[:keys_a.shape[0]]] = probs_a
+    diff[inverse[keys_a.shape[0]:]] -= probs_b
+    # np.max propagates a NaN probability
+    return float(np.max(np.abs(diff)))
+
+
+def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform,
+                            n_max: int = 50, tol: float = 1e-10,
+                            dressing: LocalUnitary | None = None,
+                            case_id: str = "symmetry_relation") -> VerificationReport:
+    """The defining relation of check_symmetry alone: the transformed state
+    at each step against the dressed original."""
+    return check_symmetry(coin, psi0, transform, n_max, tol, relation=case_id,
+                          probability=None, dressing=dressing)[0]
 
 
 def check_probability_map(coin: QuantumCoin, psi0: WalkState, transform,
                           n_max: int = 50, tol: float = 1e-10,
                           transformed: tuple | None = None,
                           case_id: str = "probability_map") -> VerificationReport:
-    """Certify that measured distributions map as the symmetry dictates.
-
-    Ordinary symmetries must leave distributions unchanged; generalized ones
-    relabel them by x -> shift * phi(x). `transformed` optionally supplies
-    the claimed (coin, state) pair instead of deriving it, so a wrong claim
-    can be exhibited as a failing report.
-    """
-    inner, generalized = _split_transform(transform)
-    group = inner.group
-    new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
-    relabel = (generalized.perm.apply_element if generalized is not None
-               else lambda x: x)
-    original = evolve_iter(WalkInstance(group, coin, psi0), n_max)
-    new = evolve_iter(WalkInstance(group, new_coin, new_state), n_max)
-    residuals = []
-    for a, b in zip(original, new):
-        pa = {relabel(x): p for x, p in a.position_distribution().items()}
-        pb = b.position_distribution()
-        keys = set(pa) | set(pb)
-        residuals.append(max(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys))
-    return _report(case_id, residuals, tol)
+    """The probability map of check_symmetry alone: measured distributions
+    map as the symmetry dictates, for the derived or the `transformed`
+    (coin, state) pair."""
+    return check_symmetry(coin, psi0, transform, n_max, tol, relation=None,
+                          probability=case_id, transformed=transformed)[0]
 
 
 def check_homogeneity(coin: QuantumCoin, n_probe=PROBE_STEPS,

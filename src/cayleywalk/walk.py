@@ -15,7 +15,8 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import WalkState, apply_block, elementwise, merge_keys, nonzero_rows, require_block
+from .states import (WalkState, apply_block, elementwise, nonzero_rows, require_block,
+                     shift_plan)
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
@@ -157,8 +158,7 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
     npos = state.n_positions
     if npos == 0:
         return state
-    blocks = [group.shift_rows(state.positions, c, adjoint=adjoint) for c in range(dim)]
-    keys, inverse = merge_keys(np.concatenate(blocks))
+    keys, inverse = shift_plan(group, state.positions, adjoint)
     amps = np.zeros((keys.shape[0], dim), dtype=complex)
     for c in range(dim):
         # within one coin block the shift x -> x s_c is injective, so plain

@@ -361,3 +361,88 @@ def test_negative_corruption_step_exits_2():
     result = run_cli("verify", *LINE_WALK, "--steps", "6", "--symmetry", json.dumps(spec))
     assert result.returncode == 2
     assert "error:" in result.stderr
+
+
+# -- verify --symmetry: one evolution of each walk ------------------------------------
+
+PHASED_COIN = json.dumps({"kind": "uniform_matrix",
+                          "matrix": [[0.6, "0.8i"], ["0.8i", 0.6]]})
+FAMILY_SPECS = {
+    "general": {"family": "general", "U0": [[0, 1], [1, 0]], "default": "0.6+0.8i",
+                "phase_table": [{"n": 2, "x": 0, "c": 1, "value": "1i"},
+                                {"n": 5, "x": -1, "c": 0, "value": -1}]},
+    "space_homog": {"family": "space_homog", "eta": ["1i", 1],
+                    "character": {"kind": "exp_linear", "phi": 0.7},
+                    "Uprime": [[0.6, 0.8], [-0.8, 0.6]]},
+    "time_homog": {"family": "time_homog", "epsilon": -1, "eta": [1, "1i"],
+                   "delta_table": [{"x": 1, "c": 0, "value": "-1i"}]},
+    "full_homog": {"family": "full_homog", "epsilon": "1i", "eta": [1, -1],
+                   "character": {"kind": "exp_linear", "phi": 1.1},
+                   "Uprime": ["1i", -1]},
+}
+
+
+def _two_pass_dict_reports(argv: list, tol: float = 1e-10) -> list:
+    """The verify --symmetry reports as two separate passes wrote them: the
+    relation check, then the probability map with per-element dicts."""
+    from dataclasses import replace
+
+    from cayleywalk import (GeneralizedSymmetry, WalkInstance, apply_dressing, evolve_iter,
+                            permutation_apply)
+    from cayleywalk.automorphisms import transform_pair
+    from cayleywalk.cli import _read_spec_arg
+    from cayleywalk.specs import (parse_coin_spec, parse_group_spec, parse_state_spec,
+                                  parse_symmetry_spec)
+    from cayleywalk.verify import _report
+
+    args = dict(zip(argv[::2], argv[1::2]))
+    group = parse_group_spec(_read_spec_arg(args["--group"]))
+    coin = parse_coin_spec(group, _read_spec_arg(args["--coin"]))
+    start = parse_state_spec(group, _read_spec_arg(args["--start"]))
+    symmetry, dressing = parse_symmetry_spec(group, _read_spec_arg(args["--symmetry"]))
+    steps = int(args["--steps"])
+    generalized = symmetry if isinstance(symmetry, GeneralizedSymmetry) else None
+    inner = symmetry.inner if generalized else symmetry
+
+    def walk_pair():
+        new_coin, new_state = transform_pair(symmetry, coin, start)
+        return zip(evolve_iter(WalkInstance(group, coin, start), steps),
+                   evolve_iter(WalkInstance(group, new_coin, new_state), steps))
+
+    dress = inner if dressing is None else replace(inner, phases=dressing)
+    relation = []
+    for n, (psi, phi) in enumerate(walk_pair()):
+        expected = apply_dressing(dress, n, psi)
+        if generalized:
+            expected = permutation_apply(generalized.perm, expected)
+        relation.append((phi - expected).norm())
+    relabel = generalized.perm.apply_element if generalized else (lambda x: x)
+    probability = []
+    for a, b in walk_pair():
+        pa = {relabel(x): p for x, p in a.position_distribution().items()}
+        pb = b.position_distribution()
+        probability.append(max(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in set(pa) | set(pb)))
+    return [_report("symmetry_relation", relation, tol), _report("probability_map", probability, tol)]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+@pytest.mark.parametrize("family", [*FAMILY_SPECS, "mirror"])
+def test_verify_symmetry_matches_the_two_pass_dict_residuals(family, corrupt, tmp_path):
+    from cayleywalk import cli
+    if family == "mirror":  # a generalized symmetry, relabeled by the reflection
+        mirror = tmp_path / "mirror.json"
+        assert cli.main(["line", "mirror", "--coin", "hadamard", "--out", str(mirror)]) == 0
+        spec = json.loads(mirror.read_text())["symmetry"]
+        target = spec["inner"]
+    else:
+        spec = target = dict(FAMILY_SPECS[family])
+    if corrupt:
+        target["corrupt_phase"] = {"n": 3, "x": 1, "c": 0}
+    argv = ["--group", "line", "--coin", "hadamard" if family == "mirror" else PHASED_COIN,
+            "--start", "0:(0.6,0.8i)", "--steps", "12", "--symmetry", json.dumps(spec)]
+    out = tmp_path / "reports.jsonl"
+    code = cli.main(["verify", *argv, "--out", str(out)])
+    reports = _two_pass_dict_reports(argv)
+    assert out.read_text() == "".join(r.to_json() + "\n" for r in reports)
+    assert code == (0 if all(r.passed for r in reports) else 1)
+    assert [r.passed for r in reports] == [not corrupt, True]

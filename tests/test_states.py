@@ -9,8 +9,8 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, Lo
                         WalkState, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
 from cayleywalk.errors import NonUnitaryError
-from cayleywalk.states import (RowMemo, elementwise, lookup_rows, nonzero_rows,
-                               require_block)
+from cayleywalk.states import (RowMemo, elementwise, lookup_rows, merge_keys, nonzero_rows,
+                               require_block, shift_plan)
 
 from conftest import random_state
 
@@ -331,3 +331,87 @@ def test_row_memo_stores_nothing_from_a_failing_batch():
         memo(group.keys([5, 1]))
     # only unseen keys are evaluated, in key order; 3 twice, as [2, 3, 5] failed
     assert seen == [1, 2, 3, 5, -4, 3, 5]
+
+
+# -- shift plans -------------------------------------------------------------------
+
+
+def _fresh_plan(group, keys, adjoint=False):
+    return merge_keys(np.concatenate([group.shift_rows(keys, c, adjoint=adjoint)
+                                      for c in range(group.coin_dim)]))
+
+
+def _counted_shifts(group, monkeypatch) -> list:
+    """Record the length of every shift_rows call the group makes."""
+    calls = []
+    shift_rows = type(group).shift_rows
+
+    def counted(self, keys, gen_index, adjoint=False):
+        calls.append(len(keys))
+        return shift_rows(self, keys, gen_index, adjoint=adjoint)
+
+    monkeypatch.setattr(type(group), "shift_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), CyclicGroup(8, generators=(1,)),
+                                   LatticeGroup(2), LatticeGroup(2, period=6), HypercubeGroup(3)],
+                         ids=repr)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_shift_plan_is_a_read_only_merge_of_the_shifted_keys(group, adjoint, rng):
+    keys = np.unique(group.keys(group.random_elements(rng, 8)))
+    merged, inverse = shift_plan(group, keys, adjoint)
+    want_merged, want_inverse = _fresh_plan(group, keys, adjoint)
+    assert np.array_equal(merged, want_merged) and np.array_equal(inverse, want_inverse)
+    for part in (merged, inverse):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0
+
+
+def test_shift_plan_hits_for_an_equal_but_distinct_key_array(monkeypatch):
+    group = LineGroup()
+    calls = _counted_shifts(group, monkeypatch)
+    keys = group.keys([-2, 0, 3])
+    plan = shift_plan(group, keys)
+    assert shift_plan(group, keys.copy()) is plan
+    assert calls == [3, 3]
+    # a read-only array that owns its data, such as a plan's own keys, is
+    # kept by reference; a writable one is copied
+    merged = plan[0]
+    second = shift_plan(group, merged)
+    assert [known is merged for known, _, _ in group.shift_plans] == [False, True]
+    assert shift_plan(group, merged) is second and shift_plan(group, keys) is plan
+    assert calls == [3, 3, 5, 5]
+    # a third key set evicts the oldest plan
+    shift_plan(group, group.keys([7]))
+    assert shift_plan(group, keys) is not plan
+    assert calls == [3, 3, 5, 5, 1, 1, 3, 3]
+
+
+def test_shift_plan_is_not_stale_after_the_caller_mutates_its_keys():
+    group = LineGroup()
+    keys = group.keys([0, 1, 2])
+    shift_plan(group, keys)
+    keys[:] = group.keys([5, 7, 9])
+    merged, _ = shift_plan(group, keys)
+    assert np.array_equal(merged, _fresh_plan(group, keys)[0])
+    assert group.elements_of(merged) == [4, 6, 8, 10]
+    # a read-only view of a writable array can change under the memo too
+    view = keys.view()
+    view.flags.writeable = False
+    keys[:] = group.keys([20, 30, 40])
+    shift_plan(group, view)
+    keys[:] = group.keys([50, 60, 70])
+    assert group.elements_of(shift_plan(group, view)[0]) == [49, 51, 59, 61, 69, 71]
+
+
+def test_adjoint_shift_gets_no_forward_plan():
+    group = CyclicGroup(12, generators=(1, 4))
+    keys = group.keys([0, 10])
+    forward = shift_plan(group, keys)
+    adjoint = shift_plan(group, keys, adjoint=True)
+    assert group.elements_of(forward[0]) == [1, 2, 4, 11]
+    assert group.elements_of(adjoint[0]) == [6, 8, 9, 11]
+    assert shift_plan(group, keys, adjoint=True) is adjoint
+    assert shift_plan(group, keys) is forward

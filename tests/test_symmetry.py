@@ -338,6 +338,41 @@ def test_time_homog_delta_runs_once_per_position():
     assert second.per_step_residuals == first.per_step_residuals
 
 
+def test_uprime_callable_runs_once_per_step():
+    group = LineGroup()
+    calls = Counter()
+
+    def uprime(n):
+        calls[n] += 1
+        return np.diag(np.exp([0.2j * n, -0.5j * n])) if n else np.eye(2)
+
+    t = make_space_homog_symmetry(group, eta=[1j, -1], uprime=uprime)
+    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    assert check_symmetry_relation(coin, start, t, n_max=100).passed
+    # the transformed coin asks for U'(n + 1) and U'(n) at each step and the
+    # dressing for U'(n); its flag probe asked for steps 0..6 when it was built
+    assert calls == Counter(range(101))
+
+
+def test_eta_callable_runs_once_per_distinct_m_in_a_batch():
+    group = LineGroup()
+    calls = Counter()
+
+    def eta(m):
+        calls[m] += 1
+        return cmath.exp(0.3j * m)
+
+    t = make_time_homog_symmetry(group, eta=eta)
+    keys = group.keys(range(-20, 21))
+    block = t.phases.block(5, keys)
+    m = 5 - group.coset_indices(keys)
+    assert calls == Counter(set(m.tolist()))
+    assert np.allclose(block[:, 0], np.exp(0.3j * m))
+    calls.clear()
+    t.phases.block(6, keys[::-1])  # an unsorted batch
+    assert calls == Counter(set((6 - group.coset_indices(keys)).tolist()))
+
+
 def _bad_eta(m):
     return 2.0 if m == 3 else 1.0
 

@@ -243,6 +243,32 @@ def test_relation_check_evaluates_each_phase_about_once():
         assert sum(calls.values()) <= 1.1 * len(calls), (sum(calls.values()), len(calls))
 
 
+@pytest.mark.parametrize("family", ["general", "time_homog"])
+def test_lockstepped_relation_check_merges_each_shifted_support_once(family, monkeypatch):
+    from cayleywalk import states
+    group = LineGroup()
+    merges = Counter()
+    merge_keys = states.merge_keys
+
+    def counted(keys):
+        merges[len(keys)] += 1
+        return merge_keys(keys)
+
+    # counts shift_plan's merges, and any of states' other callers
+    monkeypatch.setattr(states, "merge_keys", counted)
+    t = (_counted_general_symmetry(group, Counter()) if family == "general"
+         else make_time_homog_symmetry(group, epsilon=1j, eta=[1j, -1]))
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    assert check_symmetry_relation(hadamard_coin(group), start, t, n_max=40).passed
+    # both walks and the transformed coin's shifted phases share one plan per
+    # step: steps 0..39 shift supports of 1..40 positions, merged from twice
+    # as many keys
+    want = Counter({2 * (n + 1): 1 for n in range(40)})
+    if family == "time_homog":
+        want[16] += 1  # the coin's flag probe at its 8 positions, when it is built
+    assert merges == want
+
+
 def test_corrupted_control_on_a_memoized_dressing_fails_at_its_site():
     group = LineGroup()
     t = _counted_general_symmetry(group, Counter())

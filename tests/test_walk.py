@@ -10,6 +10,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         WalkInstance, WalkState, apply_coin, apply_shift, evolve,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk.linalg import random_unitary, require_unit
+from cayleywalk.states import merge_keys, nonzero_rows
 
 from conftest import random_state
 
@@ -59,6 +60,36 @@ def test_shift_moves_each_chirality():
     out = apply_shift(state)
     assert out.amplitude(1, 0) == pytest.approx(0.6)
     assert out.amplitude(-1, 1) == pytest.approx(0.8)
+
+
+def _memo_free_shift(state: WalkState, adjoint: bool = False) -> WalkState:
+    """apply_shift with its shifted keys merged afresh on every call."""
+    group, dim, npos = state.group, state.group.coin_dim, state.n_positions
+    keys, inverse = merge_keys(np.concatenate(
+        [group.shift_rows(state.positions, c, adjoint=adjoint) for c in range(dim)]))
+    amps = np.zeros((keys.shape[0], dim), dtype=complex)
+    for c in range(dim):
+        amps[inverse[c * npos:(c + 1) * npos], c] = state.amps[:, c]
+    keep = nonzero_rows(amps)
+    return WalkState(group, np.compress(keep, keys), np.compress(keep, amps, axis=0))
+
+
+@pytest.mark.parametrize("group, steps", [(LineGroup(), 60), (LatticeGroup(2), 12),
+                                          (HypercubeGroup(4), 12), (CyclicGroup(6), 12)],
+                         ids=["line", "lattice2", "hypercube4", "cyclic6"])
+def test_histories_match_a_memo_free_shift(group, steps, rng):
+    # supports repeat on the finite groups, and on the line once its edge
+    # amplitudes are pruned, so some plans are served again
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    start = random_state(group, rng, count=2)
+    history = evolve(WalkInstance(group, coin, start), steps)
+    state = start
+    for n, got in enumerate(history):
+        assert np.array_equal(got.positions, state.positions)
+        assert np.array_equal(got.amps, state.amps)
+        state = _memo_free_shift(apply_coin(coin, state, n))
+        back = apply_shift(state, adjoint=True)
+        assert back.distance(_memo_free_shift(state, adjoint=True)) == 0.0
 
 
 def test_evolution_history_and_norms(rng):
