@@ -10,11 +10,12 @@ maps walks to walks; probabilities undergo the fixed relabeling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAutomorphismError, SpecError, UnsupportedGroupError
+from .errors import NotAutomorphismError, SpecError
 from .groups import CayleyGroup
 from .states import LocalUnitary, WalkState
 from .symmetry import SymmetryTransform, identity_symmetry, transform_coin, transform_state
@@ -29,104 +30,53 @@ def _check_perm(perm, dim: int) -> tuple[int, ...]:
     return perm
 
 
-def _inverse_pairing(group: CayleyGroup) -> tuple[int, ...] | None:
-    """Index map i -> index of the inverse of generator i.
+def _automorphism_matrix(group: CayleyGroup, perm) -> np.ndarray:
+    """The integer matrix A with A g_i = g_perm(i) modulo the moduli.
 
-    None when the generating set is not inverse-closed; the per-kind
-    induction is then the only structural check.
+    On a rank-1 group A is a unit u with u g_0 = g_perm(0): +-1 on the line,
+    a unit modulo N on a cyclic group. On d >= 2 axes, column j of A is the
+    image of the j-th basis generator. Either way one check over every
+    generator decides whether A exists.
     """
-    pairing = []
-    for s in group.generators:
-        try:
-            pairing.append(group.generator_index(group.inv(s)))
-        except SpecError:
-            return None
-    return tuple(pairing)
+    gens = group.gen_vectors
+    images = gens[list(perm)]
+    d = len(group.moduli)
+    if d == 1:
+        m, g0 = group.moduli[0], int(gens[0, 0])
+        candidates = [np.array([[u]]) for u in ((1, -1) if not m else range(1, m))
+                      if math.gcd(u, m) == 1
+                      and group.from_vector((u * g0,)) == group.generators[perm[0]]]
+    else:
+        basis = [group.generators.index(tuple(int(i == j) for i in range(d)))
+                 for j in range(d)]
+        candidates = [images[basis].T]
+    for a in candidates:
+        if np.array_equal(group.wrap(gens @ a.T), images):
+            return a
+    raise NotAutomorphismError(
+        f"no automorphism of {group!r} maps its generators by permutation {perm}")
 
 
 class ShiftedAutomorphism:
     """Map x -> shift * phi(x) with phi permuting the generators.
 
-    phi is induced from the generator permutation per group kind: sign flip
-    on the line, a multiplier on cyclic groups, signed axis permutations on
-    lattices, and axis permutations on hypercubes.
+    phi is an integer matrix A (see `_automorphism_matrix`): a sign flip on
+    the line, a unit multiplier on cyclic groups, a signed axis permutation on
+    lattices and an axis permutation on hypercubes.
     """
 
-    __slots__ = ("group", "shift", "perm", "_data")
+    __slots__ = ("group", "shift", "perm", "matrix")
 
     def __init__(self, group: CayleyGroup, shift, perm):
         self.group = group
         self.shift = group.validate(shift)
         self.perm = _check_perm(perm, group.coin_dim)
-        pairing = _inverse_pairing(group)
-        if pairing is not None:
-            for i in range(group.coin_dim):
-                if self.perm[pairing[i]] != pairing[self.perm[i]]:
-                    raise NotAutomorphismError(
-                        "generator permutation does not respect inverse pairing")
-        self._data = self._induce()
-
-    def _induce(self):
-        g, perm = self.group, self.perm
-        gens = g.generators
-        kind = g.kind
-        if kind == "line":
-            sign = gens[perm[0]] // gens[0]
-            for i, s in enumerate(gens):
-                if sign * s != gens[perm[i]]:
-                    raise NotAutomorphismError(
-                        f"no sign flip realizes permutation {perm} on {gens}")
-            return ("line", sign)
-        if kind == "cyclic":
-            n = g.n
-            for u in range(1, n):
-                if np.gcd(u, n) != 1:
-                    continue
-                if all((u * gens[i]) % n == gens[perm[i]] for i in range(len(gens))):
-                    return ("cyclic", u)
-            raise NotAutomorphismError(
-                f"no unit multiplier mod {n} realizes permutation {perm} on {gens}")
-        if kind == "lattice":
-            d = g.d
-            axis_map = np.empty(d, dtype=np.int64)
-            signs = np.empty(d, dtype=np.int64)
-            for a in range(d):
-                t = perm[2 * a]
-                if perm[2 * a + 1] != t ^ 1:
-                    raise NotAutomorphismError(
-                        "lattice permutation must map inverse generator pairs "
-                        "to inverse generator pairs")
-                axis_map[a] = t // 2
-                signs[a] = 1 if t % 2 == 0 else -1
-            return ("lattice", axis_map, signs)
-        if kind == "hypercube":
-            return ("hypercube", np.array(perm, dtype=np.int64))
-        raise UnsupportedGroupError(
-            f"automorphism induction not defined for group kind {kind!r}")
+        self.matrix = _automorphism_matrix(group, self.perm)
 
     # -- the automorphism phi (no shift) --------------------------------------
 
     def phi(self, x):
-        g = self.group
-        x = g.validate(x)
-        data = self._data
-        if data[0] == "line":
-            return data[1] * x
-        if data[0] == "cyclic":
-            return (data[1] * x) % g.n
-        if data[0] == "lattice":
-            _, axis_map, signs = data
-            out = [0] * g.d
-            for a, v in enumerate(x):
-                out[axis_map[a]] = int(signs[a]) * v
-            if g.period is not None:
-                out = [v % g.period for v in out]
-            return tuple(out)
-        _, axes = data
-        out = [0] * g.d
-        for a, v in enumerate(x):
-            out[axes[a]] = v
-        return tuple(out)
+        return self.group.from_vector((self.matrix @ self.group.vector(x)).tolist())
 
     def apply_element(self, x):
         """The full action x -> shift * phi(x)."""
@@ -135,23 +85,7 @@ class ShiftedAutomorphism:
     def apply_keys(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized apply_element on packed position keys (unsorted result)."""
         g = self.group
-        data = self._data
-        if data[0] == "line":
-            return g.pack(self.shift + data[1] * keys)
-        if data[0] == "cyclic":
-            return (self.shift + data[1] * keys) % g.n
-        coords = g.unpack(keys)
-        out = np.empty_like(coords)
-        if data[0] == "lattice":
-            _, axis_map, signs = data
-            out[:, axis_map] = coords * signs
-            out += np.asarray(self.shift, dtype=np.int64)
-            if g.period is not None:
-                out %= g.period
-        else:
-            out[:, data[1]] = coords
-            out ^= np.asarray(self.shift, dtype=np.int64)
-        return g.pack(out)
+        return g.pack(g.wrap(g.unpack(keys) @ self.matrix.T + g.vector(self.shift)))
 
     # -- derived operators ------------------------------------------------------
 

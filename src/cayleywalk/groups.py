@@ -1,25 +1,32 @@
 """Finitely generated groups backing the walk graphs.
 
-Each group kind fixes a canonical plain-Python encoding for its elements (an
-int for the line and cyclic kinds, a tuple of ints for lattices and
-hypercubes) and an ordered generating set. The generator ordering is
-load-bearing: it is also the basis ordering of the coin register.
+Every built-in kind is one abelian group, the product of cyclic axes
+Z_{m_1} x ... x Z_{m_d}, with m_i = 0 for an infinite axis Z: the line is Z,
+a cyclic group is Z_N, a lattice is Z^d or the torus Z_N^d, and a hypercube
+is Z_2^d. `CayleyGroup` writes the group law once for all of them; the four
+kinds are constructors that choose the moduli and the generators. An element
+is a plain int on the line and cyclic kinds and a tuple of ints on lattices
+and hypercubes. The generator ordering is load-bearing: it is also the basis
+ordering of the coin register.
 
 The walk engine stores elements as packed int64 keys, one per element: the
-integer itself on the line and cyclic kinds, and a mixed-radix number with
-axis 0 as the most significant digit on lattices (offset by half the radix
-on Z^d) and hypercubes (coordinate i at bit d-1-i). Key order is therefore
-the lexicographic order of `sort_key`. Coordinates outside the packed range
-raise EncodingError when they are encoded, and so does a shift on Z^d that
-would carry into the next axis: no key ever wraps.
+mixed-radix number of the coordinates with axis 0 as the most significant
+digit. A finite axis has radix m_i. On the line the key is the integer
+itself; on Z^d each axis gets 62 // d bits, offset by half its radix. So the
+key of a cyclic element is the element, and a hypercube key is the bitmask
+with coordinate i at bit d-1-i. Key order is therefore the lexicographic
+order of `sort_key`. Coordinates outside the packed range raise
+EncodingError when they are encoded, and so does a shift on Z^d that would
+carry into the next axis: no key ever wraps.
 
 Every element of such a group factors as x = xt * c0**k where c0 is a
 distinguished generator, k counts net generator applications (the exponent
 index), and xt lies in the subgroup of zero-net-exponent products -- the
 "causal subgroup" reachable by equally many forward and backward hops. The
 quotient by that subgroup is cyclic; its order is `chi` (None when infinite).
-Closed forms for `coset_index` are declared per kind and cross-checked against
-`brute_force_causal` on small finite instances at construction time.
+Each kind declares a closed form for `coset_index`, a linear form in the
+coordinates, which is cross-checked against `brute_force_causal` on small
+finite instances at construction time.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -38,51 +46,135 @@ from .errors import EncodingError, SpecError, UnsupportedGroupError
 _SELF_CHECK_MAX_ORDER = 512
 
 
+def _integer(value, what: str, error=SpecError) -> int:
+    """value as an int; error names `what` unless value is an integer (a bool
+    is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class CayleyGroup:
-    """Base class: group law, generator bookkeeping, and exponent index."""
+    """Z_{m_1} x ... x Z_{m_d} (m_i = 0: Z) with an ordered generating set.
+
+    `moduli` holds the m_i and `gen_vectors` the generators as integer
+    vectors, one row each; `generators` holds them in element form. An
+    infinite axis keeps coordinates in [lo, hi]; its key digit is the
+    coordinate minus `offset` (default lo).
+    """
 
     kind = "abstract"
     # All built-in kinds are abelian, so forward and backward reachability
     # agree and the exponent decomposition applies to every element.
     nonseparating = True
 
-    def __init__(self, generators, c0_index: int = 0):
+    def __init__(self, moduli, generators, c0_index=0, lo: int | None = None,
+                 offset: int | None = None):
         gens = tuple(generators)
         if not gens:
             raise SpecError("at least one generator is required")
         if len(set(gens)) != len(gens):
             raise SpecError("every generator must be listed exactly once")
-        if not 0 <= int(c0_index) < len(gens):
+        c0_index = _integer(c0_index, "c0_index")
+        if not 0 <= c0_index < len(gens):
             raise SpecError(f"c0_index {c0_index} out of range for {len(gens)} generators")
+        self.moduli = tuple(moduli)
+        self.tuple_elements = isinstance(gens[0], tuple)
         self.generators = gens
-        self.c0_index = int(c0_index)
-        self.chi: int | None = None  # set by subclasses
+        self.gen_vectors = np.array([self.vector(g) for g in gens], dtype=np.int64)
+        self.c0_index = c0_index
+        self.chi: int | None = None  # set by _set_causal
         # (keys, adjoint, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
 
-    # -- group law (subclass responsibility) --------------------------------
+        width = len(self.moduli)
+        if all(self.moduli):
+            self.lo, self.hi = 0, max(self.moduli) - 1
+        else:
+            if lo is None:
+                lo = -2 ** (62 // width - 1)
+            self.lo, self.hi = lo, -lo - 1
+        radix = [m or -2 * lo for m in self.moduli]
+        weights = [math.prod(radix[i + 1:]) for i in range(width)]
+        self._weights = np.array(weights, dtype=np.int64)
+        self._radix = np.array(radix[1:], dtype=np.int64)  # axis 0 needs no wrap
+        offsets = [0 if m else (lo if offset is None else offset) for m in self.moduli]
+        self._offsets = np.array(offsets, dtype=np.int64) if any(offsets) else None
+        self._moduli = np.array(self.moduli, dtype=np.int64)
+        # the finite axes, as a basic slice where one serves (a view is
+        # reduced in place); None when no axis wraps
+        finite = [m > 0 for m in self.moduli]
+        self._wrap_axes = (slice(None) if all(finite) else np.array(finite)
+                           if any(finite) else None)
+        # (weight, modulus, step, carry) per generator, forward and adjoint.
+        # Every generator moves along one axis. A carry check exists only
+        # where a carry is possible: an infinite axis next to other axes.
+        self._shifts = ([], [])
+        for vec in self.gen_vectors.tolist():
+            axis = next((i for i, v in enumerate(vec) if v), 0)
+            m, w = self.moduli[axis], weights[axis]
+            for adjoint, step in ((0, vec[axis]), (1, -vec[axis])):
+                carry = None
+                if not m and width > 1:
+                    carry = (axis, w.bit_length() - 1, radix[axis] - 1,
+                             radix[axis] - 1 if step > 0 else 0)
+                self._shifts[adjoint].append((w, m, step % m if m else step, carry))
 
-    @property
-    def identity(self):
-        raise NotImplementedError
+    def _set_causal(self, chi: int | None, coset_form) -> None:
+        """Declare chi and the coset form, coset_index(x) = (form . x) mod chi,
+        and cross-check both against the brute force on small groups."""
+        self.chi = chi
+        self._coset_form = tuple(coset_form)
+        self._coset_vector = np.array(self._coset_form, dtype=np.int64)
+        self._self_check()
 
-    def mul(self, x, y):
-        raise NotImplementedError
+    # -- group law -------------------------------------------------------------
 
-    def inv(self, x):
-        raise NotImplementedError
+    def vector(self, x) -> tuple[int, ...]:
+        """Coordinate tuple of an element, raising EncodingError unless x has
+        the group's element form and lies in [0, m_i) on each finite axis."""
+        if not self.tuple_elements:
+            t = (x,)
+        elif isinstance(x, (tuple, list)) and len(x) == len(self.moduli):
+            t = tuple(x)
+        else:
+            raise EncodingError(f"expected a length-{len(self.moduli)} tuple element, got {x!r}")
+        if not all([type(v) is int for v in t]):
+            t = tuple([_integer(v, "element coordinate", EncodingError) for v in t])
+        for v, m in zip(t, self.moduli):
+            if m and not 0 <= v < m:
+                raise EncodingError(f"{self.kind} element {x!r} out of range [0, {m}) "
+                                    f"on a finite axis")
+        return t
+
+    def from_vector(self, coords):
+        """Element of integer coordinates, reduced on the finite axes."""
+        t = tuple([v % m if m else v for v, m in zip(coords, self.moduli)])
+        return t if self.tuple_elements else t[0]
 
     def validate(self, x):
         """Return the canonical encoding of x, raising EncodingError if bad."""
-        raise NotImplementedError
+        t = self.vector(x)
+        return t if self.tuple_elements else t[0]
+
+    @property
+    def identity(self):
+        return self.from_vector((0,) * len(self.moduli))
+
+    def mul(self, x, y):
+        return self.from_vector(map(add, self.vector(x), self.vector(y)))
+
+    def inv(self, x):
+        return self.from_vector(-v for v in self.vector(x))
 
     def coset_index(self, x) -> int:
         """Net generator exponent of x, reduced mod chi when chi is finite."""
-        raise NotImplementedError
+        k = sum(map(mul, self.vector(x), self._coset_form))
+        return k if self.chi is None else k % self.chi
 
     def pow_c0(self, k: int):
         """The distinguished generator raised to an arbitrary integer power."""
-        raise NotImplementedError
+        return self.from_vector(int(k) * v for v in self.gen_vectors[self.c0_index].tolist())
 
     # -- derived operations --------------------------------------------------
 
@@ -114,42 +206,49 @@ class CayleyGroup:
 
     @property
     def order(self) -> int | None:
-        return None
+        return math.prod(self.moduli) if all(self.moduli) else None
 
     def elements(self):
-        raise UnsupportedGroupError(f"{self.kind} group is infinite; cannot enumerate")
+        if not self.is_finite:
+            raise UnsupportedGroupError(f"{self.kind} group is infinite; cannot enumerate")
+        return map(self.from_vector, itertools.product(*map(range, self.moduli)))
 
     # -- packed int64 keys (used by the vectorized state engine) -------------
-
-    # Smallest and largest coordinate that packs into a key.
-    lo = 0
-    hi = 0
 
     def encode(self, x) -> tuple[int, ...]:
         """Hashable tuple form of x, raising EncodingError outside the packed
         coordinate range."""
-        t = self.validate(x)
-        t = t if isinstance(t, tuple) else (t,)
+        t = self.vector(x)
         if not all(self.lo <= v <= self.hi for v in t):
             raise EncodingError(f"{self.kind} element {x!r} is outside the packed "
                                 f"coordinate range [{self.lo}, {self.hi}]")
         return t
 
-    def _in_range(self, coords: np.ndarray) -> np.ndarray:
+    def pack(self, coords) -> np.ndarray:
+        """Keys of an integer coordinate array, one row (or, on the integer
+        kinds, one entry) per element."""
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, len(self.moduli))
         if coords.size and (coords.min() < self.lo or coords.max() > self.hi):
             raise EncodingError(f"{self.kind} coordinates outside the packed range "
                                 f"[{self.lo}, {self.hi}]")
-        return coords
-
-    def pack(self, coords) -> np.ndarray:
-        """Keys of an integer coordinate array: shape (N,) for the line and
-        cyclic kinds, whose key is the integer itself, and (N, d) for
-        lattices and hypercubes."""
-        return self._in_range(np.asarray(coords, dtype=np.int64).reshape(-1))
+        if self._offsets is not None:
+            coords = coords - self._offsets
+        return coords[:, 0] if len(self.moduli) == 1 else coords @ self._weights
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """Coordinate array of a key array (the inverse of pack)."""
-        return keys
+        """(N, width) coordinate array of a key array (the inverse of pack);
+        a view of keys where the key is the coordinate, so not for writing."""
+        digits = keys[:, None]
+        if len(self.moduli) > 1:
+            digits = digits // self._weights
+            digits[:, 1:] %= self._radix
+        return digits if self._offsets is None else digits + self._offsets
+
+    def wrap(self, coords: np.ndarray) -> np.ndarray:
+        """An (N, width) coordinate array reduced on the finite axes, in place."""
+        if self._wrap_axes is not None:
+            coords[:, self._wrap_axes] %= self._moduli[self._wrap_axes]
+        return coords
 
     def keys(self, xs) -> np.ndarray:
         """Keys of a sequence of elements, in the given order."""
@@ -158,46 +257,53 @@ class CayleyGroup:
     def elements_of(self, keys: np.ndarray) -> list:
         """Elements of a key array, in the array's order."""
         coords = self.unpack(keys)
-        if coords.ndim == 1:
-            return coords.tolist()
-        return list(map(tuple, coords.tolist()))
+        if self.tuple_elements:
+            return list(map(tuple, coords.tolist()))
+        return coords[:, 0].tolist()
 
     def shift_rows(self, keys: np.ndarray, gen_index: int, adjoint: bool = False) -> np.ndarray:
         """Right-multiply a batch of keys by a generator (or its inverse when
-        adjoint). Raises EncodingError rather than wrap a key."""
-        raise NotImplementedError
-
-    # Per kind: coset_index(x) is (coordinates . _coset_form) mod chi, and
-    # coordinates wrap mod _modulus (None where they do not wrap).
-    _modulus = None
-
-    def coords(self, keys: np.ndarray) -> np.ndarray:
-        """(N, width) coordinate array of a batch of keys."""
-        coords = self.unpack(keys)
-        return coords[:, None] if coords.ndim == 1 else coords
+        adjoint): a wrapped digit add on a finite axis, a plain add on an
+        infinite one. Raises EncodingError rather than carry a digit."""
+        weight, modulus, step, carry = self._shifts[adjoint][gen_index]
+        if modulus:
+            digit = keys // weight % modulus
+            return keys + ((digit + step) % modulus - digit) * weight
+        if carry is not None:
+            axis, shift, mask, edge = carry  # infinite radices are powers of two
+            if np.any((keys >> shift) & mask == edge):
+                raise EncodingError(f"{self.kind} shift along axis {axis} leaves the packed "
+                                    f"coordinate range [{self.lo}, {self.hi}]")
+        return keys + step * weight
 
     def coset_indices(self, keys: np.ndarray) -> np.ndarray:
         """coset_index of each key of a batch."""
-        k = self.coords(keys) @ self._coset_form
+        k = self.unpack(keys) @ self._coset_vector
         return k if self.chi is None else k % self.chi
 
     def decompose_keys(self, keys: np.ndarray):
         """decompose of each key of a batch: (keys of the xt, the k)."""
         k = self.coset_indices(keys)
-        return self._pack_wrapped(self.coords(keys) - k[:, None] * np.reshape(self.c0, -1)), k
+        c0 = self.gen_vectors[self.c0_index]
+        return self.pack(self.wrap(self.unpack(keys) - k[:, None] * c0)), k
 
     def mul_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """mul of two key batches, pair by pair (every kind is abelian and
-        adds its coordinates)."""
-        return self._pack_wrapped(self.coords(a) + self.coords(b))
-
-    def _pack_wrapped(self, coords: np.ndarray) -> np.ndarray:
-        return self.pack(coords if self._modulus is None else coords % self._modulus)
+        """mul of two key batches, pair by pair."""
+        return self.pack(self.wrap(self.unpack(a) + self.unpack(b)))
 
     # -- misc -----------------------------------------------------------------
 
     def random_elements(self, rng: np.random.Generator, count: int, span: int = 16):
-        raise NotImplementedError
+        """count elements drawn uniformly: each finite coordinate from [0, m),
+        each infinite one from [-span, span]."""
+        lo = [0 if m else -span for m in self.moduli]
+        hi = [m or span + 1 for m in self.moduli]
+        if len(set(lo)) == len(set(hi)) == 1:
+            # one range on every axis, as on every kind: numpy's scalar-bound
+            # sampler draws the same numbers without its per-entry path
+            lo, hi = lo[0], hi[0]
+        rows = rng.integers(lo, hi, size=(count, len(self.moduli)))
+        return list(map(tuple, rows.tolist())) if self.tuple_elements else rows[:, 0].tolist()
 
     def sort_key(self, x):
         return self.encode(x)
@@ -207,20 +313,19 @@ class CayleyGroup:
         """%-template of an element's text label, filled with its
         coordinates: "%d" on the integer kinds, "(%d,...,%d)" on the tuple
         kinds."""
-        e = self.identity
-        return "(" + ",".join(["%d"] * len(e)) + ")" if isinstance(e, tuple) else "%d"
+        return "(" + ",".join(["%d"] * len(self.moduli)) + ")" if self.tuple_elements else "%d"
 
     def format_element(self, x) -> str:
         return self.label_template % self.encode(x)
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._spec.items()}
 
     def _key(self):
-        return (self.kind, self.generators, self.c0_index)
+        return (self.kind, self.moduli, self.generators, self.c0_index)
 
     def __eq__(self, other):
-        return isinstance(other, CayleyGroup) and self._key() == other._key()
+        return self is other or isinstance(other, CayleyGroup) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -244,16 +349,13 @@ class CayleyGroup:
             raise SpecError("nonseparating flag disagrees with brute force")
 
 
-def _require_int(x):
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise EncodingError(f"expected an integer element, got {x!r}")
-    return int(x)
-
-
-def _require_int_tuple(x, d: int):
-    if not isinstance(x, (tuple, list)) or len(x) != d:
-        raise EncodingError(f"expected a length-{d} tuple element, got {x!r}")
-    return tuple(_require_int(v) for v in x)
+def _unit_vectors(d: int, minus=None) -> list:
+    """+e_i for each axis i, each followed by `minus` * e_i when given."""
+    gens = []
+    for axis in range(d):
+        for v in (1,) if minus is None else (1, minus):
+            gens.append(tuple(v if i == axis else 0 for i in range(d)))
+    return gens
 
 
 class LineGroup(CayleyGroup):
@@ -269,51 +371,15 @@ class LineGroup(CayleyGroup):
     """
 
     kind = "line"
-    lo = -2 ** 62
-    hi = 2 ** 62 - 1
 
     def __init__(self, generators=(1, -1), c0_index: int = 0):
-        gens = tuple(int(g) for g in generators)
+        gens = tuple(_integer(g, "generators entry") for g in generators)
         if any(g not in (1, -1) for g in gens):
             raise SpecError("line generators must be +1 or -1")
-        super().__init__(gens, c0_index)
-        self.chi = 2 if len(gens) == 2 else None
-        self._coset_form = np.array([self.c0])
-
-    @property
-    def identity(self):
-        return 0
-
-    def validate(self, x):
-        return _require_int(x)
-
-    def mul(self, x, y):
-        return self.validate(x) + self.validate(y)
-
-    def inv(self, x):
-        return -self.validate(x)
-
-    def coset_index(self, x) -> int:
-        x = self.validate(x)
-        if self.chi == 2:
-            return x % 2
-        return x * self.c0  # c0 in {1, -1}: exact exponent of x as a c0 power
-
-    def pow_c0(self, k: int):
-        return int(k) * self.c0
-
-    def shift_rows(self, keys, gen_index, adjoint=False):
-        g = self.generators[gen_index]
-        return keys + (-g if adjoint else g)
-
-    def random_elements(self, rng, count, span=16):
-        return [int(v) for v in rng.integers(-span, span + 1, size=count)]
-
-    def describe(self):
-        return {"kind": "line", "generators": list(self.generators), "c0_index": self.c0_index}
-
-    def _key(self):
-        return ("line", self.generators, self.c0_index)
+        super().__init__((0,), gens, c0_index, lo=-2 ** 62, offset=0)
+        # c0 in {1, -1}: x * c0 is the exact exponent of x as a c0 power
+        self._set_causal(2 if len(gens) == 2 else None, (self.c0,))
+        self._spec = {"kind": "line", "generators": gens, "c0_index": self.c0_index}
 
 
 class CyclicGroup(CayleyGroup):
@@ -323,285 +389,89 @@ class CyclicGroup(CayleyGroup):
     kind = "cyclic"
 
     def __init__(self, n: int, generators=None, c0_index: int = 0):
-        n = int(n)
+        n = _integer(n, "N")
         if n < 2:
             raise SpecError("cyclic group needs N >= 2")
         if generators is None:
             generators = (1, n - 1) if n > 2 else (1,)
-        gens = tuple(int(g) % n for g in generators)
-        if any(not 0 <= g < n for g in gens):
-            raise SpecError("cyclic generators must lie in [0, N)")
+        gens = tuple(_integer(g, "generators entry") % n for g in generators)
         self.n = n
-        self.hi = n - 1
-        super().__init__(gens, c0_index)
+        super().__init__((n,), gens, c0_index)
         if math.gcd(n, *gens) != 1:
             raise SpecError(f"generators {gens} do not generate the cyclic group of order {n}")
         # The zero-exponent subgroup of an abelian group is generated by all
         # pairwise generator differences; in Z_N that subgroup is the set of
         # multiples of this gcd, whose index is the gcd itself.
-        diffs = [(a - b) % n for a in gens for b in gens]
-        self.chi = math.gcd(n, *diffs)
-        if self.chi > 1:
-            c0m = self.c0 % self.chi
-            if math.gcd(c0m, self.chi) != 1:
+        chi = math.gcd(n, *[(a - b) % n for a in gens for b in gens])
+        c0_inv = 0
+        if chi > 1:
+            if math.gcd(self.c0 % chi, chi) != 1:
                 raise SpecError("distinguished generator does not generate the quotient")
-            self._c0_inv_mod_chi = pow(c0m, -1, self.chi)
-        else:
-            self._c0_inv_mod_chi = 0
-        self._coset_form = np.array([self._c0_inv_mod_chi])
-        self._modulus = n
-        self._self_check()
-
-    @property
-    def identity(self):
-        return 0
-
-    def validate(self, x):
-        x = _require_int(x)
-        if not 0 <= x < self.n:
-            raise EncodingError(f"cyclic element {x} out of range [0, {self.n})")
-        return x
-
-    def mul(self, x, y):
-        return (self.validate(x) + self.validate(y)) % self.n
-
-    def inv(self, x):
-        return (-self.validate(x)) % self.n
-
-    def coset_index(self, x) -> int:
-        x = self.validate(x)
-        if self.chi == 1:
-            return 0
-        return (x * self._c0_inv_mod_chi) % self.chi
-
-    def pow_c0(self, k: int):
-        return (int(k) * self.c0) % self.n
-
-    @property
-    def order(self):
-        return self.n
-
-    def elements(self):
-        return iter(range(self.n))
-
-    def shift_rows(self, keys, gen_index, adjoint=False):
-        g = self.generators[gen_index]
-        return (keys + (-g if adjoint else g)) % self.n
-
-    def random_elements(self, rng, count, span=16):
-        return [int(v) for v in rng.integers(0, self.n, size=count)]
-
-    def describe(self):
-        return {"kind": "cyclic", "N": self.n, "generators": list(self.generators),
-                "c0_index": self.c0_index}
-
-    def _key(self):
-        return ("cyclic", self.n, self.generators, self.c0_index)
+            c0_inv = pow(self.c0 % chi, -1, chi)
+        self._set_causal(chi, (c0_inv,))
+        self._spec = {"kind": "cyclic", "N": n, "generators": gens, "c0_index": self.c0_index}
 
 
-class _MixedRadixGroup(CayleyGroup):
-    """Tuple-valued kinds: a key is the mixed-radix number of the coordinates
-    minus `lo`, axis 0 the most significant digit."""
-
-    def _set_radix(self, radix: int, lo: int) -> None:
-        self.radix = radix
-        self.lo, self.hi = lo, lo + radix - 1
-        self._weights = np.array([radix ** (self.d - 1 - i) for i in range(self.d)],
-                                 dtype=np.int64)
-
-    def pack(self, coords):
-        coords = self._in_range(np.asarray(coords, dtype=np.int64).reshape(-1, self.d))
-        return (coords - self.lo) @ self._weights
-
-    def unpack(self, keys):
-        return (keys[:, None] // self._weights) % self.radix + self.lo
-
-
-class LatticeGroup(_MixedRadixGroup):
+class LatticeGroup(CayleyGroup):
     """Z^d (or the d-dimensional torus when a period is given) with the
     generating set (+e1, -e1, ..., +ed, -ed) in that interleaved order.
 
     On Z^d each axis gets b = 62 // d bits of the key, so coordinates lie in
-    [-2^(b-1), 2^(b-1) - 1]: [-2^30, 2^30 - 1] on Z^2."""
+    [-2^(b-1), 2^(b-1) - 1]: [-2^30, 2^30 - 1] on Z^2. A shift that would
+    carry into the next axis raises EncodingError; on Z^1 no carry is
+    possible, and 2^62 steps fit above the range before an int64 key could
+    overflow, so its shifts are unchecked, as on the line."""
 
     kind = "lattice"
 
     def __init__(self, d: int, period: int | None = None, c0_index: int = 0):
-        d = int(d)
+        d = _integer(d, "d")
         if d < 1:
             raise SpecError("lattice needs d >= 1")
-        self.d = d
         if period is not None:
-            period = int(period)
+            period = _integer(period, "period N")
             if period < 3:
                 raise SpecError("torus period must be >= 3 so +e_i and -e_i stay distinct")
             if period ** d >= 2 ** 63:
                 raise SpecError(f"torus order {period}^{d} does not fit an int64 key")
-            self._set_radix(period, 0)
         elif d > 31:
             raise SpecError("Z^d keys leave no room for a step along each axis when d > 31")
-        else:
-            bits = 62 // d
-            self._set_radix(2 ** bits, -2 ** (bits - 1))
-            self._digit_shifts = [bits * (d - 1 - i) for i in range(d)]
-        self.period = period
-        gens = []
-        minus_one = -1 if period is None else period - 1
-        for axis in range(d):
-            gens.append(tuple(1 if i == axis else 0 for i in range(d)))
-            gens.append(tuple(minus_one if i == axis else 0 for i in range(d)))
-        super().__init__(gens, c0_index)
-        if period is None or period % 2 == 0:
-            self.chi = 2
-        else:
-            # 2*e_i lies in the zero-exponent subgroup; with an odd period it
-            # generates the whole axis, so the quotient collapses.
-            self.chi = 1
-        self._coset_form = np.ones(d, dtype=np.int64)
-        self._modulus = period
-        self._self_check()
-
-    @property
-    def identity(self):
-        return (0,) * self.d
-
-    def validate(self, x):
-        t = _require_int_tuple(x, self.d)
-        if self.period is not None and any(not 0 <= v < self.period for v in t):
-            raise EncodingError(f"torus coordinates {t} out of range [0, {self.period})")
-        return t
-
-    def mul(self, x, y):
-        x, y = self.validate(x), self.validate(y)
-        if self.period is None:
-            return tuple(a + b for a, b in zip(x, y))
-        return tuple((a + b) % self.period for a, b in zip(x, y))
-
-    def inv(self, x):
-        x = self.validate(x)
-        if self.period is None:
-            return tuple(-a for a in x)
-        return tuple((-a) % self.period for a in x)
-
-    def coset_index(self, x) -> int:
-        x = self.validate(x)
-        return sum(x) % 2 if self.chi == 2 else 0
-
-    def pow_c0(self, k: int):
-        k = int(k)
-        raw = tuple(k * v for v in self._c0_signed())
-        if self.period is None:
-            return raw
-        return tuple(v % self.period for v in raw)
-
-    def _c0_signed(self):
-        """The distinguished generator as a signed integer vector."""
-        axis, sign = divmod(self.c0_index, 2)
-        return tuple((1 if sign == 0 else -1) if i == axis else 0 for i in range(self.d))
-
-    @property
-    def order(self):
-        return None if self.period is None else self.period ** self.d
-
-    def elements(self):
-        if self.period is None:
-            return super().elements()
-        return (tuple(t) for t in itertools.product(range(self.period), repeat=self.d))
-
-    def shift_rows(self, keys, gen_index, adjoint=False):
-        axis, sign = divmod(gen_index, 2)
-        delta = 1 if sign == 0 else -1
-        if adjoint:
-            delta = -delta
-        weight = self._weights[axis]
-        if self.period is not None:
-            digit = keys // weight % self.radix
-            return keys + ((digit + delta) % self.radix - digit) * weight
-        # on Z^d the radix and the weights are powers of two
-        digit = (keys >> self._digit_shifts[axis]) & (self.radix - 1)
-        if np.any(digit == (self.radix - 1 if delta > 0 else 0)):
-            raise EncodingError(f"lattice shift along axis {axis} leaves the packed "
-                                f"coordinate range [{self.lo}, {self.hi}]")
-        return keys + delta * weight
-
-    def random_elements(self, rng, count, span=16):
-        hi = self.period if self.period is not None else span + 1
-        lo = 0 if self.period is not None else -span
-        return [tuple(int(v) for v in row) for row in rng.integers(lo, hi, size=(count, self.d))]
-
-    def describe(self):
-        spec = {"kind": "lattice", "d": self.d, "c0_index": self.c0_index}
-        if self.period is not None:
-            spec["N"] = self.period
-        return spec
-
-    def _key(self):
-        return ("lattice", self.d, self.period, self.c0_index)
+        self.d, self.period = d, period
+        gens = _unit_vectors(d, -1 if period is None else period - 1)
+        super().__init__((period or 0,) * d, gens, c0_index)
+        # 2*e_i lies in the zero-exponent subgroup; with an odd period it
+        # generates the whole axis, so the quotient collapses.
+        self._set_causal(2 if period is None or period % 2 == 0 else 1, (1,) * d)
+        self._spec = {"kind": "lattice", "d": d, "c0_index": self.c0_index}
+        if period is not None:
+            self._spec["N"] = period
 
 
-class HypercubeGroup(_MixedRadixGroup):
-    """(Z_2)^d under bitwise XOR with the standard basis vectors as
-    generators. Every generator is its own inverse. A key is the bitmask with
-    coordinate i at bit d-1-i, so d <= 62."""
+class HypercubeGroup(CayleyGroup):
+    """(Z_2)^d with the standard basis vectors as generators. Every generator
+    is its own inverse. A key is the bitmask with coordinate i at bit d-1-i,
+    so d <= 62."""
 
     kind = "hypercube"
 
     def __init__(self, d: int, c0_index: int = 0):
-        d = int(d)
+        d = _integer(d, "d")
         if d < 1:
             raise SpecError("hypercube needs d >= 1")
         if d >= 63:
             raise SpecError(f"hypercube of dimension {d} does not fit an int64 key")
         self.d = d
-        self._set_radix(2, 0)
-        gens = [tuple(1 if i == axis else 0 for i in range(d)) for axis in range(d)]
-        super().__init__(gens, c0_index)
-        self.chi = 2
-        self._coset_form = np.ones(d, dtype=np.int64)
-        self._modulus = 2
-        self._self_check()
+        super().__init__((2,) * d, _unit_vectors(d), c0_index)
+        self._set_causal(2, (1,) * d)
+        self._spec = {"kind": "hypercube", "d": d, "c0_index": self.c0_index}
 
-    @property
-    def identity(self):
-        return (0,) * self.d
 
-    def validate(self, x):
-        t = _require_int_tuple(x, self.d)
-        if any(v not in (0, 1) for v in t):
-            raise EncodingError(f"hypercube coordinates must be bits, got {t}")
-        return t
-
-    def mul(self, x, y):
-        x, y = self.validate(x), self.validate(y)
-        return tuple(a ^ b for a, b in zip(x, y))
-
-    def inv(self, x):
-        return self.validate(x)
-
-    def coset_index(self, x) -> int:
-        return sum(self.validate(x)) % 2
-
-    def pow_c0(self, k: int):
-        return self.c0 if int(k) % 2 else self.identity
-
-    @property
-    def order(self):
-        return 2 ** self.d
-
-    def elements(self):
-        return (tuple(t) for t in itertools.product((0, 1), repeat=self.d))
-
-    def shift_rows(self, keys, gen_index, adjoint=False):
-        return keys ^ self._weights[gen_index]
-
-    def random_elements(self, rng, count, span=16):
-        return [tuple(int(v) for v in row) for row in rng.integers(0, 2, size=(count, self.d))]
-
-    def describe(self):
-        return {"kind": "hypercube", "d": self.d, "c0_index": self.c0_index}
-
-    def _key(self):
-        return ("hypercube", self.d, self.c0_index)
+# perfbench/spans.py wraps these methods in each constructor class's own
+# __dict__, so each class binds them again.
+for _cls in (LineGroup, CyclicGroup, LatticeGroup, HypercubeGroup):
+    _cls.shift_rows = CayleyGroup.shift_rows
+    _cls.validate = CayleyGroup.validate
+    _cls.coset_index = CayleyGroup.coset_index
 
 
 def make_group(kind: str, *, d: int | None = None, N: int | None = None,

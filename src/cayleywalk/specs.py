@@ -143,12 +143,11 @@ def parse_group_spec(value) -> CayleyGroup:
         raise SpecError("group spec needs a 'kind'")
     generators = value.get("generators")
     if generators is not None:
-        generators = tuple(tuple(g) if isinstance(g, list) else int(g)
-                           for g in generators)
+        generators = tuple(tuple(g) if isinstance(g, list) else g for g in generators)
     return make_group(kind, d=value.get("d"),
                       N=value.get("N", value.get("period")),
                       generators=generators,
-                      c0_index=int(value.get("c0_index", 0)))
+                      c0_index=value.get("c0_index", 0))
 
 
 # -- coin specs -------------------------------------------------------------------
@@ -436,7 +435,7 @@ def write_distribution_csv(fp, group: CayleyGroup, states) -> None:
     for n, state in enumerate(states):
         keys, probs = state.position_probabilities()
         fp.write(_fill_rows(f"{n},{label},%.17g\n", "",
-                            group.coords(keys).T.tolist() + [probs.tolist()]))
+                            group.unpack(keys).T.tolist() + [probs.tolist()]))
 
 
 # json.dumps's spelling of the floats that have no JSON literal
@@ -459,7 +458,7 @@ def write_distribution_json(fp, group: CayleyGroup, states) -> None:
         ps = probs.tolist()
         if not np.isfinite(probs).all():
             ps = [_JSON_NONFINITE.get(repr(p), p) for p in ps]
-        rows = _fill_rows(row, ",\n      ", [ps] + group.coords(keys).T.tolist())
+        rows = _fill_rows(row, ",\n      ", [ps] + group.unpack(keys).T.tolist())
         distribution = f"[\n      {rows}\n    ]" if rows else "[]"
         fp.write(("[\n  " if n == 0 else ",\n  ")
                  + f'{{\n    "distribution": {distribution},\n    "step": {n}\n  }}')

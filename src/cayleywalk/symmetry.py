@@ -126,61 +126,50 @@ def trivial_character(group: CayleyGroup, domain: str = "full_group") -> Unitary
 
 def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
                   validate: bool = True) -> UnitaryCharacter:
-    """Character exp(i * phi . x) on integer-vector-like groups.
+    """Character exp(i * phi . x).
 
-    phi is a scalar for line/cyclic and a length-d vector for lattice and
-    hypercube groups. Periodic groups require phi commensurate with the
-    period; incommensurate values are rejected.
+    phi is a scalar on the integer kinds (line, cyclic) and a vector with one
+    entry per axis on the tuple kinds (lattice, hypercube). On a finite axis
+    of modulus m, phi's entry times m must be a multiple of 2*pi;
+    incommensurate values are rejected.
     """
-    kind = group.kind
-    if kind in ("line", "cyclic"):
-        phi = float(phi)
-        if kind == "cyclic" and abs(np.exp(1j * phi * group.n) - 1.0) > 1e-9:
-            raise SpecError(
-                f"exp character needs phi * {group.n} to be a multiple of 2*pi")
-        vec = np.array([phi])
-        descriptor = {"kind": "exp_linear", "phi": phi}
-    elif kind in ("lattice", "hypercube"):
+    if group.tuple_elements:
         vec = np.asarray(phi, dtype=float).reshape(-1)
-        if vec.shape[0] != group.d:
-            raise SpecError(f"phi must have length {group.d}")
-        period = 2 if kind == "hypercube" else group.period
-        if period is not None:
-            if np.abs(np.exp(1j * vec * period) - 1.0).max() > 1e-9:
-                raise SpecError(
-                    f"exp character needs each phi component commensurate with period {period}")
+        if vec.shape[0] != len(group.moduli):
+            raise SpecError(f"phi must have length {len(group.moduli)}")
         descriptor = {"kind": "exp_linear", "phi": [float(v) for v in vec]}
     else:
-        raise SpecError(f"exp character not defined for group kind {kind!r}")
+        phi = float(phi)
+        vec = np.array([phi])
+        descriptor = {"kind": "exp_linear", "phi": phi}
     # the closed form gives units only for a finite phi (math.isfinite: a
     # first np.isfinite call raises a process's peak memory by about 0.2 MB)
     if not all(map(math.isfinite, vec.tolist())):
         raise SpecError(f"exp character needs a finite phi, got {phi!r}")
-    values = lambda keys: np.exp(1j * (group.coords(keys) @ vec))
+    for v, m in zip(vec.tolist(), group.moduli):
+        if m and abs(complex(math.cos(v * m), math.sin(v * m)) - 1.0) > 1e-9:
+            raise SpecError(f"exp character needs phi * {m} to be a multiple of 2*pi "
+                            f"on an axis of period {m}")
+    values = lambda keys: np.exp(1j * (group.unpack(keys) @ vec))
     return _closed_form(group, domain, values, descriptor, validate)
 
 
 def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
                    validate: bool = True) -> UnitaryCharacter:
-    """Character (-1)^(mask . x); mask entries are 0 or 1."""
-    kind = group.kind
-    if kind in ("line", "cyclic"):
-        m = int(mask)
-        if kind == "cyclic" and (m * group.n) % 2:
-            raise SpecError("sign character requires an even period")
-        vec = np.array([m])
-        descriptor = {"kind": "sign", "mask": m}
-    elif kind in ("lattice", "hypercube"):
-        vec = np.array([int(v) % 2 for v in mask], dtype=np.int64)
-        if len(vec) != group.d:
-            raise SpecError(f"mask must have length {group.d}")
-        if kind == "lattice" and group.period is not None and group.period % 2:
-            if vec.any():
-                raise SpecError("sign character requires an even period")
-        descriptor = {"kind": "sign", "mask": vec.tolist()}
+    """Character (-1)^(mask . x); mask entries are 0 or 1, one per axis on
+    the tuple kinds. A set entry needs an even period on a finite axis."""
+    if group.tuple_elements:
+        vec = [int(v) % 2 for v in mask]
+        if len(vec) != len(group.moduli):
+            raise SpecError(f"mask must have length {len(group.moduli)}")
+        descriptor = {"kind": "sign", "mask": vec}
     else:
-        raise SpecError(f"sign character not defined for group kind {kind!r}")
-    values = lambda keys: (1.0 - 2.0 * ((group.coords(keys) @ vec) % 2)).astype(complex)
+        vec = [int(mask)]
+        descriptor = {"kind": "sign", "mask": vec[0]}
+    if any(v % 2 and m % 2 for v, m in zip(vec, group.moduli)):
+        raise SpecError("sign character requires an even period")
+    vec = np.array(vec, dtype=np.int64)
+    values = lambda keys: (1.0 - 2.0 * ((group.unpack(keys) @ vec) % 2)).astype(complex)
     return _closed_form(group, domain, values, descriptor, validate)
 
 

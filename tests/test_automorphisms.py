@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from cayleywalk.automorphisms import compose, invert
 from cayleywalk.linalg import random_unitary
 from cayleywalk.verify import assemble_permutation_matrix, assemble_step_matrix
 
-from conftest import random_state
+from conftest import all_groups, oracle_add, oracle_law, random_state
 
 
 def test_line_reflection():
@@ -91,15 +94,63 @@ def test_compose_and_invert_group_laws(rng):
                 assert ab.apply_element(x) == a.apply_element(b.apply_element(x))
 
 
+def oracle_phi(group, perm):
+    """The automorphism that permutes the generators by perm, written out per
+    kind from the group's spec (a sign flip, a unit multiplier, a signed axis
+    permutation or an axis permutation), or None when there is none."""
+    spec = group.describe()
+    kind, gens = spec["kind"], group.generators
+    if kind == "line":
+        sign = gens[perm[0]] * gens[0]
+        if any(sign * g != gens[p] for g, p in zip(gens, perm)):
+            return None
+        return lambda x: sign * x
+    if kind == "cyclic":
+        n = spec["N"]
+        u = next((u for u in range(1, n) if math.gcd(u, n) == 1
+                  and all(u * g % n == gens[p] for g, p in zip(gens, perm))), None)
+        return None if u is None else lambda x: u * x % n
+    d = spec["d"]
+    if kind == "lattice":
+        # +e_a and -e_a must go to one inverse pair
+        if any(perm[2 * axis + 1] != perm[2 * axis] ^ 1 for axis in range(d)):
+            return None
+        period = spec.get("N")
+
+        def signed_axis_permutation(x):
+            out = [0] * d
+            for axis in range(d):
+                target, minus = divmod(perm[2 * axis], 2)
+                out[target] = -x[axis] if minus else x[axis]
+            return tuple(v % period for v in out) if period else tuple(out)
+        return signed_axis_permutation
+
+    def axis_permutation(x):
+        out = [0] * d
+        for axis in range(d):
+            out[perm[axis]] = x[axis]
+        return tuple(out)
+    return axis_permutation
+
+
 def test_apply_rows_matches_elementwise(rng):
-    for group in [LineGroup(), CyclicGroup(8), LatticeGroup(2, period=6),
-                  HypercubeGroup(3)]:
+    for group in all_groups():
+        moduli, _ = oracle_law(group)
+        perms = [p for p in itertools.permutations(range(group.coin_dim))
+                 if oracle_phi(group, p) is not None]
         auts = enumerate_automorphisms(group)
+        assert [a.perm for a in auts] == perms
         xs = group.random_elements(rng, 8)
         keys = group.keys(xs)
-        for a in auts:
-            moved = a.apply_keys(keys)
-            assert group.elements_of(moved) == [a.apply_element(x) for x in xs]
+        for shift in (group.identity, group.random_elements(rng, 1)[0]):
+            vec = shift if isinstance(shift, tuple) else (shift,)
+            for a in auts:
+                b = make_shifted_automorphism(group, shift, a.perm)
+                phi = oracle_phi(group, a.perm)
+                want = [oracle_add(moduli, phi(x), vec) for x in xs]
+                assert [b.phi(x) for x in xs] == [phi(x) for x in xs]
+                assert [b.apply_element(x) for x in xs] == want
+                assert group.elements_of(b.apply_keys(keys)) == want
 
 
 def test_step_commutes_with_automorphism_matrix():

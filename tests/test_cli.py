@@ -228,6 +228,20 @@ def test_group_automorphisms_output():
     assert payload["count"] == 6
 
 
+@pytest.mark.parametrize("spec, field", [
+    ('{"kind": "cyclic", "N": 8.5}', "N"),
+    ('{"kind": "lattice", "d": 2.7}', "d"),
+    ('{"kind": "line", "generators": [1.5]}', "generators"),
+    ('{"kind": "hypercube", "d": 3, "c0_index": 1.9}', "c0_index"),
+    ('{"kind": "cyclic", "N": true}', "N"),
+])
+def test_non_integer_group_parameter_exits_2(spec, field):
+    result = run_cli("group", "causal", "--group", spec)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"error: {field}" in result.stderr and "Traceback" not in result.stderr
+
+
 def test_bad_subcommand_exits_2():
     result = run_cli("frobnicate")
     assert result.returncode == 2

@@ -7,15 +7,12 @@ import pytest
 
 from cayleywalk import (CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
                         LineGroup, SpecError, WalkState, apply_shift, brute_force_causal,
-                        make_group)
+                        make_group, parse_group_spec)
+
+from conftest import GROUP_IDS, all_groups, oracle_add, oracle_law
 
 
-def all_groups():
-    return [LineGroup(), CyclicGroup(8), CyclicGroup(8, generators=(1,)),
-            LatticeGroup(2), LatticeGroup(2, period=6), HypercubeGroup(3)]
-
-
-@pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
+@pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_group_axioms_sampled(group, rng):
     xs = group.random_elements(rng, 12)
     e = group.identity
@@ -28,7 +25,7 @@ def test_group_axioms_sampled(group, rng):
         assert group.validate(z) == z
 
 
-@pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
+@pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_encode_decode_roundtrip(group, rng):
     xs = group.random_elements(rng, 12)
     keys = group.keys(xs)
@@ -37,15 +34,20 @@ def test_encode_decode_roundtrip(group, rng):
     assert np.array_equal(group.pack(group.unpack(keys)), keys)
 
 
-@pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
+@pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_shift_rows_matches_mul(group, rng):
+    moduli, gens = oracle_law(group)
     xs = group.random_elements(rng, 8)
     keys = group.keys(xs)
-    for idx, s in enumerate(group.generators):
+    for idx, s in enumerate(gens):
         shifted = group.shift_rows(keys, idx)
-        assert group.elements_of(shifted) == [group.mul(x, s) for x in xs]
+        assert group.elements_of(shifted) == [oracle_add(moduli, x, s) for x in xs]
+        assert [group.mul(x, group.generators[idx]) for x in xs] == group.elements_of(shifted)
         back = group.shift_rows(shifted, idx, adjoint=True)
         assert np.array_equal(back, keys)
+        minus = tuple(-v for v in s)
+        assert group.elements_of(group.shift_rows(keys, idx, adjoint=True)) == \
+            [oracle_add(moduli, x, minus) for x in xs]
 
 
 def key_order_groups():
@@ -84,6 +86,11 @@ def test_lattice_shift_at_coordinate_bound_raises():
         group.encode((0, top + 1))
     with pytest.raises(EncodingError):
         WalkState.localized(group, (group.lo - 1, 0), [1, 0, 0, 0])
+    # Z^1 has no next axis to carry into: like the line, it shifts unchecked
+    line = LatticeGroup(1)
+    assert (line.lo, line.hi) == (-2 ** 61, 2 ** 61 - 1)
+    state = WalkState.basis_state(line, (line.hi,), 0)
+    assert apply_shift(state).support() == [(2 ** 61,)]
 
 
 def test_line_encodes_within_bounds_and_shifts_without_wrapping():
@@ -110,7 +117,7 @@ def test_key_size_limits_rejected_at_construction():
         LatticeGroup(32)
 
 
-@pytest.mark.parametrize("group", all_groups(), ids=lambda g: g.describe()["kind"])
+@pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_decompose_roundtrip(group, rng):
     for x in group.random_elements(rng, 12):
         xt, k = group.decompose(x)
@@ -216,3 +223,44 @@ def test_generator_index():
     assert group.generators[group.generator_index(-1)] == -1
     with pytest.raises(SpecError):
         group.generator_index(2)
+
+
+def test_group_identity_survives_describe_and_parse():
+    described = [
+        {"kind": "line", "generators": [1, -1], "c0_index": 0},
+        {"kind": "cyclic", "N": 8, "generators": [1, 7], "c0_index": 0},
+        {"kind": "cyclic", "N": 8, "generators": [1], "c0_index": 0},
+        {"kind": "lattice", "d": 2, "c0_index": 0},
+        {"kind": "lattice", "d": 2, "c0_index": 0, "N": 6},
+        {"kind": "hypercube", "d": 3, "c0_index": 0},
+        {"kind": "line", "generators": [1], "c0_index": 0},
+        {"kind": "line", "generators": [-1, 1], "c0_index": 1},
+        {"kind": "cyclic", "N": 9, "generators": [2, 5], "c0_index": 1},
+        {"kind": "lattice", "d": 3, "c0_index": 0, "N": 5},
+        {"kind": "lattice", "d": 2, "c0_index": 3, "N": 6},
+    ]
+    groups = all_groups()
+    # key order too: it is the order of the JSON fields
+    assert [list(g.describe().items()) for g in groups] == [list(d.items()) for d in described]
+    for g in groups:
+        again = parse_group_spec(g.describe())
+        assert again == g and hash(again) == hash(g)
+        assert [h for h in groups if h == g] == [g]
+    # kinds that share a law stay distinct groups
+    assert LineGroup() != LatticeGroup(1)
+    assert CyclicGroup(2) != HypercubeGroup(1)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "cyclic", "N": 8.5}, "N"),
+    ({"kind": "lattice", "d": 2.7}, "d"),
+    ({"kind": "lattice", "d": 2, "N": 6.5}, "period"),
+    ({"kind": "line", "generators": [1.5]}, "generators"),
+    ({"kind": "cyclic", "N": 8, "generators": [1, 2.5]}, "generators"),
+    ({"kind": "hypercube", "d": 3, "c0_index": 1.9}, "c0_index"),
+    ({"kind": "hypercube", "d": True}, "d"),
+    ({"kind": "line", "c0_index": False}, "c0_index"),
+])
+def test_non_integer_group_parameters_are_rejected(spec, field):
+    with pytest.raises(SpecError, match=field):
+        parse_group_spec(spec)

@@ -153,11 +153,27 @@ def test_exp_character_commensurability():
         exp_character(group, 0.1)
     chi = cyclic_character(group, 3)
     assert chi(2) == pytest.approx(np.exp(2j * np.pi * 3 * 2 / 8))
+    # each finite axis is checked on its own, also without the sampled
+    # multiplicativity check
+    for group, bad, good in [
+            (CyclicGroup(8), 0.1, np.pi / 4),
+            (LatticeGroup(2, period=6), [np.pi / 3, 0.1], [np.pi / 3, np.pi]),
+            (HypercubeGroup(3), [np.pi, 0.0, 0.5], [np.pi, 0.0, np.pi])]:
+        with pytest.raises(SpecError, match="multiple of 2\\*pi"):
+            exp_character(group, bad, validate=False)
+        exp_character(group, good, validate=False)
+    for group, phi in [(LineGroup(), 0.1), (LatticeGroup(2), [0.1, 0.7])]:
+        exp_character(group, phi, validate=False)
 
 
 def test_sign_character_parity_guard():
     with pytest.raises(SpecError):
         sign_character(CyclicGroup(5), 1)
+    for group, bad, good in [(CyclicGroup(5), 3, 2), (LatticeGroup(2, period=5), (0, 1), (0, 0))]:
+        with pytest.raises(SpecError, match="even period"):
+            sign_character(group, bad, validate=False)
+        assert sign_character(group, good, validate=False).descriptor["mask"] == \
+            (list(good) if isinstance(good, tuple) else good)
     rho = sign_character(HypercubeGroup(3), (1, 1, 0))
     assert rho((1, 1, 0)) == pytest.approx(1.0)
     assert rho((1, 0, 0)) == pytest.approx(-1.0)
@@ -178,7 +194,7 @@ def test_batched_non_multiplicative_character_is_rejected(group, domain):
     from cayleywalk import UnitaryCharacter
 
     def values(keys):  # exp(0.3i |x|^2): not multiplicative on either group
-        return np.exp(0.3j * np.sum(group.coords(keys) ** 2, axis=1))
+        return np.exp(0.3j * np.sum(group.unpack(keys) ** 2, axis=1))
 
     with pytest.raises(SpecError, match="not multiplicative at") as info:
         UnitaryCharacter.batched(group, domain, values)
@@ -412,11 +428,11 @@ def test_non_unit_user_character_is_named(batched):
     if batched:
         rho = UnitaryCharacter.batched(
             group, "causal_subgroup",
-            lambda keys: np.where(group.coords(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
+            lambda keys: np.where(group.unpack(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
             validate=False)
         gamma = UnitaryCharacter.batched(
             group, "full_group",
-            lambda keys: np.where(group.coords(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
+            lambda keys: np.where(group.unpack(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
             validate=False)
     else:
         rho = UnitaryCharacter(group, "causal_subgroup", lambda x: 2.0 if x == 4 else 1.0,
