@@ -512,24 +512,28 @@ class CausalStructure:
     nonseparating: bool
 
 
-def _product_set(group, left, middle, right):
-    return {group.mul(group.mul(a, m), b) for a in left for m in middle for b in right}
+def _closure(group: CayleyGroup, steps: np.ndarray) -> np.ndarray:
+    """Membership mask, over the keys of a finite group, of the elements
+    reached from the identity by right multiplication with the rows of
+    `steps` (coordinate vectors). Breadth first: each round multiplies only
+    the elements that the previous round added."""
+    reached = np.zeros(group.order, dtype=bool)
+    frontier = group.pack(np.zeros((1, len(group.moduli))))
+    reached[frontier] = True
+    while frontier.size:
+        coords = group.unpack(frontier)[:, None] + steps
+        fresh = np.zeros_like(reached)
+        fresh[group.pack(group.wrap(coords.reshape(-1, len(group.moduli))))] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    return reached
 
 
-def _generated_subgroup(group, seed):
-    gens = set(seed) | {group.inv(s) for s in seed}
-    members = {group.identity} | gens
-    frontier = set(members)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for g in gens:
-                p = group.mul(a, g)
-                if p not in members:
-                    members.add(p)
-                    fresh.add(p)
-        frontier = fresh
-    return members
+def _generated(group: CayleyGroup, mask: np.ndarray) -> np.ndarray:
+    """Mask of the subgroup generated by the elements of a mask."""
+    coords = group.unpack(np.flatnonzero(mask))
+    return _closure(group, np.concatenate([coords, -coords]))
 
 
 def brute_force_causal(group: CayleyGroup) -> CausalStructure:
@@ -537,25 +541,20 @@ def brute_force_causal(group: CayleyGroup) -> CausalStructure:
 
     Builds the increasing chains S^n S^-n (forward-then-backward words) and
     S^-n S^n until they stabilize, then closes each union under the group
-    operations. Only possible for finite groups.
+    operations. A chain grows by its newest words only:
+    F_{n+1} = F_n u S (F_n minus F_{n-1}) S^-1, and in an abelian group
+    S x S^-1 is x times the words s t^-1. Only possible for finite groups.
     """
     if not group.is_finite:
         raise UnsupportedGroupError("brute-force causal computation needs a finite group")
-    S = list(group.generators)
-    Sinv = [group.inv(s) for s in S]
-    forward = {group.mul(s, t) for s in S for t in Sinv}
-    while True:
-        grown = _product_set(group, S, forward, Sinv)
-        if grown == forward:
-            break
-        forward = grown
-    backward = {group.mul(t, s) for t in Sinv for s in S}
-    while True:
-        grown = _product_set(group, Sinv, backward, S)
-        if grown == backward:
-            break
-        backward = grown
-    future = frozenset(_generated_subgroup(group, forward))
-    full = frozenset(_generated_subgroup(group, forward | backward))
-    chi = group.order // len(full)
-    return CausalStructure(full, future, chi, future == full)
+    S = group.gen_vectors
+    forward = _closure(group, (S[:, None] - S[None]).reshape(-1, S.shape[1]))
+    backward = _closure(group, (-S[:, None] + S[None]).reshape(-1, S.shape[1]))
+    future, full = _generated(group, forward), _generated(group, forward | backward)
+
+    def elements(mask):
+        return frozenset(group.elements_of(np.flatnonzero(mask)))
+
+    chi = group.order // int(full.sum())
+    return CausalStructure(elements(full), elements(future), chi,
+                           bool(np.array_equal(future, full)))

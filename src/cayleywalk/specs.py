@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism, make_generalized_symmetry
-from .errors import CayleyWalkError, SpecError
+from .errors import CayleyWalkError, FamilyPreconditionError, SpecError
 from .groups import CayleyGroup, make_group
 from .line import LineCoinParams, build_line_coin
 from .states import LocalUnitary, WalkState
@@ -305,6 +305,10 @@ def _parse_eta(value):
 
 
 def _parse_uprime(group: CayleyGroup, value, allow_matrix: bool):
+    """U' from a spec: a list of lists is read as matrix rows, any other list
+    as the diagonal. So [[0, 1], [1, 0]] is Pauli X, never the [re, im]
+    pairs of diag(i, 1), which is written [{"re": 0, "im": 1}, 1] or
+    ["1i", 1]. Without allow_matrix only a diagonal matrix is accepted."""
     if value is None:
         return None
     value = _load_obj(value)
@@ -314,7 +318,9 @@ def _parse_uprime(group: CayleyGroup, value, allow_matrix: bool):
     if arr.ndim == 2 and not allow_matrix:
         diag = np.diagonal(arr)
         if np.abs(arr - np.diag(diag)).max() > 1e-12:
-            return arr  # let the constructor report the precondition failure
+            raise FamilyPreconditionError(
+                "U' must be diagonal; a list of lists is read as matrix rows, so write a "
+                'complex diagonal entry as {"re": a, "im": b} or "a+bi"')
         return diag.copy()
     return arr
 

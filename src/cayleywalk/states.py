@@ -15,6 +15,7 @@ rules are adapted to a batch by `elementwise` and nowhere else.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,9 @@ from .linalg import as_complex_matrix, require_unit, require_unitary
 PRUNE_TOL = 1e-15
 # Shift plans each group keeps (see shift_plan).
 PLAN_MEMO = 2
+# merge_keys marks slots rather than sorting when the keys span fewer than
+# this many slots per key.
+COMPACT_SPAN = 4
 
 
 def nonzero_rows(amps: np.ndarray) -> np.ndarray:
@@ -40,15 +44,41 @@ def nonzero_rows(amps: np.ndarray) -> np.ndarray:
 
 def merge_keys(keys: np.ndarray):
     """np.unique(keys, return_inverse=True) for a concatenation of sorted or
-    nearly sorted key blocks (shifted or combined states), where a stable
-    sort runs in near-linear time. The result is sorted and unique."""
+    nearly sorted key blocks (shifted or combined states). The result is
+    sorted and unique.
+
+    Two algorithms give it, chosen from the input. When the N keys are
+    compact (max - min < COMPACT_SPAN * N, as on the line, cyclic, hypercube
+    and torus supports), each key marks its slot in a bool array over
+    [min, max]: the marked slots are the merged keys, one scatter ranks
+    them, and the inverse is that rank gathered at each key's slot.
+    Otherwise (Z^d keys lie far apart across rows, and an empty batch) a
+    stable sort runs in near-linear time on the sorted blocks."""
+    n = keys.shape[0]
+    if n:
+        lo, hi = int(keys.min()), int(keys.max())
+        if hi - lo < COMPACT_SPAN * n:
+            slots = keys - lo
+            mark = np.zeros(hi - lo + 1, dtype=bool)
+            mark[slots] = True
+            at = np.flatnonzero(mark)
+            rank = np.empty(mark.shape[0], dtype=np.intp)
+            rank[at] = np.arange(at.shape[0])
+            inverse = np.take(rank, slots, out=slots)
+            # free the ranks before the kept keys are allocated: a long
+            # history then leaves fewer holes in the heap
+            del rank
+            # a new array, which owns its data (see memo_keys)
+            return at + lo, inverse
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    first = np.empty(ordered.shape[0], dtype=bool)
+    first = np.empty(n, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = np.cumsum(first)
+    rank -= 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
+    inverse[order] = rank
     return np.compress(first, ordered), inverse
 
 
@@ -188,7 +218,10 @@ class WalkState:
     # -- algebra ----------------------------------------------------------------
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # np.linalg.norm's own sum for a complex array, without its dispatch
+        flat = self.amps.ravel(order="K")
+        re, im = flat.real, flat.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def normalized(self) -> "WalkState":
         n = self.norm()
@@ -263,14 +296,17 @@ class WalkState:
                 f"norm={self.norm():.6f})")
 
 
-def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray,
-           prune: float = PRUNE_TOL) -> WalkState:
-    """Zero out sub-threshold amplitudes and drop empty rows."""
-    if prune > 0.0:
-        amps = np.where(np.abs(amps) < prune, 0.0, amps)
-    keep = nonzero_rows(amps)
-    if not keep.all():
-        positions, amps = np.compress(keep, positions), np.compress(keep, amps, axis=0)
+def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkState:
+    """Zero the amplitudes below PRUNE_TOL in magnitude (a -0.0 included)
+    and drop the rows left with none. A NaN compares False, so its row is
+    kept and shows in every norm."""
+    small = np.abs(amps) < PRUNE_TOL
+    amps = np.where(small, 0.0, amps)
+    if small.any():
+        # a boolean matmul is any() along each row (see nonzero_rows)
+        keep = ~small @ np.ones(small.shape[1], dtype=bool)
+        if not keep.all():
+            positions, amps = np.compress(keep, positions), np.compress(keep, amps, axis=0)
     return WalkState(group, positions, amps)
 
 

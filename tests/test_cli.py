@@ -370,6 +370,14 @@ def test_step_zero_corruption_fails_verify(family):
     assert by_case["probability_map"]["passed"]
 
 
+def test_non_diagonal_full_homog_uprime_exits_4_with_the_spelling_hint():
+    spec = {"family": "full_homog", "Uprime": [[0, 1], [1, 0]]}
+    result = run_cli("verify", *LINE_WALK, "--steps", "2", "--symmetry", json.dumps(spec))
+    assert result.returncode == 4, result.stderr
+    assert "a list of lists is read as matrix rows" in result.stderr
+    assert '{"re": a, "im": b} or "a+bi"' in result.stderr
+
+
 def test_negative_corruption_step_exits_2():
     spec = {"family": "time_homog", "corrupt_phase": {"n": -1, "x": 0, "c": 0}}
     result = run_cli("verify", *LINE_WALK, "--steps", "6", "--symmetry", json.dumps(spec))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleywalk import (CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
+from cayleywalk import (CayleyGroup, CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
                         LineGroup, SpecError, WalkState, apply_shift, brute_force_causal,
                         make_group, parse_group_spec)
 
@@ -173,6 +173,67 @@ def test_declared_matches_brute_force():
         causal = brute_force_causal(group)
         assert group.chi == causal.chi
         assert group.nonseparating == causal.nonseparating
+
+
+# -- a set-based reference for brute_force_causal ---------------------------------
+#
+# The chains S^n S^-n and S^-n S^n as sets of elements, each grown by whole
+# products S F S^-1 through the scalar group law until it stops changing, and
+# each union closed under the group operations one product at a time.
+
+
+def _product_set(group, left, middle, right):
+    return {group.mul(group.mul(a, m), b) for a in left for m in middle for b in right}
+
+
+def _generated_subgroup(group, seed):
+    gens = set(seed) | {group.inv(s) for s in seed}
+    members = {group.identity} | gens
+    frontier = set(members)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for g in gens:
+                p = group.mul(a, g)
+                if p not in members:
+                    members.add(p)
+                    fresh.add(p)
+        frontier = fresh
+    return members
+
+
+def _reference_causal(group):
+    S = list(group.generators)
+    Sinv = [group.inv(s) for s in S]
+    chains = []
+    for first, second in ((S, Sinv), (Sinv, S)):
+        chain = {group.mul(a, b) for a in first for b in second}
+        while True:
+            grown = _product_set(group, first, chain, second)
+            if grown == chain:
+                break
+            chain = grown
+        chains.append(chain)
+    future = frozenset(_generated_subgroup(group, chains[0]))
+    full = frozenset(_generated_subgroup(group, chains[0] | chains[1]))
+    return full, future, group.order // len(full), future == full
+
+
+@pytest.mark.parametrize("group", [g for g in all_groups() if g.is_finite]
+                         + [HypercubeGroup(6), CyclicGroup(64)], ids=repr)
+def test_brute_force_causal_matches_the_set_based_reference(group):
+    causal = brute_force_causal(group)
+    assert (causal.subgroup, causal.future_subgroup, causal.chi,
+            causal.nonseparating) == _reference_causal(group)
+
+
+def test_self_check_rejects_wrong_causal_data():
+    with pytest.raises(SpecError, match="declared chi 4 disagrees with brute force 2"):
+        CayleyGroup((8,), (1, 7))._set_causal(4, (1,))
+    with pytest.raises(SpecError, match="coset_index disagrees with brute force at 1"):
+        CayleyGroup((8,), (1, 7))._set_causal(2, (0,))
+    # order 1024: past the self-check's scope, so wrong data goes unchecked
+    CayleyGroup((2,) * 10, map(tuple, np.eye(10, dtype=int).tolist()))._set_causal(4, (0,) * 10)
 
 
 def test_coset_index_is_homomorphism(rng):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from cayleywalk import (HypercubeGroup, LineGroup, SpecError, WalkState,
+from cayleywalk import (FamilyPreconditionError, HypercubeGroup, LineGroup, SpecError, WalkState,
                         canonicalize_line_coin, check_symmetry_relation,
                         dump_json, dump_state, hadamard_coin, parse_coin_spec,
                         parse_group_spec, parse_state_spec, parse_symmetry_spec,
@@ -138,6 +138,21 @@ def test_symmetry_spec_generalized():
     start = parse_state_spec(group, "0:(1,0)")
     report = check_symmetry_relation(coin, start, t, n_max=10)
     assert report is not None
+
+
+def test_uprime_list_of_lists_is_read_as_matrix_rows():
+    group = LineGroup()
+    pauli_x = [[0, 1], [1, 0]]
+    # on space_homog any U'(0) is allowed, so the rows are taken as Pauli X
+    t, _ = parse_symmetry_spec(group, {"family": "space_homog", "Uprime": pauli_x})
+    assert np.array_equal(t.params["uprime0"], np.array(pauli_x, dtype=complex))
+    # full_homog needs a diagonal U': the rejection says how to write diag(i, 1)
+    with pytest.raises(FamilyPreconditionError,
+                       match=r"U' must be diagonal; a list of lists is read as matrix rows.*re"):
+        parse_symmetry_spec(group, {"family": "full_homog", "Uprime": pauli_x})
+    for diag_i_1 in ([{"re": 0, "im": 1}, 1], ["0+1i", 1], [[1j, 0], [0, 1]]):
+        t, _ = parse_symmetry_spec(group, {"family": "full_homog", "Uprime": diag_i_1})
+        assert t.params["uprime"].tolist() == [1j, 1]
 
 
 def test_corrupt_phase_produces_dressing():

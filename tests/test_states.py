@@ -9,8 +9,8 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, Lo
                         WalkState, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
 from cayleywalk.errors import NonUnitaryError
-from cayleywalk.states import (RowMemo, elementwise, lookup_rows, merge_keys, nonzero_rows,
-                               require_block, shift_plan)
+from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, RowMemo, apply_block, elementwise,
+                               lookup_rows, merge_keys, nonzero_rows, require_block, shift_plan)
 
 from conftest import random_state
 
@@ -162,6 +162,135 @@ def test_nonzero_rows_keeps_nan_rows_and_drops_signed_zeros():
     amps = np.array([[np.nan, 0], [0, 0], [0, -0.0], [1e-300, 0], [0, 1j]], dtype=complex)
     assert nonzero_rows(amps).tolist() == [True, False, False, True, True]
     assert nonzero_rows(amps[:0]).tolist() == []
+
+
+# -- merge_keys: slot marks for compact key sets, a stable sort otherwise ------------
+
+_LINE_END = 2 ** 62  # the line packs [-2^62, 2^62)
+
+
+def _blocks(*parts):
+    return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+
+
+MERGE_CASES = {
+    "empty": _blocks([]),
+    "single": _blocks([7]),
+    "single negative": _blocks([-2 ** 61]),
+    "duplicates across blocks": _blocks([-3, -1, 1, 3], [-5, -3, -1, 1], [-1, 1, 3, 5]),
+    "negative compact": _blocks(np.arange(-40, -10), np.arange(-42, -12)),
+    "all equal": _blocks([5] * 6),
+    # 4 keys over a span of 4 * 4 - 1 slots, then of 4 * 4
+    "span just compact": _blocks([0, 15], [3, 15]),
+    "span just sparse": _blocks([0, 16], [3, 16]),
+    "sparse": _blocks([-10 ** 12, 0], [1, 10 ** 12]),
+    "line ends +-2^61": _blocks([-2 ** 61, 2 ** 61], [-2 ** 61 - 1, 2 ** 61 + 1]),
+    "line range ends": _blocks([-_LINE_END, _LINE_END - 1], [-_LINE_END + 1, _LINE_END - 2]),
+    "compact at the top end": _blocks([_LINE_END - 3, _LINE_END - 1], [_LINE_END - 2]),
+    "compact at the bottom end": _blocks([-_LINE_END, -_LINE_END + 2], [-_LINE_END + 1]),
+}
+
+
+def _sorts(monkeypatch) -> list:
+    """Record the length of every np.argsort call."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+def _assert_unique_merge(keys):
+    merged, inverse = merge_keys(keys)
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    assert merged.dtype == want.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(merged, want) and np.array_equal(inverse, want_inverse)
+    # a plan's keys are kept by the memos without a copy (see memo_keys)
+    assert merged.flags.owndata
+
+
+@pytest.mark.parametrize("name", list(MERGE_CASES))
+def test_merge_keys_is_np_unique_and_sorts_only_sparse_keys(name, monkeypatch):
+    keys = MERGE_CASES[name]
+    sorts = _sorts(monkeypatch)
+    _assert_unique_merge(keys)
+    compact = keys.size and int(keys.max()) - int(keys.min()) < COMPACT_SPAN * keys.size
+    assert sorts == ([] if compact else [keys.size])
+
+
+@pytest.mark.parametrize("group, compact", [
+    (LineGroup(), True), (CyclicGroup(8), True), (HypercubeGroup(4), True),
+    (LatticeGroup(2, period=6), True), (LatticeGroup(2), False)],
+    ids=["line", "cyclic8", "hypercube4", "torus6", "z2"])
+def test_merge_keys_on_shifted_supports(group, compact, rng, monkeypatch):
+    # a walk's support, shifted by every generator: the line, cyclic,
+    # hypercube and torus keys are compact, Z^2 keys lie 2^31 apart per row
+    state = random_state(group, rng, count=12)
+    keys = np.concatenate([group.shift_rows(state.positions, c)
+                           for c in range(group.coin_dim)])
+    sorts = _sorts(monkeypatch)
+    _assert_unique_merge(keys)
+    assert sorts == ([] if compact else [keys.size])
+
+
+# -- _clean, through apply_block ------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "shared", "per position"])
+def test_apply_block_prunes_small_entries_and_empty_rows_but_keeps_nan(kind):
+    group = LineGroup()
+    tiny = 0.5 * PRUNE_TOL
+    amps = np.array([[1.0, tiny], [tiny, -1j * tiny], [-0.0, 0.0], [np.nan, 0.0],
+                     [-0.0, PRUNE_TOL], [0.6, 0.8j]], dtype=complex)
+    amps.flags.writeable = False
+    keys = np.arange(-2, 4, dtype=np.int64)
+    state = WalkState(group, keys, amps)
+    op = {"diagonal": LocalUnitary.identity(group),
+          "shared": LocalUnitary.uniform(group, np.eye(2)),
+          "per position": LocalUnitary.batched(group, lambda n, k: np.broadcast_to(
+              np.eye(2, dtype=complex), (len(k), 2, 2)))}[kind]
+    block = op.block(0, keys)
+    before = block.copy()
+    assert not block.flags.writeable  # a memo block
+    out = apply_block(state, block)
+    # rows 1 and 2 hold only sub-threshold entries and -0.0: dropped; the
+    # NaN row is kept, and an entry at the threshold survives
+    assert out.positions.tolist() == [-2, 1, 2, 3]
+    assert out.amps[0].tolist() == [1.0, 0.0]
+    assert np.isnan(out.amps[1, 0])
+    assert out.amps[2:].tolist() == [[0.0, PRUNE_TOL], [0.6, 0.8j]]
+    # the caller's amps and the memo block are never written
+    assert np.array_equal(block, before) and not block.flags.writeable
+    assert amps.tolist()[0] == [1.0, tiny] and not amps.flags.writeable
+
+
+def test_apply_block_keeps_every_row_when_nothing_is_small():
+    group = LineGroup()
+    state = WalkState(group, np.array([0, 3], dtype=np.int64),
+                      np.array([[1.0, 2.0], [PRUNE_TOL, 1.0]], dtype=complex))
+    out = apply_block(state, np.ones((2, 2), dtype=complex))
+    assert out.positions is state.positions
+    assert out.amps is not state.amps and out.amps.tobytes() == state.amps.tobytes()
+    nan_row = apply_block(state, np.array([[1.0, 1.0], [np.nan, 1.0]], dtype=complex))
+    assert nan_row.positions is state.positions and np.isnan(nan_row.amps[1, 0])
+    empty = apply_block(WalkState.zero(group), np.ones((0, 2), dtype=complex))
+    assert empty.n_positions == 0 and empty.amps.shape == (0, 2)
+
+
+def test_norm_is_numpys_norm_bit_for_bit(rng):
+    group = LineGroup()
+    amps = rng.normal(size=(301, 2)) + 1j * rng.normal(size=(301, 2))
+    keys = np.arange(301, dtype=np.int64)
+    for a in (amps, np.asfortranarray(amps), amps[::3], amps[:0], amps * 1e-160,
+              np.where(amps.real > 2, np.nan, amps)):
+        want = float(np.linalg.norm(a))
+        got = WalkState(group, keys[:len(a)], a).norm()
+        assert type(got) is float
+        assert got == want or np.isnan(got) and np.isnan(want)
 
 
 @pytest.mark.parametrize("group", [LineGroup(), LatticeGroup(2)], ids=["line", "z2"])
