@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from operator import add, mul
 
@@ -293,17 +294,15 @@ class CayleyGroup:
 
     # -- misc -----------------------------------------------------------------
 
-    def random_elements(self, rng: np.random.Generator, count: int, span: int = 16):
+    def random_elements(self, rng: random.Random, count: int, span: int = 16):
         """count elements drawn uniformly: each finite coordinate from [0, m),
         each infinite one from [-span, span]."""
-        lo = [0 if m else -span for m in self.moduli]
-        hi = [m or span + 1 for m in self.moduli]
-        if len(set(lo)) == len(set(hi)) == 1:
-            # one range on every axis, as on every kind: numpy's scalar-bound
-            # sampler draws the same numbers without its per-entry path
-            lo, hi = lo[0], hi[0]
-        rows = rng.integers(lo, hi, size=(count, len(self.moduli)))
-        return list(map(tuple, rows.tolist())) if self.tuple_elements else rows[:, 0].tolist()
+        ranges = [range(m) if m else range(-span, span + 1) for m in self.moduli]
+        if len(set(ranges)) > 1:
+            return list(zip(*(rng.choices(r, k=count) for r in ranges)))
+        # one range on every axis, as on every kind: one draw for the batch
+        flat = rng.choices(ranges[0], k=count * len(ranges))
+        return list(zip(*[iter(flat)] * len(ranges))) if self.tuple_elements else flat
 
     def sort_key(self, x):
         return self.encode(x)

@@ -302,7 +302,7 @@ def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkS
     kept and shows in every norm."""
     small = np.abs(amps) < PRUNE_TOL
     amps = np.where(small, 0.0, amps)
-    if small.any():
+    if np.count_nonzero(small):
         # a boolean matmul is any() along each row (see nonzero_rows)
         keep = ~small @ np.ones(small.shape[1], dtype=bool)
         if not keep.all():

@@ -18,6 +18,7 @@ factor is checked where it is made, so a product is not checked again.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ class UnitaryCharacter:
 
     def _check_multiplicative(self) -> None:
         """Compare chi(ab) with chi(a) chi(b) on all pairs of a finite group
-        of order <= 128, otherwise on 1000 seeded random pairs."""
+        of order <= 128, otherwise on 1000 random pairs, the same on every
+        call: drawn from random.Random(20240917)."""
         group = self.group
         if group.is_finite and group.order <= 128:
             pool = group.pack(list(group.elements()))
@@ -91,7 +93,7 @@ class UnitaryCharacter:
                 pool = pool[group.coset_indices(pool) == 0]
             a, b = np.repeat(pool, len(pool)), np.tile(pool, len(pool))
         else:
-            rng = np.random.default_rng(20240917)
+            rng = random.Random(20240917)
             a, b = (group.pack(group.random_elements(rng, 1000)) for _ in range(2))
             if self.domain == "causal_subgroup":
                 a, b = group.decompose_keys(a)[0], group.decompose_keys(b)[0]

@@ -8,6 +8,7 @@ shared matrix and are probed at construction.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterator
 
 import numpy as np
@@ -117,11 +118,12 @@ def homogeneity_spreads(coin: QuantumCoin, n_probe=PROBE_STEPS,
     """(time spread, space spread): the worst deviation of the coin rule's
     matrices across probe steps and positions, whatever the coin's flags. The
     default positions (identity, every generator, c0 * c0 and four seeded
-    random elements) catch a coin varying along any one generator."""
+    random elements, drawn from random.Random(0) on every call) catch a coin
+    varying along any one generator."""
     g = coin.group
     if positions_probe is None:
         positions_probe = ([g.identity, *g.generators, g.mul(g.c0, g.c0)]
-                           + g.random_elements(np.random.default_rng(0), 4))
+                           + g.random_elements(random.Random(0), 4))
     keys = g.keys(positions_probe)
     shape = (len(keys), g.coin_dim, g.coin_dim)
     mats = np.stack([np.broadcast_to(coin._evaluate(int(n), keys), shape) for n in n_probe])

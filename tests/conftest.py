@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,15 @@ def child_pythonpath():
         yield
 
 
+def sampler(rng: np.random.Generator) -> random.Random:
+    """The stdlib sampler that random_elements takes, seeded from the next
+    draw of a numpy Generator, so one test seed fixes both."""
+    return random.Random(int(rng.integers(1 << 32)))
+
+
 def random_state(group, rng, count: int = 4) -> WalkState:
     """Normalized random state supported on a few sampled positions."""
-    xs = group.random_elements(rng, count)
+    xs = group.random_elements(sampler(rng), count)
     terms = []
     for x in xs:
         for c in range(group.coin_dim):

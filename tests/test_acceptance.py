@@ -29,6 +29,8 @@ from cayleywalk.symmetry import trivial_character
 from cayleywalk.verify import (assemble_permutation_matrix, assemble_step_matrix,
                                homogeneity_spreads)
 
+from conftest import sampler
+
 
 def _line(number: int, label: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -105,7 +107,7 @@ def _draw_symmetry(family: str, group, rng):
 
 
 def _random_start(group, rng) -> WalkState:
-    xs = group.random_elements(rng, 3)
+    xs = group.random_elements(sampler(rng), 3)
     terms = [(x, c, rng.normal() + 1j * rng.normal())
              for x in xs for c in range(group.coin_dim)]
     return WalkState.from_terms(group, terms).normalized()

@@ -20,7 +20,7 @@ from cayleywalk.automorphisms import compose, invert
 from cayleywalk.linalg import random_unitary
 from cayleywalk.verify import assemble_permutation_matrix, assemble_step_matrix
 
-from conftest import all_groups, oracle_add, oracle_law, random_state
+from conftest import all_groups, oracle_add, oracle_law, random_state, sampler
 
 
 def test_line_reflection():
@@ -80,7 +80,7 @@ def test_compose_and_invert_group_laws(rng):
     pool = [make_shifted_automorphism(group, s, a.perm)
             for s in shifts for a in auts]
     e = identity_automorphism(group)
-    xs = group.random_elements(rng, 6)
+    xs = group.random_elements(sampler(rng), 6)
     for a in pool:
         ai = invert(a)
         for x in xs:
@@ -140,9 +140,9 @@ def test_apply_rows_matches_elementwise(rng):
                  if oracle_phi(group, p) is not None]
         auts = enumerate_automorphisms(group)
         assert [a.perm for a in auts] == perms
-        xs = group.random_elements(rng, 8)
+        xs = group.random_elements(sampler(rng), 8)
         keys = group.keys(xs)
-        for shift in (group.identity, group.random_elements(rng, 1)[0]):
+        for shift in (group.identity, group.random_elements(sampler(rng), 1)[0]):
             vec = shift if isinstance(shift, tuple) else (shift,)
             for a in auts:
                 b = make_shifted_automorphism(group, shift, a.perm)

@@ -468,3 +468,58 @@ def test_verify_symmetry_matches_the_two_pass_dict_residuals(family, corrupt, tm
     assert out.read_text() == "".join(r.to_json() + "\n" for r in reports)
     assert code == (0 if all(r.passed for r in reports) else 1)
     assert [r.passed for r in reports] == [not corrupt, True]
+
+
+# -- what a CLI run imports ---------------------------------------------------------
+
+# numpy.random loads secrets -> hashlib -> OpenSSL's libcrypto, about 6 MB of
+# peak memory per process; the CLI samples with the stdlib random instead.
+HEAVY_MODULES = ("numpy.random", "hashlib", "secrets")
+# `python -m cayleywalk ARGS` that writes, on exit, which of HEAVY_MODULES are
+# in sys.modules to the file named by its first argument.
+LOADED_MAIN = """
+import runpy, sys
+out_file = sys.argv.pop(1)
+try:
+    runpy.run_module("cayleywalk", run_name="__main__", alter_sys=True)
+finally:
+    with open(out_file, "w") as dst:
+        dst.write(" ".join(m for m in %r if m in sys.modules))
+""" % (HEAVY_MODULES,)
+
+
+@pytest.mark.parametrize("args", [
+    *(["verify", "--group", "line", "--coin", PHASED_COIN, "--start", "0:(0.6,0.8i)",
+       "--steps", "6", "--symmetry", json.dumps(spec)] for spec in FAMILY_SPECS.values()),
+    ["verify", "--group", "hypercube:3", "--suite", "--seed", "1"],
+    ["simulate", *LINE_WALK, "--steps", "6"],
+    ["simulate", "--group", "lattice:2", "--coin", "grover", "--start", "(0,0):(1,0,0,0)",
+     "--steps", "4", "--format", "json"],
+], ids=[*FAMILY_SPECS, "suite", "simulate_csv", "simulate_json"])
+def test_cli_run_loads_no_numpy_random_or_hashlib(tmp_path, args):
+    loaded = tmp_path / "loaded"
+    result = subprocess.run([sys.executable, "-c", LOADED_MAIN, str(loaded), *args,
+                             "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert loaded.read_text() == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "1"])
+def test_verify_suite_takes_a_negative_seed(seed):
+    result = run_cli("verify", "--group", "hypercube:3", "--suite", "--seed", seed)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert reports and all(r["passed"] for r in reports)
+
+
+def test_verify_suite_output_is_the_same_in_every_process():
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        result = subprocess.run(CLI + ["verify", "--group", "lattice:2", "--suite", "--seed", "3"],
+                                capture_output=True, timeout=120,
+                                env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,12 @@ from cayleywalk import (CayleyGroup, CyclicGroup, EncodingError, HypercubeGroup,
                         LineGroup, SpecError, WalkState, apply_shift, brute_force_causal,
                         make_group, parse_group_spec)
 
-from conftest import GROUP_IDS, all_groups, oracle_add, oracle_law
+from conftest import GROUP_IDS, all_groups, oracle_add, oracle_law, sampler
 
 
 @pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_group_axioms_sampled(group, rng):
-    xs = group.random_elements(rng, 12)
+    xs = group.random_elements(sampler(rng), 12)
     e = group.identity
     for x in xs:
         assert group.mul(x, e) == x
@@ -27,17 +29,40 @@ def test_group_axioms_sampled(group, rng):
 
 @pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_encode_decode_roundtrip(group, rng):
-    xs = group.random_elements(rng, 12)
+    xs = group.random_elements(sampler(rng), 12)
     keys = group.keys(xs)
     assert keys.dtype == np.int64 and keys.shape == (12,)
     assert group.elements_of(keys) == xs
     assert np.array_equal(group.pack(group.unpack(keys)), keys)
 
 
+def sampled_groups():
+    """(group, its moduli, its element type): the test groups, and two built
+    directly whose axes have different ranges."""
+    cases = [(g, oracle_law(g)[0], tuple if g.describe()["kind"] in ("lattice", "hypercube")
+              else int) for g in all_groups()]
+    return cases + [(CayleyGroup((0, 3), [(1, 0), (0, 1)]), (0, 3), tuple),
+                    (CayleyGroup((2, 3), [(1, 0), (0, 1)]), (2, 3), tuple)]
+
+
+@pytest.mark.parametrize("group, moduli, kind", sampled_groups(),
+                         ids=GROUP_IDS + ["z_x_z3", "z2_x_z3"])
+def test_random_elements_repeat_per_seed_and_stay_in_range(group, moduli, kind):
+    xs = group.random_elements(random.Random(5), 200, span=3)
+    assert xs == group.random_elements(random.Random(5), 200, span=3)
+    assert xs != group.random_elements(random.Random(6), 200, span=3)
+    assert all(type(x) is kind for x in xs)
+    rows = [x if kind is tuple else (x,) for x in xs]
+    assert all(type(v) is int for row in rows for v in row)
+    for axis, m in enumerate(moduli):
+        # 200 draws reach both ends of every range
+        assert {row[axis] for row in rows} == set(range(m) if m else range(-3, 4))
+
+
 @pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_shift_rows_matches_mul(group, rng):
     moduli, gens = oracle_law(group)
-    xs = group.random_elements(rng, 8)
+    xs = group.random_elements(sampler(rng), 8)
     keys = group.keys(xs)
     for idx, s in enumerate(gens):
         shifted = group.shift_rows(keys, idx)
@@ -57,7 +82,7 @@ def key_order_groups():
 
 @pytest.mark.parametrize("group", key_order_groups(), ids=lambda g: str(g.describe()))
 def test_key_order_is_sort_key_order(group, rng):
-    xs = group.random_elements(rng, 40)
+    xs = group.random_elements(sampler(rng), 40)
     keys = group.keys(xs)
     by_key = [x for _, x in sorted(zip(keys.tolist(), xs))]
     assert by_key == sorted(xs, key=group.sort_key)
@@ -119,7 +144,7 @@ def test_key_size_limits_rejected_at_construction():
 
 @pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
 def test_decompose_roundtrip(group, rng):
-    for x in group.random_elements(rng, 12):
+    for x in group.random_elements(sampler(rng), 12):
         xt, k = group.decompose(x)
         assert group.coset_index(xt) == 0
         assert group.mul(xt, group.pow_c0(k)) == x
@@ -130,7 +155,7 @@ def test_decompose_roundtrip(group, rng):
     LatticeGroup(2, period=5), LatticeGroup(3, c0_index=3), HypercubeGroup(3, c0_index=1)],
     ids=repr)
 def test_batched_decompose_matches_scalar(group, rng):
-    xs = group.random_elements(rng, 12)
+    xs = group.random_elements(sampler(rng), 12)
     keys = group.keys(xs)
     xt_keys, ks = group.decompose_keys(keys)
     assert list(zip(group.elements_of(xt_keys), ks.tolist())) == [group.decompose(x) for x in xs]
@@ -238,7 +263,7 @@ def test_self_check_rejects_wrong_causal_data():
 
 def test_coset_index_is_homomorphism(rng):
     group = LatticeGroup(2, period=6)
-    for x, y in zip(group.random_elements(rng, 10), group.random_elements(rng, 10)):
+    for x, y in zip(group.random_elements(sampler(rng), 10), group.random_elements(sampler(rng), 10)):
         lhs = group.coset_index(group.mul(x, y))
         assert lhs == (group.coset_index(x) + group.coset_index(y)) % group.chi
 

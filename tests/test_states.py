@@ -12,7 +12,7 @@ from cayleywalk.errors import NonUnitaryError
 from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, RowMemo, apply_block, elementwise,
                                lookup_rows, merge_keys, nonzero_rows, require_block, shift_plan)
 
-from conftest import random_state
+from conftest import random_state, sampler
 
 
 def test_from_terms_accumulates_duplicates():
@@ -141,7 +141,7 @@ def _dense(state, elements):
                                    LatticeGroup(2), LatticeGroup(2, period=5)],
                          ids=lambda g: str(g.describe()))
 def test_inner_and_amplitude_match_dense_reference(group, rng):
-    pool = list(dict.fromkeys(group.random_elements(rng, 30)))[:10]
+    pool = list(dict.fromkeys(group.random_elements(sampler(rng), 30)))[:10]
     a = WalkState.from_terms(group, [(x, c, rng.normal() + 1j * rng.normal())
                                      for x in pool[:6] for c in range(group.coin_dim)])
     b = WalkState.from_terms(group, [(x, c, rng.normal() + 1j * rng.normal())
@@ -295,7 +295,7 @@ def test_norm_is_numpys_norm_bit_for_bit(rng):
 
 @pytest.mark.parametrize("group", [LineGroup(), LatticeGroup(2)], ids=["line", "z2"])
 def test_table_lookup_hits_misses_and_default(group, rng):
-    xs = group.random_elements(rng, 12)
+    xs = group.random_elements(sampler(rng), 12)
     dim = group.coin_dim
     # the first six positions are tabulated, some coin indices left out
     table = {(x, c): np.exp(1j * (i + 0.1 * c)) for i, x in enumerate(xs[:6])
@@ -488,7 +488,7 @@ def _counted_shifts(group, monkeypatch) -> list:
                          ids=repr)
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_shift_plan_is_a_read_only_merge_of_the_shifted_keys(group, adjoint, rng):
-    keys = np.unique(group.keys(group.random_elements(rng, 8)))
+    keys = np.unique(group.keys(group.random_elements(sampler(rng), 8)))
     merged, inverse = shift_plan(group, keys, adjoint)
     want_merged, want_inverse = _fresh_plan(group, keys, adjoint)
     assert np.array_equal(merged, want_merged) and np.array_equal(inverse, want_inverse)

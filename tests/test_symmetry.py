@@ -19,7 +19,7 @@ from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup, La
 from cayleywalk.linalg import random_phases, random_unitary
 from cayleywalk.verify import homogeneity_spreads
 
-from conftest import random_state
+from conftest import random_state, sampler
 from test_acceptance import FAMILIES, _draw_symmetry
 
 
@@ -218,7 +218,7 @@ def test_time_homog_relation_random(group, rng):
     eps = np.exp(2j * np.pi * rng.random())
     eta = list(random_phases(group.chi, rng))
     table = {}
-    for x in group.random_elements(rng, 6):
+    for x in group.random_elements(sampler(rng), 6):
         for c in range(group.coin_dim):
             table[(x, c)] = np.exp(2j * np.pi * rng.random())
     t = make_time_homog_symmetry(group, epsilon=eps, eta=eta, delta=table)

@@ -18,7 +18,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, Lo
                         make_time_homog_symmetry, parse_symmetry_spec, run_invariant_suite,
                         transform_coin)
 from cayleywalk.linalg import hadamard_matrix
-from cayleywalk.verify import (_report, assemble_local_matrix, assemble_step_matrix,
+from cayleywalk.verify import (_report, _stream, assemble_local_matrix, assemble_step_matrix,
                                homogeneity_spreads)
 from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
@@ -176,6 +176,14 @@ def test_invariant_suite_passes(group):
     assert reports
     for report in reports:
         assert report.passed, report
+
+
+def test_invariant_suite_takes_any_integer_seed():
+    for seed in (-1, 1, -(2 ** 70)):
+        reports = run_invariant_suite(LineGroup(), seed=seed)
+        assert reports and all(r.passed for r in reports)
+    # seeded from text: -1 does not replay 1, as an int seed's absolute value would
+    assert _stream(-1, 1).random() != _stream(1, 1).random()
 
 
 def test_invariant_suite_reports_parse_as_json():
