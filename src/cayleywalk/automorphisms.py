@@ -151,13 +151,14 @@ def _permute_coins(block: np.ndarray, p) -> np.ndarray:
 
 
 def conjugate_local(a: ShiftedAutomorphism, op: LocalUnitary) -> LocalUnitary:
-    """Conjugated local operator: step-n component at y is Pc^dag U(n, a(y)) Pc."""
+    """Conjugated local operator: step-n component at y is Pc^dag U(n, a(y)) Pc.
+    It has op's type and homogeneity flags, which conjugation preserves."""
     if op.group != a.group:
         raise SpecError("automorphism and operator live on different groups")
     perm = list(a.perm)
-    return LocalUnitary.batched(
+    return type(op).batched(
         a.group, lambda n, keys: _permute_coins(op.block(n, a.apply_keys(keys)), perm),
-        validate=False)
+        False, op.time_homogeneous, op.space_homogeneous)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +193,8 @@ def generalized_transform(gs: GeneralizedSymmetry, coin: QuantumCoin,
     new_state = permutation_apply(gs.perm, inner_state)
     if gs.perm.is_identity:
         return inner_coin, new_state
-    # Pc M Pc^dag reads entry [i, j] from [perm^-1(i), perm^-1(j)]
-    inverse = np.argsort(gs.perm.perm)
-    ainv = invert(gs.perm)
-
-    def blocks(n, keys):
-        return _permute_coins(inner_coin.block(n, ainv.apply_keys(keys)), inverse)
-
-    new_coin = QuantumCoin(gs.group, blocks,
-                           time_homogeneous=inner_coin.time_homogeneous,
-                           space_homogeneous=inner_coin.space_homogeneous,
-                           validate=False)
-    return new_coin, new_state
+    # Pc M Pc^dag is the conjugation by the inverse permutation operator
+    return conjugate_local(invert(gs.perm), inner_coin), new_state
 
 
 def transform_pair(transform, coin: QuantumCoin, psi0: WalkState):

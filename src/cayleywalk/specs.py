@@ -239,7 +239,7 @@ def parse_state_spec(group: CayleyGroup, value, normalize: bool = True) -> WalkS
             value = value.get("records", value.get("terms"))
             if value is None:
                 raise SpecError("state spec object needs a 'records' list")
-        state = WalkState.from_records(group, value)
+        state = load_state(group, value)
     if normalize:
         state = state.normalized()
     return state
@@ -265,6 +265,20 @@ def _parse_state_text(group: CayleyGroup, text: str) -> WalkState:
     if len(comps) != group.coin_dim:
         raise SpecError(f"coin vector needs {group.coin_dim} components")
     return WalkState.localized(group, x, comps)
+
+
+def load_state(group: CayleyGroup, records) -> WalkState:
+    """State of {"x", "c", "re", "im"} records (dump_state's format); the
+    amplitudes of repeated (x, c) pairs add up."""
+    terms = {}
+    for rec in records:
+        x = rec["x"]
+        if isinstance(x, list):
+            x = tuple(x)
+        key = (group.validate(x), int(rec["c"]))
+        terms[key] = terms.get(key, 0j) + complex(float(rec.get("re", 0.0)),
+                                                  float(rec.get("im", 0.0)))
+    return WalkState.from_terms(group, terms)
 
 
 def dump_state(state: WalkState) -> list:

@@ -16,6 +16,7 @@ rules are adapted to a batch by `elementwise` and nowhere else.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from .linalg import as_complex_matrix, require_unit, require_unitary
 
 # Amplitudes below this magnitude are dropped after inexact operations.
 PRUNE_TOL = 1e-15
+# Steps at which declared homogeneity is probed.
+PROBE_STEPS = (0, 1, 2, 3, 5)
 # Shift plans each group keeps (see shift_plan).
 PLAN_MEMO = 2
 # merge_keys marks slots rather than sorting when the keys span fewer than
@@ -202,9 +205,6 @@ class WalkState:
                     out[(x, c)] = complex(amp)
         return out
 
-    def items(self):
-        return iter(self.terms().items())
-
     @property
     def n_positions(self) -> int:
         return self.positions.shape[0]
@@ -267,29 +267,6 @@ class WalkState:
             warnings.warn(f"state norm^2 = {total:.6f}; distribution computed anyway",
                           stacklevel=2)
         return dict(zip(self.group.elements_of(keys), probs.tolist()))
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        recs = []
-        for x, row in zip(self.elements(), self.amps):
-            for c, amp in enumerate(row):
-                if amp != 0:
-                    recs.append({"x": list(x) if isinstance(x, tuple) else x, "c": c,
-                                 "re": float(amp.real), "im": float(amp.imag)})
-        return recs
-
-    @classmethod
-    def from_records(cls, group: CayleyGroup, records) -> "WalkState":
-        terms = {}
-        for rec in records:
-            x = rec["x"]
-            if isinstance(x, list):
-                x = tuple(x)
-            key = (group.validate(x), int(rec["c"]))
-            terms[key] = terms.get(key, 0j) + complex(float(rec.get("re", 0.0)),
-                                                      float(rec.get("im", 0.0)))
-        return cls.from_terms(group, terms)
 
     def __repr__(self):
         return (f"WalkState({self.group.kind}, positions={self.n_positions}, "
@@ -390,76 +367,68 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
     return lookup
 
 
-class RowMemo:
-    """A step-free rule rows(keys) -> (N, dim) rows, evaluated once per key.
-
-    Each batch evaluates the rule only on its keys not seen before, once
-    each and in key order, and looks the rest up with find_keys. Rows are
-    kept for as long as the memo lives, so the rule must be a pure function
-    of the key. A batch on which the rule raises stores nothing."""
-
-    __slots__ = ("_rows", "_table")
-
-    def __init__(self, rows, dim: int):
-        self._rows = rows
-        # (sorted keys, their rows), replaced as one object so that a reader
-        # never pairs the keys of one version with the rows of another
-        self._table = (np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        known, values = self._table
-        at, found = find_keys(known, keys)
-        if not found.all():
-            new, _ = merge_keys(np.compress(~found, keys))
-            rows = self._rows(new)
-            known, inverse = merge_keys(np.concatenate([known, new]))
-            merged = np.empty((known.shape[0], values.shape[1]), dtype=complex)
-            merged[inverse] = np.concatenate([values, rows])
-            values = merged
-            self._table = (known, values)
-            at = find_keys(known, keys)[0]
-        return values[at]
-
-
 class LocalUnitary:
     """Position-controlled unitary that may depend on the step:
     `blocks(n, keys)` gives its step-n block over a batch of position keys
     (see apply_block), checked once per batch when `validate` is set.
     Step-free operators ignore n. A symmetry's dressing is one such
     operator: an arbitrary local unitary U0 at step 0, diagonal phases
-    u(n, x, c) after.
+    u(n, x, c) after. A coin is another (walk.QuantumCoin).
+
+    A time-homogeneous operator is evaluated at step 0 and a
+    space-homogeneous one at the identity, whatever step and keys are asked
+    for. Flags declared with `validate` set are probed when the operator is
+    built (see homogeneity_spreads).
 
     Rules must be pure functions of (n, keys): `block` keeps its last
     MEMO_SIZE blocks and hands them out again, read-only, for an equal n and
     key array (a relation check asks for each dressing block three times)."""
 
-    __slots__ = ("group", "_blocks", "validate", "_memo")
+    __slots__ = ("group", "_blocks", "validate", "time_homogeneous", "space_homogeneous",
+                 "_identity", "_memo")
 
     MEMO_SIZE = 2
+    # what errors call the operator; a diagonal block is called a phase
+    LABEL = "local unitary"
 
     def __init__(self, group: CayleyGroup, rule):
         """Diagonal operator of a scalar phase rule(n, x, c) -> complex unit."""
         dim = group.coin_dim
+        self._setup(group, lambda n, keys: elementwise(
+            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,)))
+
+    def _setup(self, group: CayleyGroup, blocks, validate: bool = True,
+               time_homogeneous: bool = False, space_homogeneous: bool = False) -> None:
         self.group = group
-        self._blocks = lambda n, keys: elementwise(
-            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,))
-        self.validate = True
+        self._blocks = blocks
+        self.validate = validate
+        self.time_homogeneous = bool(time_homogeneous)
+        self.space_homogeneous = bool(space_homogeneous)
+        if self.space_homogeneous:
+            # read-only and owning its data, so that the memo keeps this very
+            # array and finds it again by identity (see memo_keys)
+            self._identity = group.keys([group.identity]).copy()
+            self._identity.flags.writeable = False
         self._memo: list = []  # (n, keys, block), oldest first
+        if validate and (self.time_homogeneous or self.space_homogeneous):
+            self._probe_flags()
 
     @classmethod
-    def batched(cls, group: CayleyGroup, blocks, validate: bool = True) -> "LocalUnitary":
+    def batched(cls, group: CayleyGroup, blocks, validate: bool = True,
+                time_homogeneous: bool = False, space_homogeneous: bool = False):
         """Operator of blocks(n, keys) -> block array."""
-        op = cls(group, None)
-        op._blocks = blocks
-        op.validate = validate
+        op = cls.__new__(cls)
+        op._setup(group, blocks, validate, time_homogeneous, space_homogeneous)
         return op
 
     @classmethod
-    def uniform(cls, group: CayleyGroup, matrix, validate: bool = True) -> "LocalUnitary":
+    def uniform(cls, group: CayleyGroup, matrix, validate: bool = True):
+        """One matrix at every step and position."""
         m = as_complex_matrix(matrix, group.coin_dim)
         if validate:
-            require_unitary(m, what="local unitary component")
-        return cls.batched(group, lambda n, keys: m[None], validate=False)
+            require_unitary(m, what=f"{cls.LABEL} matrix")
+        return cls.batched(group, lambda n, keys: m[None], validate=False,
+                           time_homogeneous=True, space_homogeneous=True)
 
     @classmethod
     def identity(cls, group: CayleyGroup) -> "LocalUnitary":
@@ -468,18 +437,13 @@ class LocalUnitary:
                                                           dtype=complex), validate=False)
 
     @classmethod
-    def from_rule(cls, group: CayleyGroup, rule, validate: bool = True) -> "LocalUnitary":
-        """rule(x) returns the coin-space matrix at element x."""
+    def from_rule(cls, group: CayleyGroup, rule, time_homogeneous: bool = False,
+                  space_homogeneous: bool = False, validate: bool = True):
+        """rule(n, x) returns the coin-space matrix at step n, element x."""
         dim = group.coin_dim
         return cls.batched(group, lambda n, keys: elementwise(
-            lambda x: as_complex_matrix(rule(x), dim), group.elements_of(keys), (dim, dim)),
-            validate)
-
-    @classmethod
-    def diagonal(cls, group: CayleyGroup, diag_rule, validate: bool = True) -> "LocalUnitary":
-        """diag_rule(x) returns the length-dim vector of diagonal phases."""
-        return cls.batched(group, lambda n, keys: elementwise(
-            diag_rule, group.elements_of(keys), (group.coin_dim,)), validate)
+            lambda x: as_complex_matrix(rule(n, x), dim), group.elements_of(keys), (dim, dim)),
+            validate, time_homogeneous, space_homogeneous)
 
     @classmethod
     def from_table(cls, group: CayleyGroup, table: dict,
@@ -499,17 +463,17 @@ class LocalUnitary:
                            validate=False)
 
     def block(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The step-n block over `keys`, read-only."""
-        n = int(n)
+        """The step-n block over `keys`, read-only (see the flags above)."""
+        n = 0 if self.time_homogeneous else int(n)
+        if self.space_homogeneous:
+            keys = self._identity
         for m, known, block in self._memo:
-            if m == n and (known is keys or np.array_equal(known, keys)):
+            if m == n and (known is keys or known.shape == keys.shape
+                           and np.array_equal(known, keys)):
                 return block
-        block = self._blocks(n, keys)
-        if self.validate:
-            block = self.check(n, keys, block)
         # a read-only view, so that neither the memo nor the rule's own array
         # can be written through it
-        block = block.view()
+        block = self._evaluate(n, keys).view()
         block.flags.writeable = False
         # evict in insertion order: a stale entry from an earlier check of
         # the same operator must not outlive the current ones
@@ -517,10 +481,23 @@ class LocalUnitary:
         del self._memo[:-self.MEMO_SIZE]
         return block
 
+    def _evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The rule's step-n block over `keys`, whatever the flags."""
+        block = self._blocks(n, keys)
+        return self.check(n, keys, block) if self.validate else block
+
+    def _probe_flags(self) -> None:
+        """Check that the declared homogeneity matches the rule."""
+        time_spread, space_spread = homogeneity_spreads(self)
+        if self.time_homogeneous and not time_spread <= 1e-12:
+            raise SpecError(f"{self.LABEL} declared time-homogeneous but varies with the step")
+        if self.space_homogeneous and not space_spread <= 1e-12:
+            raise SpecError(f"{self.LABEL} declared space-homogeneous but varies with position")
+
     def check(self, n: int, keys: np.ndarray, block) -> np.ndarray:
         """`block` as the step-n block over `keys`, checked once (see
         require_block)."""
-        kind = "phase" if np.ndim(block) == 2 else "local unitary"
+        kind = "phase" if np.ndim(block) == 2 else self.LABEL
         return require_block(self.group, keys, block, f"step-{n} {kind}")
 
     def component(self, x, n: int = 0) -> np.ndarray:
@@ -537,3 +514,25 @@ class LocalUnitary:
         if state.group != self.group:
             raise SpecError("operator and state live on different groups")
         return apply_block(state, self.block(n, state.positions))
+
+
+def homogeneity_spreads(op: LocalUnitary, n_probe=PROBE_STEPS,
+                        positions_probe=None) -> tuple[float, float]:
+    """(time spread, space spread): the worst deviation of the operator
+    rule's matrices across probe steps and positions, whatever its flags.
+    The default positions (identity, every generator, c0 * c0 and four
+    seeded random elements, drawn from random.Random(0) on every call) catch
+    a rule varying along any one generator."""
+    g = op.group
+    if positions_probe is None:
+        positions_probe = ([g.identity, *g.generators, g.mul(g.c0, g.c0)]
+                           + g.random_elements(random.Random(0), 4))
+    keys = g.keys(positions_probe)
+    shape = (len(keys), g.coin_dim, g.coin_dim)
+    blocks = [op._evaluate(int(n), keys) for n in n_probe]
+    # a diagonal block as the matrices it stands for
+    mats = np.stack([np.broadcast_to(b if b.ndim == 3 else b[..., None] * np.eye(g.coin_dim),
+                                     shape) for b in blocks])
+    # np.max propagates a NaN matrix, which then fails every tolerance
+    return (float(np.max(np.abs(mats - mats[:1]))),
+            float(np.max(np.abs(mats - mats[:, :1]))))

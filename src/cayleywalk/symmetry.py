@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
-from .states import (LocalUnitary, RowMemo, WalkState, elementwise, lookup_rows, merge_keys,
+from .states import (LocalUnitary, WalkState, elementwise, find_keys, lookup_rows, merge_keys,
                      require_block, shift_plan)
 from .walk import QuantumCoin
 
@@ -269,7 +269,7 @@ def _latest_steps(rule):
     pure function of n. A relation check asks for each step's value about
     three times, on neighbouring steps; eight entries also carry the values
     that the transformed coin's flag probe asks for when it is built (steps
-    up to walk.PROBE_STEPS[-1] + 1) into the check's first steps."""
+    up to states.PROBE_STEPS[-1] + 1) into the check's first steps."""
     memo: dict = {}  # oldest first
 
     def at(n):
@@ -354,10 +354,41 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
                              "space_homog", params)
 
 
+class RowMemo:
+    """A step-free rule rows(keys) -> (N, dim) rows, evaluated once per key.
+
+    Each batch evaluates the rule only on its keys not seen before, once
+    each and in key order, and looks the rest up with states.find_keys. Rows
+    are kept for as long as the memo lives, so the rule must be a pure
+    function of the key. A batch on which the rule raises stores nothing."""
+
+    __slots__ = ("_rows", "_table")
+
+    def __init__(self, rows, dim: int):
+        self._rows = rows
+        # (sorted keys, their rows), replaced as one object so that a reader
+        # never pairs the keys of one version with the rows of another
+        self._table = (np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=complex))
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        known, values = self._table
+        at, found = find_keys(known, keys)
+        if not found.all():
+            new, _ = merge_keys(np.compress(~found, keys))
+            rows = self._rows(new)
+            known, inverse = merge_keys(np.concatenate([known, new]))
+            merged = np.empty((known.shape[0], values.shape[1]), dtype=complex)
+            merged[inverse] = np.concatenate([values, rows])
+            values = merged
+            self._table = (known, values)
+            at = find_keys(known, keys)[0]
+        return values[at]
+
+
 def _normalize_delta(group: CayleyGroup, delta):
     """delta as a function of a key batch -> (N, dim) array of checked units.
     A callable's row at a position is evaluated and checked once, the first
-    time it is asked for (see states.RowMemo)."""
+    time it is asked for (see RowMemo)."""
     dim = group.coin_dim
     if delta is None:
         return lambda keys: np.ones((len(keys), dim), dtype=complex)

@@ -226,8 +226,8 @@ def assemble_permutation_matrix(a: ShiftedAutomorphism) -> np.ndarray:
 
 
 def assemble_local_matrix(op, n: int = 0) -> np.ndarray:
-    """Block-diagonal step-n matrix of a local operator or a coin (anything
-    with `block(n, keys)`) on a finite group."""
+    """Block-diagonal step-n matrix of a local operator (a coin included)
+    on a finite group."""
     group = op.group
     dim = group.coin_dim
     keys = group.keys(list(group.elements()))
@@ -270,9 +270,11 @@ def run_invariant_suite(group: CayleyGroup, seed: int = 0,
     auts = enumerate_automorphisms(group)
 
     if finite:
-        t_mat = assemble_step_matrix(group)
+        # products in float64, which numpy hands to BLAS (it has none for
+        # int64): exact, as every entry is 0 or 1 and every sum far below 2**53
+        t_mat = assemble_step_matrix(group).astype(float)
         gram = t_mat.T @ t_mat
-        residual = float(np.abs(gram - np.eye(gram.shape[0], dtype=np.int64)).max())
+        residual = float(np.abs(gram - np.eye(gram.shape[0])).max())
         reports.append(_report("step_operator_unitarity", [residual], 0.0))
 
     rng = _stream(seed, 1)
@@ -282,7 +284,7 @@ def run_invariant_suite(group: CayleyGroup, seed: int = 0,
         for aut in auts:
             for shift in shifts:
                 shifted = ShiftedAutomorphism(group, shift, aut.perm)
-                p_mat = assemble_permutation_matrix(shifted)
+                p_mat = assemble_permutation_matrix(shifted).astype(float)
                 residuals.append(float(np.abs(t_mat @ p_mat - p_mat @ t_mat).max()))
         reports.append(_report("step_permutation_commutation", residuals, 1e-14))
     else:

@@ -2,13 +2,12 @@
 
 One step applies the current coin (a local operation) and then the
 conditional shift T sending |x, c> to |x s_c, c>. Coins may depend on the
-time step and the position; declared homogeneity flags unlock a cached
-shared matrix and are probed at construction.
+time step and the position. A coin is a states.LocalUnitary, whose declared
+homogeneity flags unlock one shared block and are probed at construction.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 
 import numpy as np
@@ -16,56 +15,28 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import (WalkState, apply_block, elementwise, nonzero_rows, require_block,
-                     shift_plan)
+# PROBE_STEPS and homogeneity_spreads are not used here but stay importable
+# from walk, beside the coin whose flags they probe
+from .states import (PROBE_STEPS, LocalUnitary, WalkState, apply_block, homogeneity_spreads,
+                     nonzero_rows, shift_plan)
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
-# Steps at which homogeneity is probed.
-PROBE_STEPS = (0, 1, 2, 3, 5)
 
 
-class QuantumCoin:
-    """Time- and position-dependent coin. `blocks(n, keys)` gives the coin's
-    block at step n over a batch of position keys: (1, dim, dim) when shared,
-    (N, dim, dim) per position (see states.apply_block)."""
+class QuantumCoin(LocalUnitary):
+    """Time- and position-dependent coin: the local unitary applied before
+    each shift, whose errors call it a coin. `blocks(n, keys)` gives its
+    block at step n over a batch of position keys: (1, dim, dim) when
+    shared, (N, dim, dim) per position (see states.apply_block)."""
 
-    __slots__ = ("group", "_blocks", "time_homogeneous", "space_homogeneous",
-                 "validate", "_cache", "_identity")
+    __slots__ = ()
+
+    LABEL = "coin"
 
     def __init__(self, group: CayleyGroup, blocks, time_homogeneous: bool = False,
                  space_homogeneous: bool = False, validate: bool = True):
-        self.group = group
-        self._blocks = blocks
-        self.time_homogeneous = bool(time_homogeneous)
-        self.space_homogeneous = bool(space_homogeneous)
-        self.validate = validate
-        self._cache: dict = {}
-        self._identity = group.keys([group.identity])
-        if validate and (self.time_homogeneous or self.space_homogeneous):
-            self._probe_flags()
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def uniform(cls, group: CayleyGroup, matrix, validate: bool = True) -> "QuantumCoin":
-        m = as_complex_matrix(matrix, group.coin_dim)
-        if validate:
-            require_unitary(m, what="coin matrix")
-        return cls(group, lambda n, keys: m[None], time_homogeneous=True,
-                   space_homogeneous=True, validate=False)
-
-    @classmethod
-    def from_rule(cls, group: CayleyGroup, rule, time_homogeneous: bool = False,
-                  space_homogeneous: bool = False, validate: bool = True) -> "QuantumCoin":
-        """rule(n, x) returns the coin-space matrix at step n, element x."""
-        dim = group.coin_dim
-
-        def blocks(n, keys):
-            return elementwise(lambda x: as_complex_matrix(rule(n, x), dim),
-                               group.elements_of(keys), (dim, dim))
-
-        return cls(group, blocks, time_homogeneous, space_homogeneous, validate)
+        self._setup(group, blocks, validate, time_homogeneous, space_homogeneous)
 
     @classmethod
     def table(cls, group: CayleyGroup, matrices, validate: bool = True) -> "QuantumCoin":
@@ -78,58 +49,9 @@ class QuantumCoin:
                    time_homogeneous=(period == 1), space_homogeneous=True,
                    validate=False)
 
-    # -- access -----------------------------------------------------------------
-
-    def block(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The coin's block at step n over `keys`; a space-homogeneous coin
-        gives its shared matrix, evaluated once per step at the identity."""
-        n = 0 if self.time_homogeneous else int(n)
-        if not self.space_homogeneous:
-            return self._evaluate(n, keys)
-        m = self._cache.get(n)
-        if m is None:
-            m = self._evaluate(n, self._identity)
-            if len(self._cache) < 4096:
-                self._cache[n] = m
-        return m
-
     def matrix_at(self, n: int, x=None) -> np.ndarray:
         """Coin matrix at step n, position x (identity if omitted)."""
-        return self.block(n, self._identity if x is None else self.group.keys([x]))[0]
-
-    def _evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The rule's block at step n, ignoring the homogeneity flags."""
-        block = self._blocks(n, keys)
-        if self.validate:
-            require_block(self.group, keys, block, f"step-{n} coin")
-        return block
-
-    def _probe_flags(self) -> None:
-        """Check that declared homogeneity matches the rule."""
-        time_spread, space_spread = homogeneity_spreads(self)
-        if self.time_homogeneous and not time_spread <= 1e-12:
-            raise SpecError("coin declared time-homogeneous but varies with the step")
-        if self.space_homogeneous and not space_spread <= 1e-12:
-            raise SpecError("coin declared space-homogeneous but varies with position")
-
-
-def homogeneity_spreads(coin: QuantumCoin, n_probe=PROBE_STEPS,
-                        positions_probe=None) -> tuple[float, float]:
-    """(time spread, space spread): the worst deviation of the coin rule's
-    matrices across probe steps and positions, whatever the coin's flags. The
-    default positions (identity, every generator, c0 * c0 and four seeded
-    random elements, drawn from random.Random(0) on every call) catch a coin
-    varying along any one generator."""
-    g = coin.group
-    if positions_probe is None:
-        positions_probe = ([g.identity, *g.generators, g.mul(g.c0, g.c0)]
-                           + g.random_elements(random.Random(0), 4))
-    keys = g.keys(positions_probe)
-    shape = (len(keys), g.coin_dim, g.coin_dim)
-    mats = np.stack([np.broadcast_to(coin._evaluate(int(n), keys), shape) for n in n_probe])
-    # np.max propagates a NaN matrix, which then fails every tolerance
-    return (float(np.max(np.abs(mats - mats[:1]))),
-            float(np.max(np.abs(mats - mats[:, :1]))))
+        return self.component(self.group.identity if x is None else x, n)
 
 
 def hadamard_coin(group: CayleyGroup) -> QuantumCoin:

@@ -15,9 +15,9 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         generalized_transform, grover_coin, hadamard_coin,
                         identity_automorphism, identity_symmetry, LocalUnitary,
                         make_generalized_symmetry, make_shifted_automorphism,
-                        permutation_apply)
+                        permutation_apply, QuantumCoin)
 from cayleywalk.automorphisms import compose, invert
-from cayleywalk.linalg import random_unitary
+from cayleywalk.linalg import grover_matrix, random_unitary
 from cayleywalk.verify import assemble_permutation_matrix, assemble_step_matrix
 
 from conftest import all_groups, oracle_add, oracle_law, random_state, sampler
@@ -209,16 +209,27 @@ def test_generalized_symmetry_relation(rng):
     assert prob.passed, prob
 
 
-def test_generalized_transform_flags(rng):
+@pytest.mark.parametrize("make, flags", [
+    (grover_coin, (True, True)),
+    (lambda g: QuantumCoin.table(g, [grover_matrix(3), np.eye(3)[[1, 2, 0]]]), (False, True)),
+    (lambda g: QuantumCoin.from_rule(g, lambda n, x: random_unitary(
+        3, np.random.default_rng([n, *x]))), (False, False)),
+], ids=["grover", "table", "per position"])
+def test_generalized_transform_flags(make, flags):
     group = HypercubeGroup(3)
-    coin = grover_coin(group)
+    coin = make(group)
     a = make_shifted_automorphism(group, (0, 0, 0), (2, 0, 1))
     gs = make_generalized_symmetry(a)
     new_coin, new_state = generalized_transform(
         gs, coin, WalkState.localized(group, (0, 0, 0), [1, 0, 0]))
-    assert new_coin.time_homogeneous
-    assert new_coin.space_homogeneous
+    assert isinstance(new_coin, QuantumCoin)
+    assert (new_coin.time_homogeneous, new_coin.space_homogeneous) == flags
     assert new_state.support() == [(0, 0, 0)]
+    # Pc C(n, a^-1(y)) Pc^dag
+    pc = a.coin_permutation_matrix()
+    for n, y in ((0, (0, 0, 0)), (3, (1, 0, 1))):
+        want = pc @ coin.matrix_at(n, invert(a).apply_element(y)) @ pc.conj().T
+        assert np.allclose(new_coin.matrix_at(n, y), want)
 
 
 def test_generalized_with_inner_identity_is_plain_relabeling(rng):

@@ -64,9 +64,9 @@ def test_family_coin_and_dressing_match_dense(group, family, rng):
 def test_local_unitaries_match_dense(group, rng):
     state = _full_state(group, rng)
     dim = group.coin_dim
-    diagonal = LocalUnitary.diagonal(group, lambda x: random_phases(
-        dim, np.random.default_rng(int(group.keys([x])[0]))))
-    rule = LocalUnitary.from_rule(group, lambda x: random_unitary(
+    diagonal = LocalUnitary(group, lambda n, x, c: random_phases(
+        dim, np.random.default_rng(int(group.keys([x])[0])))[c])
+    rule = LocalUnitary.from_rule(group, lambda n, x: random_unitary(
         dim, np.random.default_rng(int(group.keys([x])[0]))))
     for op in (diagonal, rule):
         _assert_close(op.apply(state), assemble_local_matrix(op) @ _dense(state))
@@ -77,7 +77,7 @@ def test_non_unitary_component_names_its_position(group, rng):
     state = _full_state(group, rng)
     bad = group.elements_of(state.positions[5:6])[0]
     eye = np.eye(group.coin_dim)
-    op = LocalUnitary.from_rule(group, lambda x: 2 * eye if x == bad else eye)
+    op = LocalUnitary.from_rule(group, lambda n, x: 2 * eye if x == bad else eye)
     with pytest.raises(NonUnitaryError, match=re.escape(f"at {bad!r} ")):
         op.apply(state)
     coin = QuantumCoin.from_rule(group, lambda n, x: eye * (1.01 if x == bad else 1))

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
-                        WalkState, make_time_homog_symmetry)
+                        WalkState, hadamard_coin, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix, random_unitary
 from cayleywalk.errors import NonUnitaryError
-from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, RowMemo, apply_block, elementwise,
+from cayleywalk.specs import dump_state, load_state
+from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, apply_block, elementwise,
                                lookup_rows, merge_keys, nonzero_rows, require_block, shift_plan)
+from cayleywalk.symmetry import RowMemo
 
 from conftest import random_state, sampler
 
@@ -84,7 +86,7 @@ def test_nan_rows_stay_visible():
 def test_records_roundtrip(rng):
     group = CyclicGroup(8)
     state = random_state(group, rng)
-    again = WalkState.from_records(group, state.to_records())
+    again = load_state(group, dump_state(state))
     assert state.distance(again) == pytest.approx(0.0)
 
 
@@ -99,16 +101,17 @@ def test_uniform_local_unitary_matches_rule(rng):
     mat = random_unitary(2, rng)
     state = random_state(group, rng)
     uniform = LocalUnitary.uniform(group, mat)
-    ruled = LocalUnitary.from_rule(group, lambda x: mat)
+    ruled = LocalUnitary.from_rule(group, lambda n, x: mat)
     assert uniform.apply(state).distance(ruled.apply(state)) < 1e-14
-    assert uniform.block(0, state.positions).shape == (1, 2, 2)
+    for n, keys in ((0, state.positions), (5, state.positions[:1]), (2, group.keys([3, 1]))):
+        assert uniform.block(n, keys).shape == (1, 2, 2)
     assert ruled.block(0, state.positions).shape == (state.n_positions, 2, 2)
 
 
 def test_diagonal_local_unitary(rng):
     group = LineGroup()
     state = random_state(group, rng)
-    diag = LocalUnitary.diagonal(group, lambda x: np.array([1.0, -1.0 + 0j]))
+    diag = LocalUnitary(group, lambda n, x, c: np.array([1.0, -1.0 + 0j])[c])
     out = diag.apply(state)
     for x in state.support():
         assert out.amplitude(x, 0) == pytest.approx(state.amplitude(x, 0))
@@ -118,7 +121,7 @@ def test_diagonal_local_unitary(rng):
 def test_local_unitary_preserves_norm(rng):
     group = HypercubeGroup(3)
     state = random_state(group, rng)
-    op = LocalUnitary.from_rule(group, lambda x: random_unitary(3, np.random.default_rng(sum(x))))
+    op = LocalUnitary.from_rule(group, lambda n, x: random_unitary(3, np.random.default_rng(sum(x))))
     assert op.apply(state).norm() == pytest.approx(state.norm())
 
 
@@ -363,10 +366,12 @@ def test_combine_matches_the_merge_bit_for_bit(rng):
     lambda g: LocalUnitary.uniform(g, hadamard_matrix()),
     lambda g: LocalUnitary(g, lambda n, x, c: np.exp(0.3j * (n + x + c))),
     lambda g: LocalUnitary.from_table(g, {(1, 0, 0): 1j}),
-], ids=["identity", "uniform", "scalar rule", "table"])
+    lambda g: hadamard_coin(g),
+], ids=["identity", "uniform", "scalar rule", "table", "coin"])
 def test_local_unitary_blocks_are_read_only(make):
     group = LineGroup()
     op = make(group)
+    assert isinstance(op, LocalUnitary)
     keys = group.keys([-1, 0, 1])
     for _ in range(2):  # evaluated, then served again
         block = op.block(1, keys)

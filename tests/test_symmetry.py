@@ -47,7 +47,7 @@ def test_nan_phases_are_rejected(rng):
     group = LineGroup()
     with pytest.raises(NonUnitaryError):
         PhaseField(group, lambda n, x, c: float("nan")).at(1, 0, 0)
-    diag = LocalUnitary.diagonal(group, lambda x: [float("nan"), 1.0])
+    diag = LocalUnitary(group, lambda n, x, c: [float("nan"), 1.0][c])
     with pytest.raises(NonUnitaryError):
         diag.apply(random_state(group, rng))
 

@@ -169,8 +169,8 @@ def test_coin_matrix_assembly_is_block_diagonal():
 
 
 @pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(3),
-                                   LatticeGroup(2, period=6)],
-                         ids=["line", "cyclic8", "hypercube3", "torus6"])
+                                   LatticeGroup(2, period=6), LatticeGroup(3, period=5)],
+                         ids=["line", "cyclic8", "hypercube3", "torus6", "torus3_5"])
 def test_invariant_suite_passes(group):
     reports = run_invariant_suite(group, seed=7)
     assert reports

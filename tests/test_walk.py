@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
-                        NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
+                        LocalUnitary, NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
                         WalkInstance, WalkState, apply_coin, apply_shift, evolve,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk.linalg import random_unitary, require_unit
@@ -131,16 +131,40 @@ def test_cyclic_wraparound():
     assert final.support() == [2]
 
 
-def test_coin_probe_rejects_false_flags():
+@pytest.mark.parametrize("cls", [QuantumCoin, LocalUnitary], ids=["coin", "local unitary"])
+def test_coin_probe_rejects_false_flags(cls):
     group = LineGroup()
     with pytest.raises(SpecError):
-        QuantumCoin.from_rule(
+        cls.from_rule(
             group, lambda n, x: np.eye(2) * (1 if n == 0 else 1j),
             time_homogeneous=True, space_homogeneous=True)
     with pytest.raises(SpecError):
-        QuantumCoin.from_rule(
+        cls.from_rule(
             group, lambda n, x: np.diag([1, 1j ** (x % 4)]).astype(complex),
             time_homogeneous=True, space_homogeneous=True)
+    with pytest.raises(SpecError, match="time-homogeneous"):
+        cls.from_rule(group, lambda n, x: np.eye(2) * (1 if n == 0 else 1j),
+                      time_homogeneous=True)
+    # diagonal blocks are probed as the matrices they stand for
+    with pytest.raises(SpecError, match="space-homogeneous"):
+        cls.batched(group, lambda n, keys: np.exp(1j * group.unpack(keys)) * [1, 1],
+                    space_homogeneous=True)
+    cls.batched(group, lambda n, keys: np.full((len(keys), 2), 1j), time_homogeneous=True,
+                space_homogeneous=True)
+
+
+def test_uniform_coin_block_is_found_by_identity(monkeypatch):
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    first = coin.block(0, group.keys([0]))
+
+    def compared(*args, **kwargs):
+        raise AssertionError("the memo compared key arrays")
+
+    monkeypatch.setattr(np, "array_equal", compared)
+    for n, xs in ((0, [0]), (0, [3]), (1, [-1, 1]), (7, [-3, 0, 5]), (2, [])):
+        keys = group.keys(xs) if xs else np.empty(0, dtype=np.int64)
+        assert coin.block(n, keys) is first
 
 
 def test_coin_rejects_non_unitary_matrix():
