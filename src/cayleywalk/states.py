@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from types import MethodType
 
 import numpy as np
 
@@ -171,9 +172,7 @@ class WalkState:
 
     @classmethod
     def basis_state(cls, group: CayleyGroup, x, c: int) -> "WalkState":
-        vec = np.zeros(group.coin_dim, dtype=complex)
-        vec[int(c)] = 1.0
-        return cls.localized(group, x, vec)
+        return cls.localized(group, x, np.eye(group.coin_dim)[int(c)])
 
     @classmethod
     def zero(cls, group: CayleyGroup) -> "WalkState":
@@ -198,12 +197,8 @@ class WalkState:
         return 0j
 
     def terms(self) -> dict:
-        out = {}
-        for x, row in zip(self.elements(), self.amps):
-            for c, amp in enumerate(row):
-                if amp != 0:
-                    out[(x, c)] = complex(amp)
-        return out
+        return {(x, c): complex(amp) for x, row in zip(self.elements(), self.amps)
+                for c, amp in enumerate(row) if amp != 0}
 
     @property
     def n_positions(self) -> int:
@@ -302,15 +297,23 @@ def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     return WalkState(a.group, positions, out)
 
 
-def elementwise(rule, items, shape: tuple = ()) -> np.ndarray:
-    """Adapt a scalar user rule to a batch: rule(item) for each item (group
-    elements, keys or integers), stacked into a complex array of shape
-    (len(items), *shape)."""
-    values = [rule(v) for v in items]
+def elementwise(rule, items, shape: tuple = (), coins: int = 0) -> np.ndarray:
+    """Adapt a scalar user rule to a batch of items (group elements, keys or
+    integers) through one flat list of its values, stacked once: rule(item)
+    for each item, each value of shape `shape`, into a complex array of
+    shape (len(items), *shape); or with `coins` set, rule(item, c) for each
+    item and coin c < coins, item-major, each value a scalar, into one of
+    shape (len(items), coins). A value of another shape raises
+    NonUnitaryError."""
+    values = ([rule(v, c) for v in items for c in range(coins)] if coins
+              else [rule(v) for v in items])
     try:
-        return np.array(values, dtype=complex).reshape((len(items),) + shape)
+        out = np.array(values, dtype=complex)
     except ValueError:
-        raise NonUnitaryError(f"a rule gave values of the wrong shape, not {shape}") from None
+        out = None
+    if out is None or values and out.shape[1:] != shape:
+        raise NonUnitaryError(f"a rule gave values of the wrong shape, not {shape}")
+    return out.reshape((len(items), coins) if coins else (len(items),) + shape)
 
 
 def require_block(group: CayleyGroup, keys: np.ndarray, block, what: str) -> np.ndarray:
@@ -338,11 +341,12 @@ def find_keys(known: np.ndarray, keys: np.ndarray):
     The batch is merged into `known` with merge_keys: a relation check calls
     no np.searchsorted otherwise, and its first call in a process maps about
     64 KB more of numpy's code."""
+    n = known.shape[0]
     merged, inverse = merge_keys(np.concatenate([known, keys]))
-    slot = np.full(merged.shape[0], known.shape[0])
-    slot[inverse[:known.shape[0]]] = np.arange(known.shape[0])
-    at = slot[inverse[known.shape[0]:]]
-    return at, at < known.shape[0]
+    slot = np.full(merged.shape[0], n)
+    slot[inverse[:n]] = np.arange(n)
+    at = slot[inverse[n:]]
+    return at, at < n
 
 
 def lookup_rows(group: CayleyGroup, table: dict, default: complex):
@@ -377,8 +381,11 @@ class LocalUnitary:
 
     A time-homogeneous operator is evaluated at step 0 and a
     space-homogeneous one at the identity, whatever step and keys are asked
-    for. Flags declared with `validate` set are probed when the operator is
-    built (see homogeneity_spreads).
+    for. A flag is an evaluation shortcut, declared where it unlocks one
+    block for the whole walk: a uniform operator declares both, and a
+    transformed coin declares them only when it is uniform (see
+    symmetry.transform_coin). Flags declared with `validate` set are probed
+    when the operator is built (see homogeneity_spreads).
 
     Rules must be pure functions of (n, keys): `block` keeps its last
     MEMO_SIZE blocks and hands them out again, read-only, for an equal n and
@@ -392,10 +399,12 @@ class LocalUnitary:
     LABEL = "local unitary"
 
     def __init__(self, group: CayleyGroup, rule):
-        """Diagonal operator of a scalar phase rule(n, x, c) -> complex unit."""
-        dim = group.coin_dim
+        """Diagonal operator of a scalar phase rule(n, x, c) -> complex unit,
+        called once per position and coin of a batch (see elementwise)."""
+        # bound to n as a method, which passes n first at about the cost of
+        # a plain call (functools.partial copies the arguments on each call)
         self._setup(group, lambda n, keys: elementwise(
-            lambda x: [rule(n, x, c) for c in range(dim)], group.elements_of(keys), (dim,)))
+            MethodType(rule, n), group.elements_of(keys), coins=group.coin_dim))
 
     def _setup(self, group: CayleyGroup, blocks, validate: bool = True,
                time_homogeneous: bool = False, space_homogeneous: bool = False) -> None:
@@ -442,7 +451,7 @@ class LocalUnitary:
         """rule(n, x) returns the coin-space matrix at step n, element x."""
         dim = group.coin_dim
         return cls.batched(group, lambda n, keys: elementwise(
-            lambda x: as_complex_matrix(rule(n, x), dim), group.elements_of(keys), (dim, dim)),
+            MethodType(rule, n), group.elements_of(keys), (dim, dim)),
             validate, time_homogeneous, space_homogeneous)
 
     @classmethod

@@ -184,6 +184,15 @@ def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> 
     return exp_character(group, 2.0 * np.pi * int(j) / group.n, domain)
 
 
+def _unit_powers(z: complex):
+    """n -> z ** n for a unit z and an integer or integer array n, as the
+    unit phase exp(i n arg z). A complex power drifts in magnitude by about
+    1e-16 per factor, and a dressing made of it drifts off unitarity far
+    from step 0 or from the origin."""
+    turn = 1j * math.atan2(z.imag, z.real)
+    return lambda n: np.exp(turn * n)
+
+
 def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     """Normalize an eta window into a function on integers or integer arrays.
 
@@ -193,7 +202,7 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     A list is checked here, once; a callable once per distinct m in each
     batch it is evaluated on.
     """
-    rho0 = require_unit(rho0, what="eta extension factor")
+    twist = _unit_powers(require_unit(rho0, what="eta extension factor"))
     if eta is None:
         # The trivial window still needs the rho0 twist across wraps.
         eta = [1.0 + 0j] * (group.chi or 1)
@@ -201,7 +210,7 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
         def evaluate(m):
             # once per distinct m: a batch holds few values of n - k
             distinct, inverse = merge_keys(np.ravel(m))
-            values = require_unit(elementwise(lambda v: eta(int(v)), distinct), what="eta",
+            values = require_unit(elementwise(eta, distinct.tolist()), what="eta",
                                   where=lambda i: f"m = {distinct[i]}")
             return values[inverse].reshape(np.shape(m))
         return evaluate
@@ -213,7 +222,7 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
                 f"eta window must have length chi = {chi}, got {len(seq)}")
         def extension(m):
             j, m0 = np.divmod(m, chi)
-            return seq[m0] * rho0 ** (-j)
+            return seq[m0] * twist(-j)
         return extension
     return lambda m: seq[np.mod(m, len(seq))]
 
@@ -265,18 +274,16 @@ def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
 
 
 def _latest_steps(rule):
-    """rule(n), kept for the latest eight steps asked for, so rule must be a
+    """rule(n), kept for the latest four steps asked for, so rule must be a
     pure function of n. A relation check asks for each step's value about
-    three times, on neighbouring steps; eight entries also carry the values
-    that the transformed coin's flag probe asks for when it is built (steps
-    up to states.PROBE_STEPS[-1] + 1) into the check's first steps."""
+    three times, on neighbouring steps."""
     memo: dict = {}  # oldest first
 
     def at(n):
         value = memo.get(n)
         if value is None:
             value = memo[n] = rule(n)
-            if len(memo) > 8:
+            if len(memo) > 4:
                 del memo[next(iter(memo))]
         return value
 
@@ -294,16 +301,17 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     """
     dim = group.coin_dim
     ones = np.ones(dim, dtype=complex)
+
+    def step_zero(m):
+        return require_unitary(as_complex_matrix(m, dim), what="U'(0)")
+
     if uprime is None:
         return np.eye(dim, dtype=complex), lambda n: ones
     if callable(uprime):
-        u0m = as_complex_matrix(uprime(0), dim)
-        require_unitary(u0m, what="U'(0)")
-        return u0m, _latest_steps(
+        return step_zero(uprime(0)), _latest_steps(
             lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})"))
     if isinstance(uprime, tuple) and len(uprime) == 2:
-        u0m = as_complex_matrix(uprime[0], dim)
-        require_unitary(u0m, what="U'(0)")
+        u0m = step_zero(uprime[0])
         rest = uprime[1]
         if rest is None:
             return u0m, lambda n: ones
@@ -313,8 +321,7 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
         return u0m, lambda n: vec
     arr = np.asarray(uprime, dtype=complex)
     if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
-        require_unitary(as_complex_matrix(arr, dim), what="U'(0)")
-        return arr.astype(complex), lambda n: ones
+        return step_zero(arr.astype(complex)), lambda n: ones
     vec = _uprime_diagonal(group, arr, "when given as a single vector")
     return np.diag(vec), lambda n: vec
 
@@ -393,9 +400,8 @@ def _normalize_delta(group: CayleyGroup, delta):
     if delta is None:
         return lambda keys: np.ones((len(keys), dim), dtype=complex)
     if callable(delta):
-        return RowMemo(lambda keys: require_block(group, keys, elementwise(
-            lambda x: [delta(x, c) for c in range(dim)], group.elements_of(keys), (dim,)),
-            "delta"), dim)
+        return RowMemo(lambda keys: require_block(
+            group, keys, elementwise(delta, group.elements_of(keys), coins=dim), "delta"), dim)
     return lookup_rows(group, {xc: require_unit(value, what="delta entry")
                                for xc, value in delta.items()}, 1.0)
 
@@ -415,9 +421,10 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
     eps = _check_epsilon(group, epsilon)
     eta_fn = _eta_extension(group, eta)
     delta_fn = _normalize_delta(group, delta)
+    power = _unit_powers(eps)
 
     def phases(n, keys):
-        return (eps ** n * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
+        return (power(n) * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
 
     params = {"epsilon": eps, "eta": eta_fn, "delta": delta_fn}
     return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
@@ -471,10 +478,16 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
     Component at (n, x) is V C(n, x) U(n, x)^dagger, where V holds the
     step-(n+1) phases at the shifted positions x * s_c and U(n, x) is the
-    step-n dressing: U0 at n = 0, diagonal phases after. The shifted
-    positions are the next state's positions unless a row is pruned, so the
-    dressing's memo serves the step-(n+1) phases again as U(n+1) one step
-    later.
+    step-n dressing: U0 at n = 0, diagonal phases after.
+
+    The transformed coin declares homogeneity flags only when it is uniform
+    (the full_homog family of a uniform coin), where they give one block for
+    the whole walk; the flags are probed here, once. Any other transformed
+    coin is evaluated at the walk's own (n, keys), even where the family
+    preserves one homogeneity (verify.check_homogeneity certifies that by
+    probing): the shifted positions are the next state's positions unless a
+    row is pruned, so the dressing's memo serves the step-(n+1) phases again
+    as U(n+1) one step later, and again to dress the original walk.
     """
     group = t.group
     if coin.group != group:
@@ -489,14 +502,11 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
             return m * np.conj(u)[:, None, :]
         return m @ np.swapaxes(u.conj(), -1, -2)
 
-    new_time = coin.time_homogeneous and t.family in ("time_homog", "full_homog")
-    new_space = coin.space_homogeneous and t.family in ("space_homog", "full_homog")
+    uniform = coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"
     # each factor of a block is checked where it is made (the coin's and the
-    # dressing's own checks), so the product is not checked again; only the
-    # flags this transform claims are probed, once
-    new_coin = QuantumCoin(group, blocks, time_homogeneous=new_time,
-                           space_homogeneous=new_space, validate=False)
-    if new_time or new_space:
+    # dressing's own checks), so the product is not checked again
+    new_coin = QuantumCoin(group, blocks, uniform, uniform, validate=False)
+    if uniform:
         new_coin._probe_flags()
     return new_coin
 

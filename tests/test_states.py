@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -465,6 +467,91 @@ def test_row_memo_stores_nothing_from_a_failing_batch():
         memo(group.keys([5, 1]))
     # only unseen keys are evaluated, in key order; 3 twice, as [2, 3, 5] failed
     assert seen == [1, 2, 3, 5, -4, 3, 5]
+
+
+# -- the scalar-rule adapter ---------------------------------------------------------
+
+ADAPTER_GROUPS = pytest.mark.parametrize("group, xs", [
+    (LineGroup(), [3, -2, 0, 7, -5]),
+    (CyclicGroup(8), [0, 5, 2, 7]),
+    (LatticeGroup(2), [(1, -2), (0, 0), (-5, 3), (2, 2)]),
+], ids=["line", "cyclic8", "z2"])
+
+
+def _weight(x) -> float:
+    return sum((i + 1) * v for i, v in enumerate(x)) if isinstance(x, tuple) else x
+
+
+@ADAPTER_GROUPS
+def test_scalar_phase_rule_blocks_match_a_per_position_oracle(group, xs):
+    dim, calls = group.coin_dim, []
+
+    def rule(n, x, c):
+        calls.append((x, c))
+        return np.exp(1j * (0.3 * n + 0.7 * _weight(x) + 0.2 * c * _weight(x) + 0.1 * c))
+
+    op = LocalUnitary(group, rule)
+    block = op.block(4, group.keys(xs))
+    # called once per (x, c), x-major and c-minor
+    assert calls == [(x, c) for x in xs for c in range(dim)]
+    oracle = np.array([[rule(4, x, c) for c in range(dim)] for x in xs], dtype=complex)
+    assert np.array_equal(block, oracle)
+
+
+@ADAPTER_GROUPS
+def test_callable_delta_rows_match_a_per_position_oracle(group, xs):
+    dim, calls = group.coin_dim, []
+
+    def delta(x, c):
+        calls.append((x, c))
+        return np.exp(1j * (0.7 * _weight(x) + 0.4 * c))
+
+    keys = group.keys(xs)
+    rows = make_time_homog_symmetry(group, delta=delta).params["delta"](keys)
+    # the memo evaluates a batch's new positions in key order
+    ordered = group.elements_of(np.sort(keys))
+    assert calls == [(x, c) for x in ordered for c in range(dim)]
+    oracle = np.array([[delta(x, c) for c in range(dim)] for x in xs], dtype=complex)
+    assert np.array_equal(rows, oracle)
+
+
+@ADAPTER_GROUPS
+def test_matrix_rule_blocks_match_a_per_position_oracle(group, xs):
+    dim, calls = group.coin_dim, []
+    # a real orthogonal matrix per (n, x), given as nested lists
+    base = np.linalg.qr(np.arange(1.0, dim * dim + 1).reshape(dim, dim) ** 0.5)[0]
+
+    def rule(n, x):
+        calls.append((n, x))
+        return (np.exp(0.1j * (n + _weight(x))) * base).tolist()
+
+    block = LocalUnitary.from_rule(group, rule).block(3, group.keys(xs))
+    assert calls == [(3, x) for x in xs]
+    oracle = np.array([np.asarray(rule(3, x), dtype=complex) for x in xs])
+    assert np.array_equal(block, oracle)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: LocalUnitary(g, lambda n, x, c: [1.0, 1.0]),
+    lambda g: LocalUnitary(g, lambda n, x, c: [1.0] if x == 2 else 1.0),
+    lambda g: LocalUnitary(g, lambda n, x, c: [1.0]),
+    lambda g: LocalUnitary.from_rule(g, lambda n, x: np.eye(3)),
+    lambda g: LocalUnitary.from_rule(g, lambda n, x: np.ones(4)),
+    lambda g: make_time_homog_symmetry(g, delta=lambda x, c: (1.0, 1.0)).phases,
+], ids=["pair", "ragged", "singleton", "3x3", "flat", "delta"])
+def test_a_wrong_shaped_rule_value_is_rejected(make):
+    group = LineGroup()
+    with pytest.raises(NonUnitaryError, match="wrong shape"):
+        make(group).block(1, group.keys([0, 2]))
+
+
+def test_the_adapter_names_the_expected_shape():
+    with pytest.raises(NonUnitaryError, match=re.escape("not (2, 2)")):
+        elementwise(lambda x: np.eye(3), [0, 1], (2, 2))
+    with pytest.raises(NonUnitaryError, match=re.escape("not ()")):
+        elementwise(lambda x, c: [1, 2], [0, 1], coins=2)
+    assert elementwise(lambda x, c: 1j, [], coins=2).shape == (0, 2)
+    assert elementwise(lambda x: np.eye(2), [], (2, 2)).shape == (0, 2, 2)
 
 
 # -- shift plans -------------------------------------------------------------------

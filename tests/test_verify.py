@@ -23,7 +23,7 @@ from cayleywalk.verify import (_report, _stream, assemble_local_matrix, assemble
 from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
 from conftest import random_state
-from test_acceptance import _draw_symmetry
+from test_acceptance import FAMILIES, _draw_symmetry
 
 
 def test_report_json_shape():
@@ -271,10 +271,49 @@ def test_lockstepped_relation_check_merges_each_shifted_support_once(family, mon
     # both walks and the transformed coin's shifted phases share one plan per
     # step: steps 0..39 shift supports of 1..40 positions, merged from twice
     # as many keys
-    want = Counter({2 * (n + 1): 1 for n in range(40)})
-    if family == "time_homog":
-        want[16] += 1  # the coin's flag probe at its 8 positions, when it is built
-    assert merges == want
+    # (a time_homog transformed coin declares no flag, so nothing is probed)
+    assert merges == Counter({2 * (n + 1): 1 for n in range(40)})
+
+
+@pytest.mark.parametrize("group, n_max", [(LineGroup(), 100), (CyclicGroup(8), 30),
+                                          (HypercubeGroup(3), 30)],
+                         ids=["line", "cyclic8", "hypercube3"])
+def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monkeypatch):
+    """A count guard: a warm relation check of every family evaluates its
+    dressing about once per step, and a space_homog check shifts no support
+    that a general check does not. The walk starts at the identity, as the
+    benchmark's checks do; the allowance of 12 covers the flag probe of a
+    uniform transformed coin (10 evaluations) and its one block."""
+    from cayleywalk import states
+    counts, watched = Counter(), []
+    evaluate, merge_keys = LocalUnitary._evaluate, states.merge_keys
+
+    def counted_evaluate(self, n, keys):
+        counts["evaluate"] += bool(watched) and self is watched[0]
+        return evaluate(self, n, keys)
+
+    def counted_merge(keys):
+        counts["merge"] += bool(watched)
+        return merge_keys(keys)
+
+    monkeypatch.setattr(LocalUnitary, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(states, "merge_keys", counted_merge)
+    rng = np.random.default_rng([4242, group.coin_dim])
+    coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
+    psi0 = [0.6, 0.8j] + [0] * (group.coin_dim - 2)
+    start = WalkState.localized(group, group.identity, psi0)
+    merges = {}
+    for family in FAMILIES:
+        t = _draw_symmetry(family, group, rng)
+        check_symmetry_relation(coin, start, t, n_max=n_max)
+        counts.clear()
+        watched.append(t.phases)
+        report = check_symmetry_relation(coin, start, t, n_max=n_max)
+        watched.clear()
+        assert report.passed, (family, report)
+        assert counts["evaluate"] <= n_max + 12, (family, counts)
+        merges[family] = counts["merge"]
+    assert merges["space_homog"] <= merges["general"] + 2, merges
 
 
 def test_corrupted_control_on_a_memoized_dressing_fails_at_its_site():
@@ -308,8 +347,14 @@ def test_transformed_coin_flags_are_probed_when_it_is_built():
     # u(n) = exp(0.1i n^2) makes C'(n) vary with n despite the family label
     phases = LocalUnitary.batched(
         group, lambda n, keys: np.full((len(keys), 2), np.exp(0.1j * n * n)))
+    # a uniform transformed coin declares both flags, which are probed
     with pytest.raises(SpecError, match="time-homogeneous"):
-        transform_coin(SymmetryTransform(group, phases, "time_homog"), hadamard_coin(group))
+        transform_coin(SymmetryTransform(group, phases, "full_homog"), hadamard_coin(group))
+    # a partially homogeneous one declares none, and probing shows the claim false
+    new_coin = transform_coin(SymmetryTransform(group, phases, "time_homog"),
+                              hadamard_coin(group))
+    assert not (new_coin.time_homogeneous or new_coin.space_homogeneous)
+    assert check_homogeneity(new_coin) == (False, True)
 
 
 def test_a_non_unitary_user_coin_is_caught_inside_the_transformed_coin():
