@@ -1,12 +1,11 @@
 """Coined quantum walks on Cayley graphs: simulation, symmetry families,
 and numerical verification."""
 
-from __future__ import annotations
+import types
 
 from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, conjugate_local,
                             enumerate_automorphisms, generalized_transform,
-                            identity_automorphism, make_generalized_symmetry,
-                            make_shifted_automorphism, permutation_apply)
+                            make_generalized_symmetry, permutation_apply)
 from .errors import (CayleyWalkError, DegenerateCoinError, EncodingError,
                      FamilyPreconditionError, NonUnitaryError,
                      NotAutomorphismError, NumericDriftError, SpecError,
@@ -17,8 +16,7 @@ from .line import (LineCoinParams, build_line_coin, canonicalize_line_coin,
                    decompose_line_coin, line_coin, mirror_chirality_map,
                    mirror_generalized_symmetry, mirror_inner_symmetry,
                    reflection_automorphism, symmetric_initial_states)
-from .linalg import (grover_matrix, hadamard_matrix, random_phases,
-                     random_unitary, rotation_matrix)
+from .linalg import grover_matrix, hadamard_matrix, rotation_matrix
 from .specs import (dump_json, dump_state, parse_coin_spec, parse_group_spec,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv)
@@ -38,90 +36,6 @@ from .walk import (QuantumCoin, WalkInstance, apply_coin, apply_shift, evolve,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CausalStructure",
-    "CayleyGroup",
-    "CayleyWalkError",
-    "CyclicGroup",
-    "DegenerateCoinError",
-    "EncodingError",
-    "FamilyPreconditionError",
-    "GeneralizedSymmetry",
-    "HypercubeGroup",
-    "LatticeGroup",
-    "LineCoinParams",
-    "LineGroup",
-    "LocalUnitary",
-    "NonUnitaryError",
-    "NotAutomorphismError",
-    "NumericDriftError",
-    "PhaseField",
-    "QuantumCoin",
-    "ShiftedAutomorphism",
-    "SpecError",
-    "SymmetryTransform",
-    "UnitaryCharacter",
-    "UnsupportedGroupError",
-    "VerificationReport",
-    "WalkInstance",
-    "WalkState",
-    "apply_coin",
-    "apply_dressing",
-    "apply_shift",
-    "brute_force_causal",
-    "build_line_coin",
-    "canonicalize_line_coin",
-    "check_homogeneity",
-    "check_probability_map",
-    "check_symmetry",
-    "check_symmetry_relation",
-    "conjugate_local",
-    "corrupted_phases",
-    "cyclic_character",
-    "decompose_line_coin",
-    "dump_json",
-    "dump_state",
-    "enumerate_automorphisms",
-    "evolve",
-    "evolve_final",
-    "evolve_iter",
-    "exp_character",
-    "generalized_transform",
-    "grover_coin",
-    "grover_matrix",
-    "hadamard_coin",
-    "hadamard_matrix",
-    "identity_automorphism",
-    "identity_coin",
-    "identity_symmetry",
-    "line_coin",
-    "make_full_homog_symmetry",
-    "make_general_symmetry",
-    "make_generalized_symmetry",
-    "make_group",
-    "make_shifted_automorphism",
-    "make_space_homog_symmetry",
-    "make_time_homog_symmetry",
-    "mirror_chirality_map",
-    "mirror_generalized_symmetry",
-    "mirror_inner_symmetry",
-    "parse_coin_spec",
-    "parse_group_spec",
-    "parse_state_spec",
-    "parse_symmetry_spec",
-    "permutation_apply",
-    "random_phases",
-    "random_unitary",
-    "reflection_automorphism",
-    "rotation_coin",
-    "rotation_matrix",
-    "run_invariant_suite",
-    "sign_character",
-    "step",
-    "symmetric_initial_states",
-    "symmetry_to_spec",
-    "transform_coin",
-    "transform_state",
-    "trivial_character",
-    "write_distribution_csv",
-]
+# every public name imported above, once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -87,15 +87,6 @@ class ShiftedAutomorphism:
         g = self.group
         return g.pack(g.wrap(g.unpack(keys) @ self.matrix.T + g.vector(self.shift)))
 
-    # -- derived operators ------------------------------------------------------
-
-    def coin_permutation_matrix(self) -> np.ndarray:
-        dim = self.group.coin_dim
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            mat[self.perm[i], i] = 1.0
-        return mat
-
     @property
     def is_identity(self) -> bool:
         return (self.shift == self.group.identity
@@ -104,15 +95,6 @@ class ShiftedAutomorphism:
     def __repr__(self):
         return (f"ShiftedAutomorphism({self.group.kind}, shift={self.shift!r}, "
                 f"perm={self.perm})")
-
-
-def make_shifted_automorphism(group: CayleyGroup, shift, perm) -> ShiftedAutomorphism:
-    """Validated shifted automorphism from a shift and generator permutation."""
-    return ShiftedAutomorphism(group, shift, perm)
-
-
-def identity_automorphism(group: CayleyGroup) -> ShiftedAutomorphism:
-    return ShiftedAutomorphism(group, group.identity, range(group.coin_dim))
 
 
 def compose(a: ShiftedAutomorphism, b: ShiftedAutomorphism) -> ShiftedAutomorphism:

@@ -27,7 +27,7 @@ from .line import (LineCoinParams, build_line_coin, canonicalize_line_coin,
                    decompose_line_coin, mirror_chirality_map, mirror_inner_symmetry,
                    reflection_automorphism, symmetric_initial_states)
 from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_state,
-                    parse_coin_spec, parse_group_spec, parse_line_params,
+                    parse_coin_spec, parse_complex, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv, write_distribution_json)
 from .verify import check_homogeneity, check_symmetry, run_invariant_suite
@@ -137,7 +137,7 @@ def _window_positions(group: CayleyGroup, window: int) -> list:
     """Ball of radius `window` around the identity (whole group if finite
     and small)."""
     if group.is_finite and group.order <= 256:
-        return sorted(group.elements(), key=group.sort_key)
+        return sorted(group.elements(), key=group.encode)
     seen = {group.encode(group.identity): group.identity}
     frontier = [group.identity]
     for _ in range(window):
@@ -213,7 +213,6 @@ def cmd_line_symmetric_states(args) -> int:
     if args.nu is not None or args.psi is not None:
         if args.nu is None or args.psi is None:
             raise SpecError("--nu and --psi go together")
-        from .specs import parse_complex
         p = LineCoinParams(1.0 + 0j, 1.0 + 0j, parse_complex(args.nu), float(args.psi))
     else:
         p = _line_params_from(args, group)
@@ -230,7 +229,7 @@ def cmd_group_causal(args) -> int:
                "nonseparating": group.nonseparating}
     if group.is_finite:
         causal = brute_force_causal(group)
-        members = sorted(causal.subgroup, key=group.sort_key)
+        members = sorted(causal.subgroup, key=group.encode)
         payload["subgroup"] = [dump_element(x) for x in members]
         payload["subgroup_order"] = len(members)
         payload["future_variant_equal"] = causal.future_subgroup == causal.subgroup

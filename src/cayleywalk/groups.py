@@ -15,9 +15,9 @@ digit. A finite axis has radix m_i. On the line the key is the integer
 itself; on Z^d each axis gets 62 // d bits, offset by half its radix. So the
 key of a cyclic element is the element, and a hypercube key is the bitmask
 with coordinate i at bit d-1-i. Key order is therefore the lexicographic
-order of `sort_key`. Coordinates outside the packed range raise
-EncodingError when they are encoded, and so does a shift on Z^d that would
-carry into the next axis: no key ever wraps.
+order of the coordinate tuples of `encode`. Coordinates outside the packed
+range raise EncodingError when they are encoded, and so does a shift on Z^d
+that would carry into the next axis: no key ever wraps.
 
 Every element of such a group factors as x = xt * c0**k where c0 is a
 distinguished generator, k counts net generator applications (the exponent
@@ -304,18 +304,12 @@ class CayleyGroup:
         flat = rng.choices(ranges[0], k=count * len(ranges))
         return list(zip(*[iter(flat)] * len(ranges))) if self.tuple_elements else flat
 
-    def sort_key(self, x):
-        return self.encode(x)
-
     @property
     def label_template(self) -> str:
         """%-template of an element's text label, filled with its
         coordinates: "%d" on the integer kinds, "(%d,...,%d)" on the tuple
         kinds."""
         return "(" + ",".join(["%d"] * len(self.moduli)) + ")" if self.tuple_elements else "%d"
-
-    def format_element(self, x) -> str:
-        return self.label_template % self.encode(x)
 
     def describe(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in self._spec.items()}

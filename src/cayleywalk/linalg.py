@@ -54,18 +54,6 @@ def require_unit(z, tol: float = UNITARY_TOL, what: str = "phase", where=None):
     return complex(a) if a.ndim == 0 else a
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_phases(count: int, rng: np.random.Generator) -> np.ndarray:
-    return np.exp(2j * np.pi * rng.random(count))
-
-
 def rotation_matrix(psi: float) -> np.ndarray:
     c, s = np.cos(psi), np.sin(psi)
     return np.array([[c, s], [-s, c]], dtype=complex)
@@ -78,7 +66,3 @@ def hadamard_matrix() -> np.ndarray:
 def grover_matrix(dim: int) -> np.ndarray:
     """The reflection-about-the-mean matrix 2/dim * J - I."""
     return (2.0 / dim) * np.ones((dim, dim), dtype=complex) - np.eye(dim, dtype=complex)
-
-
-def pauli_x() -> np.ndarray:
-    return np.array([[0, 1], [1, 0]], dtype=complex)

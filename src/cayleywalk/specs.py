@@ -270,15 +270,9 @@ def _parse_state_text(group: CayleyGroup, text: str) -> WalkState:
 def load_state(group: CayleyGroup, records) -> WalkState:
     """State of {"x", "c", "re", "im"} records (dump_state's format); the
     amplitudes of repeated (x, c) pairs add up."""
-    terms = {}
-    for rec in records:
-        x = rec["x"]
-        if isinstance(x, list):
-            x = tuple(x)
-        key = (group.validate(x), int(rec["c"]))
-        terms[key] = terms.get(key, 0j) + complex(float(rec.get("re", 0.0)),
-                                                  float(rec.get("im", 0.0)))
-    return WalkState.from_terms(group, terms)
+    return WalkState.from_terms(group, [
+        (rec["x"], rec["c"], complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0))))
+        for rec in records])
 
 
 def dump_state(state: WalkState) -> list:

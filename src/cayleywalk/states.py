@@ -171,10 +171,6 @@ class WalkState:
         return cls(group, group.keys([x]), vec[None, :].copy())
 
     @classmethod
-    def basis_state(cls, group: CayleyGroup, x, c: int) -> "WalkState":
-        return cls.localized(group, x, np.eye(group.coin_dim)[int(c)])
-
-    @classmethod
     def zero(cls, group: CayleyGroup) -> "WalkState":
         return cls(group, np.empty(0, dtype=np.int64),
                    np.empty((0, group.coin_dim), dtype=complex))
@@ -232,17 +228,11 @@ class WalkState:
                                  return_indices=True)
         return complex(np.vdot(self.amps[i], other.amps[j]))
 
-    def scale(self, z) -> "WalkState":
-        return WalkState(self.group, self.positions, self.amps * complex(z))
-
     def __add__(self, other: "WalkState") -> "WalkState":
         return _combine(self, other, 1.0)
 
     def __sub__(self, other: "WalkState") -> "WalkState":
         return _combine(self, other, -1.0)
-
-    def distance(self, other: "WalkState") -> float:
-        return (self - other).norm()
 
     # -- observables -------------------------------------------------------------
 

@@ -449,10 +449,11 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
     uvec = (np.ones(group.coin_dim, dtype=complex) if uprime is None
             else _uprime_diagonal(group, uprime))
     eta_fn = _eta_extension(group, eta)
+    power = _unit_powers(eps)
 
     def phases(n, keys):
         k = group.coset_indices(keys)
-        return (eta_fn(n - k) * eps ** n * gamma.values(keys))[:, None] * uvec
+        return (eta_fn(n - k) * power(n) * gamma.values(keys))[:, None] * uvec
 
     params = {"epsilon": eps, "eta": eta_fn, "gamma": gamma, "uprime": uvec}
     return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
@@ -505,7 +506,7 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
     uniform = coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"
     # each factor of a block is checked where it is made (the coin's and the
     # dressing's own checks), so the product is not checked again
-    new_coin = QuantumCoin(group, blocks, uniform, uniform, validate=False)
+    new_coin = QuantumCoin.batched(group, blocks, False, uniform, uniform)
     if uniform:
         new_coin._probe_flags()
     return new_coin

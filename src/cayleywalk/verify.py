@@ -19,12 +19,11 @@ from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             transform_pair)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
-from .states import LocalUnitary, WalkState, merge_keys
+from .states import PROBE_STEPS, LocalUnitary, WalkState, homogeneity_spreads, merge_keys
 from .symmetry import SymmetryTransform, apply_dressing
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
-from .walk import (PROBE_STEPS, QuantumCoin, WalkInstance, evolve, evolve_iter,
-                   homogeneity_spreads)
+from .walk import QuantumCoin, WalkInstance, apply_shift, evolve, evolve_iter
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,6 @@ def run_invariant_suite(group: CayleyGroup, seed: int = 0,
                 residuals.append(float(np.abs(t_mat @ p_mat - p_mat @ t_mat).max()))
         reports.append(_report("step_permutation_commutation", residuals, 1e-14))
     else:
-        from .walk import apply_shift
         residuals = []
         xs = group.random_elements(rng, 24)
         terms = {}

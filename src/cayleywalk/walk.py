@@ -15,10 +15,7 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-# PROBE_STEPS and homogeneity_spreads are not used here but stay importable
-# from walk, beside the coin whose flags they probe
-from .states import (PROBE_STEPS, LocalUnitary, WalkState, apply_block, homogeneity_spreads,
-                     nonzero_rows, shift_plan)
+from .states import LocalUnitary, WalkState, apply_block, nonzero_rows, shift_plan
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
@@ -26,17 +23,15 @@ DRIFT_TOL = 1e-8
 
 class QuantumCoin(LocalUnitary):
     """Time- and position-dependent coin: the local unitary applied before
-    each shift, whose errors call it a coin. `blocks(n, keys)` gives its
-    block at step n over a batch of position keys: (1, dim, dim) when
-    shared, (N, dim, dim) per position (see states.apply_block)."""
+    each shift, whose errors call it a coin. It is built as any
+    LocalUnitary is, by `uniform`, `from_rule` or `batched`, whose
+    `blocks(n, keys)` gives its block at step n over a batch of position
+    keys: (1, dim, dim) when shared, (N, dim, dim) per position (see
+    states.apply_block)."""
 
     __slots__ = ()
 
     LABEL = "coin"
-
-    def __init__(self, group: CayleyGroup, blocks, time_homogeneous: bool = False,
-                 space_homogeneous: bool = False, validate: bool = True):
-        self._setup(group, blocks, validate, time_homogeneous, space_homogeneous)
 
     @classmethod
     def table(cls, group: CayleyGroup, matrices, validate: bool = True) -> "QuantumCoin":
@@ -45,9 +40,8 @@ class QuantumCoin(LocalUnitary):
         if validate:
             require_unitary(mats, what="coin matrix")
         period = len(mats)
-        return cls(group, lambda n, keys: mats[n % period][None],
-                   time_homogeneous=(period == 1), space_homogeneous=True,
-                   validate=False)
+        return cls.batched(group, lambda n, keys: mats[n % period][None], False,
+                           time_homogeneous=(period == 1), space_homogeneous=True)
 
     def matrix_at(self, n: int, x=None) -> np.ndarray:
         """Coin matrix at step n, position x (identity if omitted)."""

@@ -42,6 +42,22 @@ def random_state(group, rng, count: int = 4) -> WalkState:
     return WalkState.from_terms(group, terms).normalized()
 
 
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with the standard phase fix."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_phases(count: int, rng: np.random.Generator) -> np.ndarray:
+    return np.exp(2j * np.pi * rng.random(count))
+
+
+def pauli_x() -> np.ndarray:
+    return np.array([[0, 1], [1, 0]], dtype=complex)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260819)

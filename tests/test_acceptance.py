@@ -13,23 +13,22 @@ import pytest
 from cayleywalk import (CyclicGroup, DegenerateCoinError, FamilyPreconditionError,
                         HypercubeGroup, LatticeGroup, LineCoinParams, LineGroup,
                         LocalUnitary, NotAutomorphismError, PhaseField, QuantumCoin,
-                        WalkInstance, WalkState, brute_force_causal,
+                        ShiftedAutomorphism, WalkInstance, WalkState, brute_force_causal,
                         build_line_coin, canonicalize_line_coin,
                         check_probability_map, check_symmetry_relation,
                         corrupted_phases, cyclic_character, evolve, evolve_final,
                         exp_character, grover_coin, hadamard_coin,
                         make_full_homog_symmetry, make_general_symmetry,
-                        make_generalized_symmetry, make_shifted_automorphism,
-                        make_space_homog_symmetry, make_time_homog_symmetry,
-                        mirror_chirality_map, mirror_generalized_symmetry,
+                        make_generalized_symmetry, make_space_homog_symmetry,
+                        make_time_homog_symmetry, mirror_chirality_map, mirror_generalized_symmetry,
                         sign_character, symmetric_initial_states, transform_coin,
                         transform_state)
-from cayleywalk.linalg import hadamard_matrix, random_phases, random_unitary
+from cayleywalk.linalg import hadamard_matrix
 from cayleywalk.symmetry import trivial_character
 from cayleywalk.verify import (assemble_permutation_matrix, assemble_step_matrix,
                                homogeneity_spreads)
 
-from conftest import sampler
+from conftest import random_phases, random_unitary, sampler
 
 
 def _line(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -205,8 +204,8 @@ def test_criterion_5_permutation_commutation_and_probability_law():
         t_mat = assemble_step_matrix(group)
         from cayleywalk import enumerate_automorphisms
         for aut in enumerate_automorphisms(group):
-            for shift in sorted(group.elements(), key=group.sort_key):
-                a = make_shifted_automorphism(group, shift, aut.perm)
+            for shift in sorted(group.elements(), key=group.encode):
+                a = ShiftedAutomorphism(group, shift, aut.perm)
                 p_mat = assemble_permutation_matrix(a)
                 worst_tp = max(worst_tp,
                                float(np.abs(t_mat @ p_mat - p_mat @ t_mat).max()))
@@ -218,18 +217,18 @@ def test_criterion_5_permutation_commutation_and_probability_law():
         terms = [(x, c, rng.normal() + 1j * rng.normal())
                  for x in xs for c in range(2)]
         state = WalkState.from_terms(line_group, terms).normalized()
-        for a in [make_shifted_automorphism(line_group, 0, (1, 0)),
-                  make_shifted_automorphism(line_group, 9, (0, 1)),
-                  make_shifted_automorphism(line_group, -4, (1, 0))]:
+        for a in [ShiftedAutomorphism(line_group, 0, (1, 0)),
+                  ShiftedAutomorphism(line_group, 9, (0, 1)),
+                  ShiftedAutomorphism(line_group, -4, (1, 0))]:
             lhs = permutation_apply(a, apply_shift(state))
             rhs = apply_shift(permutation_apply(a, state))
-            worst_tp = max(worst_tp, lhs.distance(rhs))
+            worst_tp = max(worst_tp, (lhs - rhs).norm())
 
     worst_prob = 0.0
-    line_cases = [(line_group, make_shifted_automorphism(line_group, 0, (1, 0))),
-                  (line_group, make_shifted_automorphism(line_group, 5, (0, 1)))]
+    line_cases = [(line_group, ShiftedAutomorphism(line_group, 0, (1, 0))),
+                  (line_group, ShiftedAutomorphism(line_group, 5, (0, 1)))]
     cube = HypercubeGroup(3)
-    cube_cases = [(cube, make_shifted_automorphism(cube, (0, 0, 0), perm))
+    cube_cases = [(cube, ShiftedAutomorphism(cube, (0, 0, 0), perm))
                   for perm in [(1, 2, 0), (2, 1, 0)]]
     for group, a in line_cases + cube_cases:
         coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
@@ -347,7 +346,7 @@ def test_criterion_8_negative_controls():
         capture_output=True, text=True, timeout=120)
 
     try:
-        make_shifted_automorphism(CyclicGroup(8, generators=(1, 2)), 0, (1, 0))
+        ShiftedAutomorphism(CyclicGroup(8, generators=(1, 2)), 0, (1, 0))
         non_automorphism_raises = False
     except NotAutomorphismError:
         non_automorphism_raises = True

@@ -85,10 +85,10 @@ def test_key_order_is_sort_key_order(group, rng):
     xs = group.random_elements(sampler(rng), 40)
     keys = group.keys(xs)
     by_key = [x for _, x in sorted(zip(keys.tolist(), xs))]
-    assert by_key == sorted(xs, key=group.sort_key)
+    assert by_key == sorted(xs, key=group.encode)
     state = WalkState.from_terms(group, [(x, 0, 1.0) for x in xs])
     assert np.all(np.diff(state.positions) > 0)
-    assert state.elements() == sorted(set(by_key), key=group.sort_key)
+    assert state.elements() == sorted(set(by_key), key=group.encode)
 
 
 def test_hypercube_key_is_bitmask():
@@ -101,11 +101,11 @@ def test_lattice_shift_at_coordinate_bound_raises():
     top = group.hi
     assert top == 2 ** 30 - 1 and group.lo == -2 ** 30
     for x, c in [((0, top), 2), ((top, 0), 0), ((group.lo, 5), 1), ((3, group.lo), 3)]:
-        state = WalkState.basis_state(group, x, c)
+        state = WalkState.localized(group, x, np.eye(4)[c])
         with pytest.raises(EncodingError):
             apply_shift(state)
     # one step inside the bound still moves, also in the other coin blocks
-    inside = WalkState.basis_state(group, (0, top - 1), 2)
+    inside = WalkState.localized(group, (0, top - 1), [0, 0, 1, 0])
     assert apply_shift(inside).support() == [(0, top)]
     with pytest.raises(EncodingError):
         group.encode((0, top + 1))
@@ -114,7 +114,7 @@ def test_lattice_shift_at_coordinate_bound_raises():
     # Z^1 has no next axis to carry into: like the line, it shifts unchecked
     line = LatticeGroup(1)
     assert (line.lo, line.hi) == (-2 ** 61, 2 ** 61 - 1)
-    state = WalkState.basis_state(line, (line.hi,), 0)
+    state = WalkState.localized(line, (line.hi,), [1, 0])
     assert apply_shift(state).support() == [(2 ** 61,)]
 
 
@@ -124,7 +124,7 @@ def test_line_encodes_within_bounds_and_shifts_without_wrapping():
     for x in (group.hi + 1, group.lo - 1):
         with pytest.raises(EncodingError):
             group.encode(x)
-    state = WalkState.basis_state(group, group.hi, 0)
+    state = WalkState.localized(group, group.hi, [1, 0])
     assert apply_shift(state).support() == [2 ** 62]
     assert apply_shift(state, adjoint=True).support() == [2 ** 62 - 2]
 
@@ -297,10 +297,11 @@ def test_lattice_period_bounds():
 
 def test_sort_and_format():
     group = LatticeGroup(2, period=4)
-    elems = sorted(group.elements(), key=group.sort_key)
+    elems = sorted(group.elements(), key=group.encode)
     assert elems[0] == (0, 0)
-    assert group.format_element((1, 3)) == "(1,3)"
-    assert LineGroup().format_element(-4) == "-4"
+    assert group.label_template % group.encode((1, 3)) == "(1,3)"
+    line = LineGroup()
+    assert line.label_template % line.encode(-4) == "-4"
 
 
 def test_generator_index():

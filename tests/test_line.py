@@ -12,8 +12,10 @@ from cayleywalk import (DegenerateCoinError, LineCoinParams, LineGroup, QuantumC
                         mirror_chirality_map, mirror_generalized_symmetry,
                         mirror_inner_symmetry, symmetric_initial_states,
                         transform_coin, transform_state)
-from cayleywalk.linalg import hadamard_matrix, pauli_x, random_unitary, rotation_matrix
+from cayleywalk.linalg import hadamard_matrix, rotation_matrix
 from cayleywalk.symmetry import transform_coin as _tc
+
+from conftest import pauli_x, random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -86,7 +88,8 @@ def test_canonical_walk_keeps_real_amplitudes(rng):
     start = WalkState.localized(group, 0, [1.0, 0.0])
     new_state = transform_state(t, start)
     phase = new_state.amplitude(0, 0) + new_state.amplitude(0, 1)
-    aligned = new_state.scale(np.conj(phase) / abs(phase))
+    aligned = WalkState(group, new_state.positions,
+                        new_state.amps * (np.conj(phase) / abs(phase)))
     history = evolve(WalkInstance(group, transform_coin(t, coin), aligned), 30)
     for state in history:
         assert np.abs(state.amps.imag).max() < 1e-10

@@ -10,9 +10,9 @@ import pytest
 from cayleywalk import (CyclicGroup, HypercubeGroup, LocalUnitary, NonUnitaryError,
                         QuantumCoin, WalkState, apply_coin, apply_dressing, transform_coin,
                         transform_state)
-from cayleywalk.linalg import random_phases, random_unitary
 from cayleywalk.verify import assemble_local_matrix, basis_labels
 
+from conftest import random_phases, random_unitary
 from test_acceptance import FAMILIES, _draw_symmetry
 
 GROUPS = pytest.mark.parametrize("group", [CyclicGroup(8), HypercubeGroup(3)],

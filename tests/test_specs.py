@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from cayleywalk import (FamilyPreconditionError, HypercubeGroup, LineGroup, SpecError, WalkState,
+from cayleywalk import (EncodingError, FamilyPreconditionError, HypercubeGroup, LineGroup,
+                        SpecError, WalkState,
                         canonicalize_line_coin, check_symmetry_relation,
                         dump_json, dump_state, hadamard_coin, parse_coin_spec,
                         parse_group_spec, parse_state_spec, parse_symmetry_spec,
@@ -16,7 +17,7 @@ from cayleywalk import (FamilyPreconditionError, HypercubeGroup, LineGroup, Spec
 from cayleywalk.linalg import hadamard_matrix, rotation_matrix
 from cayleywalk.specs import (dump_complex, dump_element, parse_automorphism_spec,
                               parse_complex, parse_element, parse_line_params,
-                              parse_matrix, write_distribution_json)
+                              load_state, parse_matrix, write_distribution_json)
 from cayleywalk.states import PRUNE_TOL
 from cayleywalk.walk import WalkInstance, evolve
 
@@ -106,7 +107,20 @@ def test_state_dump_roundtrip():
     group = LineGroup()
     state = parse_state_spec(group, "0:(0.6,0.8i)")
     again = parse_state_spec(group, dump_state(state), normalize=False)
-    assert state.distance(again) < 1e-12
+    assert (state - again).norm() < 1e-12
+
+
+def test_load_state_adds_repeated_pairs_and_rejects_bad_elements():
+    cube = HypercubeGroup(3)
+    state = load_state(cube, [{"x": [0, 1, 0], "c": 2, "re": 0.5},
+                              {"x": [1, 1, 0], "c": 0, "re": 1.0},
+                              {"x": [0, 1, 0], "c": 2, "im": 0.25}])
+    assert state.terms() == {((0, 1, 0), 2): 0.5 + 0.25j, ((1, 1, 0), 0): 1.0}
+    for bad in ([0, 2, 0], [0, 1], 3):
+        with pytest.raises(EncodingError):
+            load_state(cube, [{"x": bad, "c": 0, "re": 1.0}])
+    with pytest.raises(EncodingError):
+        load_state(LineGroup(), [{"x": [4], "c": 0, "re": 1.0}])
 
 
 def test_symmetry_spec_families():
@@ -218,12 +232,12 @@ def test_line_csv_labels_are_bare_integers():
 
 def _rowwise_csv(group, states) -> str:
     """The row-wise CSV writer that the streaming one replaced, kept as its
-    oracle: a dict per step, sorted by sort_key, labels by format_element."""
+    oracle: a dict per step, sorted by encode, labels filled in label_template."""
     lines = ["step,x,probability\n"]
     for n, state in enumerate(states):
         dist = state.position_distribution(warn_unnormalized=False)
-        for x in sorted(dist, key=group.sort_key):
-            label = group.format_element(x)
+        for x in sorted(dist, key=group.encode):
+            label = group.label_template % group.encode(x)
             text = f'"{label}"' if "," in label else label
             lines.append(f"{n},{text},{format(float(dist[x]), '.17g')}\n")
     return "".join(lines)
@@ -235,7 +249,7 @@ def _payload_json(group, states) -> str:
     payload = [{"distribution": [
                     {"p": p, "x": dump_element(x)}
                     for x, p in sorted(st.position_distribution(warn_unnormalized=False).items(),
-                                       key=lambda kv: group.sort_key(kv[0]))],
+                                       key=lambda kv: group.encode(kv[0]))],
                 "step": n}
                for n, st in enumerate(states)]
     return dump_json(payload) + "\n"
@@ -352,7 +366,7 @@ def test_dump_state_lists_records_in_key_and_coin_order():
     state = WalkState.from_terms(group, [((1, -2), 1, 0.5), ((-3, 4), 0, 0.5),
                                          ((1, -2), 0, 0.5j), ((-3, -4), 1, 0.5)])
     order = [(tuple(r["x"]), r["c"]) for r in dump_state(state)]
-    assert order == sorted(order, key=lambda xc: (group.sort_key(xc[0]), xc[1]))
+    assert order == sorted(order, key=lambda xc: (group.encode(xc[0]), xc[1]))
     assert len(order) == 4
 
 

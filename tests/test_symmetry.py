@@ -17,10 +17,10 @@ from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup, La
                         make_general_symmetry, make_group, make_space_homog_symmetry,
                         make_time_homog_symmetry, sign_character, transform_coin,
                         transform_state, trivial_character)
-from cayleywalk.linalg import hadamard_matrix, random_phases, random_unitary
+from cayleywalk.linalg import hadamard_matrix
 from cayleywalk.verify import check_homogeneity, homogeneity_spreads
 
-from conftest import random_state, sampler
+from conftest import random_phases, random_state, random_unitary, sampler
 from test_acceptance import FAMILIES, _draw_symmetry
 
 
@@ -298,6 +298,19 @@ def test_space_homog_relation_holds_far_from_the_origin():
     assert report.max_residual < 1e-12, report
 
 
+@pytest.mark.parametrize("make", [make_time_homog_symmetry, make_full_homog_symmetry],
+                         ids=["time_homog", "full_homog"])
+def test_epsilon_power_is_a_unit_far_from_step_0(make):
+    """epsilon^n is the unit phase exp(i n arg epsilon). A complex power of
+    this epsilon, whose modulus is 1 - 1.1e-16, leaves the unit circle by
+    3.3e-13 at n = 3,000 and by 1.1e-11 at n = 100,000."""
+    group = CyclicGroup(8)
+    t = make(group, epsilon=0.33876206769118294 - 0.9408720749887278j)
+    keys = group.keys(group.elements())
+    for n in (3_000, 100_000):
+        assert np.abs(np.abs(t.phases.block(n, keys)) - 1.0).max() <= 1e-15, n
+
+
 def test_full_homog_preserves_both_homogeneities(rng):
     group = HypercubeGroup(3)
     coin = grover_coin(group)
@@ -333,7 +346,7 @@ def test_transform_state_applies_step_zero_unitary(rng):
     u0 = LocalUnitary.uniform(group, random_unitary(2, rng))
     t = make_general_symmetry(u0, LocalUnitary.identity(group))
     state = random_state(group, rng)
-    assert transform_state(t, state).distance(u0.apply(state)) < 1e-14
+    assert (transform_state(t, state) - u0.apply(state)).norm() < 1e-14
     # unit phases after step 0: the coin changes only at step 0
     coin = hadamard_coin(group)
     new_coin = transform_coin(t, coin)
@@ -360,7 +373,7 @@ def test_step_zero_dressing_is_the_state_transform(family, rng):
     group = CyclicGroup(8)
     t = _draw_symmetry(family, group, rng)
     state = random_state(group, rng)
-    assert apply_dressing(t, 0, state).distance(transform_state(t, state)) == 0.0
+    assert (apply_dressing(t, 0, state) - transform_state(t, state)).norm() == 0.0
 
 
 def test_phase_well_defined_across_redecomposition():
@@ -390,7 +403,7 @@ def test_time_homog_delta_runs_once_per_position():
         return cmath.exp(1j * (0.3 * x + 0.7 * c))
 
     t = make_time_homog_symmetry(group, epsilon=1j, delta=delta)
-    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    coin, start = hadamard_coin(group), WalkState.localized(group, 0, [1, 0])
     first = check_symmetry_relation(coin, start, t, n_max=100)
     assert first.passed
     assert sum(calls.values()) == len(calls) > 400
@@ -410,7 +423,7 @@ def test_uprime_callable_runs_once_per_step():
         return np.diag(np.exp([0.2j * n, -0.5j * n])) if n else np.eye(2)
 
     t = make_space_homog_symmetry(group, eta=[1j, -1], uprime=uprime)
-    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    coin, start = hadamard_coin(group), WalkState.localized(group, 0, [1, 0])
     assert check_symmetry_relation(coin, start, t, n_max=100).passed
     # the transformed coin asks for U'(n + 1) and U'(n) at each step and the
     # dressing for U'(n)
@@ -454,7 +467,7 @@ def test_non_unit_eta_callable_is_named(make):
 def test_non_unit_delta_is_named_on_every_check():
     group = LineGroup()
     t = make_time_homog_symmetry(group, delta=lambda x, c: 2.0 if (x, c) == (1, 0) else 1.0)
-    coin, start = hadamard_coin(group), WalkState.basis_state(group, 0, 0)
+    coin, start = hadamard_coin(group), WalkState.localized(group, 0, [1, 0])
     for _ in range(2):
         with pytest.raises(NonUnitaryError, match="delta at 1 "):
             check_symmetry_relation(coin, start, t, n_max=5)

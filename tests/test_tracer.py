@@ -48,3 +48,11 @@ def test_tracer_installs_every_traced_name_and_uninstalls():
     for name in ("verify.check_symmetry_relation", "symmetry.transform_coin",
                  "symmetry.apply_dressing", "walk.apply_coin", "walk.apply_shift"):
         assert totals[name]["calls"] >= 1, name
+
+
+def test_every_traced_name_resolves_where_the_tracer_looks():
+    """A spanned function is looked up on its module; a spanned or counted
+    method in its class's own __dict__, where the tracer replaces it."""
+    missing = [(owner.__name__, attr) for owner, attr in _traced(_load_spans())
+               if attr not in vars(owner)]
+    assert missing == []

@@ -13,7 +13,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, Lo
                         WalkState, check_homogeneity, check_probability_map,
                         check_symmetry_relation, corrupted_phases, grover_coin,
                         hadamard_coin, identity_symmetry,
-                        make_shifted_automorphism, make_generalized_symmetry,
+                        ShiftedAutomorphism, make_generalized_symmetry,
                         make_full_homog_symmetry, make_general_symmetry,
                         make_time_homog_symmetry, parse_symmetry_spec, run_invariant_suite,
                         transform_coin)
@@ -113,7 +113,7 @@ def test_probability_map_detects_wrong_pair(rng):
     group = CyclicGroup(8)
     coin = hadamard_coin(group)
     start = random_state(group, rng)
-    refl = make_shifted_automorphism(group, 0, (1, 0))
+    refl = ShiftedAutomorphism(group, 0, (1, 0))
     gs = make_generalized_symmetry(refl)
     good = check_probability_map(coin, start, gs, n_max=12)
     assert good.passed
@@ -195,7 +195,7 @@ def test_invariant_suite_reports_parse_as_json():
 def test_identity_symmetry_relation_zero_on_every_group():
     for group in [LineGroup(), CyclicGroup(8), HypercubeGroup(3)]:
         coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
-        start = WalkState.basis_state(group, group.identity, 0)
+        start = WalkState.localized(group, group.identity, np.eye(group.coin_dim)[0])
         report = check_symmetry_relation(coin, start, identity_symmetry(group),
                                          n_max=8)
         assert report.max_residual == 0.0
