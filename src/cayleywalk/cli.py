@@ -23,9 +23,9 @@ from .automorphisms import enumerate_automorphisms, transform_pair
 from .errors import (CayleyWalkError, DegenerateCoinError, FamilyPreconditionError,
                      NumericDriftError, SpecError)
 from .groups import CayleyGroup, brute_force_causal
-from .line import (LineCoinParams, build_line_coin, canonicalize_line_coin,
-                   decompose_line_coin, mirror_chirality_map, mirror_inner_symmetry,
-                   reflection_automorphism, symmetric_initial_states)
+from .line import (LineCoinParams, canonicalize_line_coin, decompose_line_coin,
+                   mirror_chirality_map, mirror_inner_symmetry, reflection_automorphism,
+                   symmetric_initial_states)
 from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_state,
                     parse_coin_spec, parse_complex, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,

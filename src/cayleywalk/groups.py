@@ -272,7 +272,7 @@ class CayleyGroup:
             return keys + ((digit + step) % modulus - digit) * weight
         if carry is not None:
             axis, shift, mask, edge = carry  # infinite radices are powers of two
-            if np.any((keys >> shift) & mask == edge):
+            if ((keys >> shift) & mask == edge).any():
                 raise EncodingError(f"{self.kind} shift along axis {axis} leaves the packed "
                                     f"coordinate range [{self.lo}, {self.hi}]")
         return keys + step * weight

@@ -11,6 +11,9 @@ position keys to a block, which `apply_block` applies: (N, dim) diagonal
 phases, (1, dim, dim) one shared matrix (the leading 1 keeps it apart from a
 diagonal when N == dim) or (N, dim, dim) a matrix per position. Scalar user
 rules are adapted to a batch by `elementwise` and nowhere else.
+
+A block's product is pruned once, by `_clean`: entries below PRUNE_TOL are
+zeroed, and rows left empty dropped, only when one magnitude test finds any.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ PRUNE_TOL = 1e-15
 PROBE_STEPS = (0, 1, 2, 3, 5)
 # Shift plans each group keeps (see shift_plan).
 PLAN_MEMO = 2
-# merge_keys marks slots rather than sorting when the keys span fewer than
-# this many slots per key.
+# merge_keys and find_keys index slots rather than sorting when the keys
+# span fewer than this many slots per key.
 COMPACT_SPAN = 4
 
 
@@ -65,10 +68,10 @@ def merge_keys(keys: np.ndarray):
             slots = keys - lo
             mark = np.zeros(hi - lo + 1, dtype=bool)
             mark[slots] = True
-            at = np.flatnonzero(mark)
+            at = mark.nonzero()[0]
             rank = np.empty(mark.shape[0], dtype=np.intp)
             rank[at] = np.arange(at.shape[0])
-            inverse = np.take(rank, slots, out=slots)
+            inverse = rank.take(slots, out=slots)
             # free the ranks before the kept keys are allocated: a long
             # history then leaves fewer holes in the heap
             del rank
@@ -79,11 +82,16 @@ def merge_keys(keys: np.ndarray):
     first = np.empty(n, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    rank = np.cumsum(first)
+    rank = first.cumsum()
     rank -= 1
     inverse = np.empty_like(order)
     inverse[order] = rank
-    return np.compress(first, ordered), inverse
+    return ordered.compress(first), inverse
+
+
+def same_keys(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal for key arrays, without its Python-level calls."""
+    return a is b or a.shape == b.shape and not np.count_nonzero(a != b)
 
 
 def memo_keys(keys: np.ndarray) -> np.ndarray:
@@ -106,7 +114,7 @@ def shift_plan(group: CayleyGroup, keys: np.ndarray, adjoint: bool = False):
     the transformed walk."""
     adjoint = bool(adjoint)
     for known, adj, plan in group.shift_plans:
-        if adj is adjoint and (known is keys or np.array_equal(known, keys)):
+        if adj is adjoint and same_keys(known, keys):
             return plan
     plan = merge_keys(np.concatenate(
         [group.shift_rows(keys, c, adjoint=adjoint) for c in range(group.coin_dim)]))
@@ -261,21 +269,25 @@ class WalkState:
 def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkState:
     """Zero the amplitudes below PRUNE_TOL in magnitude (a -0.0 included)
     and drop the rows left with none. A NaN compares False, so its row is
-    kept and shows in every norm."""
+    kept and shows in every norm. Most walk steps have nothing to prune."""
     small = np.abs(amps) < PRUNE_TOL
+    if not np.count_nonzero(small):
+        # still a copy: a walk step then frees its coin product before the
+        # shift allocates the rows it keeps, which spares a 2000-step line
+        # history about 13 MB of heap holes
+        return WalkState(group, positions, amps.copy())
     amps = np.where(small, 0.0, amps)
-    if np.count_nonzero(small):
-        # a boolean matmul is any() along each row (see nonzero_rows)
-        keep = ~small @ np.ones(small.shape[1], dtype=bool)
-        if not keep.all():
-            positions, amps = np.compress(keep, positions), np.compress(keep, amps, axis=0)
+    # a boolean matmul is any() along each row (see nonzero_rows)
+    keep = ~small @ np.ones(small.shape[1], dtype=bool)
+    if not keep.all():
+        positions, amps = positions.compress(keep), amps.compress(keep, axis=0)
     return WalkState(group, positions, amps)
 
 
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
-    if a.positions is b.positions or np.array_equal(a.positions, b.positions):
+    if same_keys(a.positions, b.positions):
         # the usual case (a state and its dressed or transformed twin): no merge
         return WalkState(a.group, a.positions, a.amps + sign * b.amps)
     positions, inverse = merge_keys(np.concatenate([a.positions, b.positions]))
@@ -328,14 +340,20 @@ def find_keys(known: np.ndarray, keys: np.ndarray):
     """(at, found): the index of each key of a batch in the sorted,
     duplicate-free key array `known`, known.size where it is not there.
 
-    The batch is merged into `known` with merge_keys: a relation check calls
-    no np.searchsorted otherwise, and its first call in a process maps about
-    64 KB more of numpy's code."""
+    A key's slot is its offset from the least key when the keys are compact
+    (see merge_keys), else its rank in their merge. np.searchsorted would
+    map about 64 KB more of numpy's code into a relation check."""
     n = known.shape[0]
-    merged, inverse = merge_keys(np.concatenate([known, keys]))
-    slot = np.full(merged.shape[0], n)
-    slot[inverse[:n]] = np.arange(n)
-    at = slot[inverse[n:]]
+    both = np.concatenate([known, keys])
+    lo, hi = (int(both.min()), int(both.max())) if both.shape[0] else (0, -1)
+    if hi - lo < COMPACT_SPAN * both.shape[0]:
+        size, slots = hi - lo + 1, both - lo
+    else:
+        merged, slots = merge_keys(both)
+        size = merged.shape[0]
+    slot = np.full(size, n)
+    slot[slots[:n]] = np.arange(n)
+    at = slot.take(slots[n:])
     return at, at < n
 
 
@@ -467,8 +485,7 @@ class LocalUnitary:
         if self.space_homogeneous:
             keys = self._identity
         for m, known, block in self._memo:
-            if m == n and (known is keys or known.shape == keys.shape
-                           and np.array_equal(known, keys)):
+            if m == n and same_keys(known, keys):
                 return block
         # a read-only view, so that neither the memo nor the rule's own array
         # can be written through it

@@ -86,7 +86,7 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
         # a row is left empty only if every entry shifted onto it was zero
         keep = nonzero_rows(amps)
         if not keep.all():
-            keys, amps = np.compress(keep, keys), np.compress(keep, amps, axis=0)
+            keys, amps = keys.compress(keep), amps.compress(keep, axis=0)
     return WalkState(group, keys, amps)
 
 

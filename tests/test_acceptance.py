@@ -21,10 +21,8 @@ from cayleywalk import (CyclicGroup, DegenerateCoinError, FamilyPreconditionErro
                         make_full_homog_symmetry, make_general_symmetry,
                         make_generalized_symmetry, make_space_homog_symmetry,
                         make_time_homog_symmetry, mirror_chirality_map, mirror_generalized_symmetry,
-                        sign_character, symmetric_initial_states, transform_coin,
-                        transform_state)
+                        sign_character, symmetric_initial_states, transform_coin)
 from cayleywalk.linalg import hadamard_matrix
-from cayleywalk.symmetry import trivial_character
 from cayleywalk.verify import (assemble_permutation_matrix, assemble_step_matrix,
                                homogeneity_spreads)
 

@@ -13,7 +13,6 @@ from cayleywalk import (DegenerateCoinError, LineCoinParams, LineGroup, QuantumC
                         mirror_inner_symmetry, symmetric_initial_states,
                         transform_coin, transform_state)
 from cayleywalk.linalg import hadamard_matrix, rotation_matrix
-from cayleywalk.symmetry import transform_coin as _tc
 
 from conftest import pauli_x, random_unitary
 

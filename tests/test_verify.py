@@ -22,7 +22,7 @@ from cayleywalk.verify import (_report, _stream, assemble_local_matrix, assemble
                                homogeneity_spreads)
 from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 from test_acceptance import FAMILIES, _draw_symmetry
 
 
@@ -280,10 +280,11 @@ def test_lockstepped_relation_check_merges_each_shifted_support_once(family, mon
                          ids=["line", "cyclic8", "hypercube3"])
 def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monkeypatch):
     """A count guard: a warm relation check of every family evaluates its
-    dressing about once per step, and a space_homog check shifts no support
-    that a general check does not. The walk starts at the identity, as the
-    benchmark's checks do; the allowance of 12 covers the flag probe of a
-    uniform transformed coin (10 evaluations) and its one block."""
+    dressing about once per step, and neither a space_homog nor a
+    time_homog check merges keys that a general check does not. The walk
+    starts at the identity, as the benchmark's checks do; the allowance of
+    12 covers the flag probe of a uniform transformed coin (10 evaluations)
+    and its one block."""
     from cayleywalk import states
     counts, watched = Counter(), []
     evaluate, merge_keys = LocalUnitary._evaluate, states.merge_keys
@@ -314,6 +315,28 @@ def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monk
         assert counts["evaluate"] <= n_max + 12, (family, counts)
         merges[family] = counts["merge"]
     assert merges["space_homog"] <= merges["general"] + 2, merges
+    # a warm delta memo finds its rows without merging each batch into its keys
+    assert merges["time_homog"] <= merges["general"] + 2, merges
+
+
+# Bound of the drift guard below. Over its 3,000 steps the largest residual
+# is 1.3e-12 (cyclic(8) full_homog) and the next 5.3e-13 (hypercube(3)
+# full_homog); general stays near 1e-14. 1e-11 is about 7x that maximum and
+# 10x inside the checks' 1e-10 tolerance, so a residual that grows faster
+# than about linearly in the step count fails here before it fails a check.
+DRIFT_BOUND = 1e-11
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(8), HypercubeGroup(3)], ids=["cyclic8", "hypercube3"])
+def test_relation_residuals_stay_small_over_3000_steps(group):
+    dim = group.coin_dim
+    rng = np.random.default_rng([3, dim])
+    coin = QuantumCoin.uniform(group, random_unitary(dim, rng))
+    start = WalkState.localized(group, group.identity, [0.6, 0.8j] + [0] * (dim - 2))
+    worst = {family: check_symmetry_relation(coin, start, _draw_symmetry(family, group, rng),
+                                             n_max=3000).max_residual
+             for family in FAMILIES}
+    assert max(worst.values()) <= DRIFT_BOUND, worst
 
 
 def test_corrupted_control_on_a_memoized_dressing_fails_at_its_site():

@@ -10,7 +10,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         WalkInstance, WalkState, apply_coin, apply_shift, evolve,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk.linalg import require_unit
-from cayleywalk.states import merge_keys, nonzero_rows
+from cayleywalk.states import PRUNE_TOL, merge_keys, nonzero_rows
 
 from conftest import random_state, random_unitary
 
@@ -90,6 +90,99 @@ def test_histories_match_a_memo_free_shift(group, steps, rng):
         state = _memo_free_shift(apply_coin(coin, state, n))
         back = apply_shift(state, adjoint=True)
         assert (back - _memo_free_shift(state, adjoint=True)).norm() == 0.0
+
+
+# -- the step kernel against a plain reference ---------------------------------------
+
+
+def _reference_apply(block, positions, amps, pruned: set):
+    """A block applied as the kernel multiplies (the products are not under
+    test), then the plain prune: every entry below PRUNE_TOL in magnitude
+    zeroed with np.where and the rows left with none dropped. A NaN is not
+    below it, so its row stays. `pruned` records whether there was
+    anything to prune."""
+    if block.ndim == 2:
+        amps = amps * block
+    elif block.shape[0] == 1:
+        amps = amps @ block[0].T
+    else:
+        amps = np.einsum("nij,nj->ni", block, amps)
+    small = np.abs(amps) < PRUNE_TOL
+    pruned.add(bool(small.any()))
+    keep = ~small.all(axis=1)
+    return positions[keep], np.where(small, 0.0, amps)[keep]
+
+
+def _reference_shift(group, positions, amps):
+    """|x, c> -> |x s_c, c>: the shifted keys merged by np.unique, one
+    scatter per coin, and the rows left all zero (-0.0 included) dropped."""
+    dim, npos = group.coin_dim, len(positions)
+    keys, inverse = np.unique(np.concatenate(
+        [group.shift_rows(positions, c) for c in range(dim)]), return_inverse=True)
+    out = np.zeros((len(keys), dim), dtype=complex)
+    for c in range(dim):
+        out[inverse[c * npos:(c + 1) * npos], c] = amps[:, c]
+    keep = (out != 0).any(axis=1)
+    return keys[keep], out[keep]
+
+
+def _planted_states(group, rng):
+    """A state with nothing to prune, and the same state holding a
+    sub-threshold entry, exact zeros, -0.0, an all-small row and a NaN row."""
+    gens = group.generators
+    positions = np.unique(group.keys(
+        [group.identity, *gens, *(group.mul(a, b) for a in gens for b in gens)]))
+    shape = (len(positions), group.coin_dim)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    planted = amps.copy()
+    tiny = 0.5 * PRUNE_TOL
+    planted[0, 0] = 1j * tiny
+    planted[1] = tiny
+    planted[1, 0] = -0.0
+    planted[2, -1] = 0.0
+    planted[3, 0] = complex(-0.0, -0.0)
+    planted[4, 1] = np.nan
+    return [WalkState(group, positions, a) for a in (amps, planted)]
+
+
+def _kernel_operators(cls, group, rng):
+    """Diagonal phases and a matrix per position, each a function of (step,
+    key), and one shared matrix."""
+    dim = group.coin_dim
+    return [
+        cls.batched(group, lambda n, keys: np.exp(1j * (0.7 * n + 0.3 * (keys[:, None] % 11)
+                                                        + np.arange(dim)))),
+        cls.uniform(group, random_unitary(dim, rng)),
+        cls.batched(group, lambda n, keys: np.array([random_unitary(
+            dim, np.random.default_rng([n, int(k) & 0xFFFFFF])) for k in keys])),
+    ]
+
+
+def _assert_bytes(state, positions, amps):
+    assert state.positions.dtype == positions.dtype and state.amps.shape == amps.shape
+    assert state.positions.tobytes() == positions.tobytes()
+    assert state.amps.tobytes() == amps.tobytes()
+
+
+@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(4),
+                                   LatticeGroup(2, period=6), LatticeGroup(2)],
+                         ids=["line", "cyclic8", "hypercube4", "torus6", "z2"])
+def test_step_and_local_apply_match_a_plain_reference_to_the_byte(group, rng):
+    pruned = set()
+    for state in _planted_states(group, rng):
+        for op in _kernel_operators(LocalUnitary, group, rng):
+            for n in (0, 3):
+                _assert_bytes(op.apply(state, n), *_reference_apply(
+                    op.block(n, state.positions), state.positions, state.amps, pruned))
+        for coin in _kernel_operators(QuantumCoin, group, rng):
+            got, positions, amps = state, state.positions, state.amps
+            for n in range(6):
+                got = step(coin, got, n)
+                positions, amps = _reference_shift(group, *_reference_apply(
+                    coin.block(n, positions), positions, amps, pruned))
+                _assert_bytes(got, positions, amps)
+    # both branches of the prune ran: with entries to zero and without
+    assert pruned == {True, False}
 
 
 def test_evolution_history_and_norms(rng):
