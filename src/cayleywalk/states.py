@@ -12,8 +12,14 @@ phases, (1, dim, dim) one shared matrix (the leading 1 keeps it apart from a
 diagonal when N == dim) or (N, dim, dim) a matrix per position. Scalar user
 rules are adapted to a batch by `elementwise` and nowhere else.
 
-A block's product is pruned once, by `_clean`: entries below PRUNE_TOL are
-zeroed, and rows left empty dropped, only when one magnitude test finds any.
+A block's product is pruned by `prune`: entries below PRUNE_TOL are zeroed
+only when one magnitude test finds any. `apply_block` then drops the rows
+left empty; a lockstep step leaves that to the shift (walk.apply_coin).
+
+Walks stepped in lockstep (walk.lockstep) share one WalkState: its amps
+stack the walks' coin vectors, walk w's in the contiguous (N, dim) block
+amps[w], and a row is kept while any walk has an amplitude there. Pruning
+and the shift act on every walk at once.
 """
 
 from __future__ import annotations
@@ -41,12 +47,15 @@ COMPACT_SPAN = 4
 
 
 def nonzero_rows(amps: np.ndarray) -> np.ndarray:
-    """Mask of the rows holding any nonzero amplitude. A NaN counts as
-    nonzero, so a corrupted amplitude is kept and shows in every norm."""
+    """Mask of the rows holding any nonzero amplitude, in any walk of a
+    lockstep state. A NaN counts as nonzero, so a corrupted amplitude is
+    kept and shows in every norm."""
     parts = np.ascontiguousarray(amps).view(np.float64) != 0
     # a boolean matmul is any() along each row, without the per-row cost of
     # reducing a short axis
-    return parts @ np.ones(parts.shape[1], dtype=bool)
+    rows = parts @ np.ones(parts.shape[-1], dtype=bool)
+    # and along the walks
+    return rows if rows.ndim == 1 else np.ones(rows.shape[0], dtype=bool) @ rows
 
 
 def merge_keys(keys: np.ndarray):
@@ -130,9 +139,10 @@ class WalkState:
     """Finitely supported amplitude map on (group element, coin index) pairs.
 
     `positions` is the sorted, duplicate-free int64 key array of the group;
-    row i of `amps` holds the coin vector at positions[i]. States never write
-    their positions, which may be read-only and shared: a shifted state's
-    are its group's shift plan keys (see shift_plan).
+    row i of `amps` holds the coin vector at positions[i] (row i of each
+    walk's block in a lockstep state; see the module docstring). States
+    never write their positions, which may be read-only and shared: a
+    shifted state's are its group's shift plan keys (see shift_plan).
     """
 
     __slots__ = ("group", "positions", "amps", "_elements")
@@ -217,10 +227,7 @@ class WalkState:
     # -- algebra ----------------------------------------------------------------
 
     def norm(self) -> float:
-        # np.linalg.norm's own sum for a complex array, without its dispatch
-        flat = self.amps.ravel(order="K")
-        re, im = flat.real, flat.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return norm_of(self.amps)
 
     def normalized(self) -> "WalkState":
         n = self.norm()
@@ -266,22 +273,38 @@ class WalkState:
                 f"norm={self.norm():.6f})")
 
 
-def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkState:
-    """Zero the amplitudes below PRUNE_TOL in magnitude (a -0.0 included)
-    and drop the rows left with none. A NaN compares False, so its row is
-    kept and shows in every norm. Most walk steps have nothing to prune."""
+def norm_of(amps: np.ndarray) -> float:
+    """The 2-norm of an amplitude array: np.linalg.norm's own sum for a
+    complex array, without its dispatch."""
+    flat = amps.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def prune(amps: np.ndarray):
+    """(amps, small): `amps` with its entries below PRUNE_TOL in magnitude
+    (a -0.0 included) zeroed, as a new array, and the mask of those
+    entries; `amps` itself and None when there are none, as in most walk
+    steps. A NaN compares False, so it is kept and shows in every norm."""
     small = np.abs(amps) < PRUNE_TOL
     if not np.count_nonzero(small):
+        return amps, None
+    return np.where(small, 0.0, amps), small
+
+
+def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkState:
+    """The state of a block product, pruned, without the rows left empty."""
+    pruned, small = prune(amps)
+    if small is None:
         # still a copy: a walk step then frees its coin product before the
         # shift allocates the rows it keeps, which spares a 2000-step line
         # history about 13 MB of heap holes
         return WalkState(group, positions, amps.copy())
-    amps = np.where(small, 0.0, amps)
     # a boolean matmul is any() along each row (see nonzero_rows)
     keep = ~small @ np.ones(small.shape[1], dtype=bool)
     if not keep.all():
-        positions, amps = positions.compress(keep), amps.compress(keep, axis=0)
-    return WalkState(group, positions, amps)
+        positions, pruned = positions.compress(keep), pruned.compress(keep, axis=0)
+    return WalkState(group, positions, pruned)
 
 
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
@@ -325,15 +348,20 @@ def require_block(group: CayleyGroup, keys: np.ndarray, block, what: str) -> np.
     return check(block, what=what, where=lambda i: group.elements_of(keys[i:i + 1])[0])
 
 
-def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
-    """Apply a block (see the module docstring) over the state's positions."""
+def block_product(block: np.ndarray, amps: np.ndarray, out=None) -> np.ndarray:
+    """A block (see the module docstring) times the (N, dim) coin vectors
+    `amps`, row by row, written to `out` if given."""
     if block.ndim == 2:
-        amps = state.amps * block
-    elif block.shape[0] == 1:
-        amps = state.amps @ block[0].T
-    else:
-        amps = np.einsum("nij,nj->ni", block, state.amps)
-    return _clean(state.group, state.positions, amps)
+        return np.multiply(amps, block, out=out)
+    if block.shape[0] == 1:
+        return np.matmul(amps, block[0].T, out=out)
+    return np.einsum("nij,nj->ni", block, amps, out=out)
+
+
+def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
+    """Apply a block over the state's positions; the product is pruned and
+    its empty rows dropped."""
+    return _clean(state.group, state.positions, block_product(block, state.amps))
 
 
 def find_keys(known: np.ndarray, keys: np.ndarray):
@@ -479,11 +507,14 @@ class LocalUnitary:
         return cls.batched(group, lambda n, keys: steps.get(n, untabulated)(keys),
                            validate=False)
 
+    def _reduced(self, n: int, keys: np.ndarray):
+        """(n, keys) at which the flags evaluate a request (see above)."""
+        return (0 if self.time_homogeneous else int(n),
+                self._identity if self.space_homogeneous else keys)
+
     def block(self, n: int, keys: np.ndarray) -> np.ndarray:
         """The step-n block over `keys`, read-only (see the flags above)."""
-        n = 0 if self.time_homogeneous else int(n)
-        if self.space_homogeneous:
-            keys = self._identity
+        n, keys = self._reduced(n, keys)
         for m, known, block in self._memo:
             if m == n and same_keys(known, keys):
                 return block
@@ -501,6 +532,12 @@ class LocalUnitary:
         """The rule's step-n block over `keys`, whatever the flags."""
         block = self._blocks(n, keys)
         return self.check(n, keys, block) if self.validate else block
+
+    def evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
+        """The step-n block over `keys` as `block` gives it, but evaluated
+        afresh and not kept: for the rule of an operator made of this one,
+        whose own memo then keeps the block once."""
+        return self._evaluate(*self._reduced(n, keys))
 
     def _probe_flags(self) -> None:
         """Check that the declared homogeneity matches the rule."""

@@ -31,6 +31,8 @@ from .states import (LocalUnitary, WalkState, elementwise, find_keys, lookup_row
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
+# Uniform transformed coins each transform keeps (see transform_coin).
+UNIFORM_COINS = 2
 
 
 # The dressing-phase name of the one local-operator type.
@@ -46,6 +48,9 @@ class SymmetryTransform:
     phases: LocalUnitary
     family: str = "general"
     params: dict = field(default_factory=dict)
+    # (coin, transformed coin) of the latest uniform transformed coins (see
+    # transform_coin); dataclasses.replace starts a new list
+    uniform_coins: list = field(default_factory=list, init=False, repr=False)
 
 
 class UnitaryCharacter:
@@ -246,9 +251,9 @@ def make_general_symmetry(u0: LocalUnitary, phases: LocalUnitary) -> SymmetryTra
     phases of `phases` at steps n >= 1."""
     if u0.group != phases.group:
         raise SpecError("U0 and phase field must share one group")
-    # each part checks its own blocks
+    # each part checks its own blocks; the dressing's memo alone keeps them
     dressing = LocalUnitary.batched(
-        u0.group, lambda n, keys: (phases if n else u0).block(n, keys), validate=False)
+        u0.group, lambda n, keys: (phases if n else u0).evaluate(n, keys), validate=False)
     return SymmetryTransform(u0.group, dressing, "general", {})
 
 
@@ -483,7 +488,9 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
 
     The transformed coin declares homogeneity flags only when it is uniform
     (the full_homog family of a uniform coin), where they give one block for
-    the whole walk; the flags are probed here, once. Any other transformed
+    the whole walk; the flags are probed here, once per transform and coin:
+    the transform keeps the uniform coins it built latest (UNIFORM_COINS)
+    and hands them out again for the same coin. Any other transformed
     coin is evaluated at the walk's own (n, keys), even where the family
     preserves one homogeneity (verify.check_homogeneity certifies that by
     probing): the shifted positions are the next state's positions unless a
@@ -503,12 +510,19 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
             return m * np.conj(u)[:, None, :]
         return m @ np.swapaxes(u.conj(), -1, -2)
 
-    uniform = coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"
     # each factor of a block is checked where it is made (the coin's and the
     # dressing's own checks), so the product is not checked again
-    new_coin = QuantumCoin.batched(group, blocks, False, uniform, uniform)
-    if uniform:
-        new_coin._probe_flags()
+    if not (coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"):
+        return QuantumCoin.batched(group, blocks, False)
+    for known, built in t.uniform_coins:
+        if known is coin:
+            return built
+    new_coin = QuantumCoin.batched(group, blocks, False, True, True)
+    new_coin._probe_flags()
+    # kept, so that checking the transform again does not probe it again;
+    # evicted in insertion order
+    t.uniform_coins.append((coin, new_coin))
+    del t.uniform_coins[:-UNIFORM_COINS]
     return new_coin
 
 

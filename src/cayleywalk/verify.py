@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +19,12 @@ from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             transform_pair)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
-from .states import PROBE_STEPS, LocalUnitary, WalkState, homogeneity_spreads, merge_keys
-from .symmetry import SymmetryTransform, apply_dressing
+from .states import (PROBE_STEPS, PRUNE_TOL, LocalUnitary, WalkState, block_product,
+                     homogeneity_spreads, merge_keys, norm_of)
+from .symmetry import SymmetryTransform
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
-from .walk import QuantumCoin, WalkInstance, apply_shift, evolve, evolve_iter
+from .walk import QuantumCoin, WalkInstance, apply_shift, evolve, lockstep
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,23 @@ def check_symmetry(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 5
                    probability: str | None = "probability_map",
                    dressing: LocalUnitary | None = None,
                    transformed: tuple | None = None) -> list[VerificationReport]:
-    """Certify the claims of a (possibly generalized) symmetry from one
-    evolution of the original and one of the transformed walk.
+    """Certify the claims of a (possibly generalized) symmetry from the
+    original and the transformed walk, stepped in lockstep (walk.lockstep)
+    on one support: the union of their supports, so a row is zero in the
+    walk that has no amplitude there.
 
     `relation` and `probability` are the case ids of the two claims' reports,
     returned in that order; None leaves a claim out. The defining relation
     compares the transformed state at each step against the dressed
-    original; `dressing` overrides the dressing operator applied to the
-    original trajectory, which is how a corrupted-dressing negative control
-    is expressed. The probability map compares measured distributions:
-    ordinary symmetries leave them unchanged, generalized ones relabel them
-    by x -> shift * phi(x). `transformed` supplies the claimed (coin, state)
-    pair instead of deriving it, so a wrong claim can be exhibited as a
-    failing report.
+    original: the dressed coin vectors, pruned as any block product is, are
+    subtracted on the shared support, or relabeled by the automorphism of a
+    generalized symmetry and then subtracted. `dressing` overrides the
+    dressing operator applied to the original trajectory, which is how a
+    corrupted-dressing negative control is expressed. The probability map
+    compares measured distributions: ordinary symmetries leave them
+    unchanged, generalized ones relabel them by x -> shift * phi(x).
+    `transformed` supplies the claimed (coin, state) pair instead of
+    deriving it, so a wrong claim can be exhibited as a failing report.
     """
     inner, generalized = _split_transform(transform)
     group = inner.group
@@ -126,19 +131,29 @@ def check_symmetry(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 5
     if relation is not None and n_max < 1:
         raise SpecError("relation checks need n_max >= 1")
     new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
-    original = evolve_iter(WalkInstance(group, coin, psi0), n_max)
-    new = evolve_iter(WalkInstance(group, new_coin, new_state), n_max)
-    dress = inner if dressing is None else replace(inner, phases=dressing)
+    walks = lockstep((WalkInstance(group, coin, psi0), WalkInstance(group, new_coin, new_state)),
+                     n_max)
+    phases = inner.phases if dressing is None else dressing
     perm = None if generalized is None else generalized.perm
     relation_residuals, probability_residuals = [], []
-    for n, (psi_n, phi_n) in enumerate(zip(original, new)):
+    for n, both in enumerate(walks):
+        keys, (psi, phi) = both.positions, both.amps
         if relation is not None:
-            expected = apply_dressing(dress, n, psi_n)
-            if perm is not None:
-                expected = permutation_apply(perm, expected)
-            relation_residuals.append((phi_n - expected).norm())
+            expected = block_product(phases.block(n, keys), psi)
+            small = np.abs(expected) < PRUNE_TOL
+            # zeroed as states.prune zeroes a product, unless every small
+            # entry is zero already (a line walk's edge rows are half zero),
+            # which leaves the residual as it is
+            if np.count_nonzero(small) > expected.size - np.count_nonzero(expected):
+                expected = np.where(small, 0.0, expected)
+            if perm is None:
+                relation_residuals.append(norm_of(np.subtract(phi, expected, out=expected)))
+            else:
+                expected = permutation_apply(perm, WalkState(group, keys, expected))
+                relation_residuals.append((WalkState(group, keys, phi) - expected).norm())
         if probability is not None:
-            probability_residuals.append(_probability_residual(psi_n, phi_n, perm))
+            probability_residuals.append(_probability_residual(
+                WalkState(group, keys, psi), WalkState(group, keys, phi), perm))
     return [_report(case_id, residuals, tol) for case_id, residuals in
             ((relation, relation_residuals), (probability, probability_residuals))
             if case_id is not None]

@@ -4,6 +4,8 @@ One step applies the current coin (a local operation) and then the
 conditional shift T sending |x, c> to |x s_c, c>. Coins may depend on the
 time step and the position. A coin is a states.LocalUnitary, whose declared
 homogeneity flags unlock one shared block and are probed at construction.
+One stepper, `lockstep`, steps one walk (`evolve_iter`) or several on one
+shared support (a relation check's original and transformed walks).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import LocalUnitary, WalkState, apply_block, nonzero_rows, shift_plan
+from .states import (LocalUnitary, WalkState, apply_block, block_product, merge_keys, nonzero_rows,
+                     norm_of, prune, same_keys, shift_plan)
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
@@ -70,34 +73,55 @@ def rotation_coin(group: CayleyGroup, angle: float) -> QuantumCoin:
 
 
 def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
-    """Conditional shift: |x, c> -> |x s_c, c> (adjoint: |x, c> -> |x s_c^-1, c>)."""
+    """Conditional shift: |x, c> -> |x s_c, c> (adjoint: |x, c> -> |x s_c^-1, c>),
+    of each walk of a lockstep state, and the rows left empty dropped."""
     group = state.group
     dim = group.coin_dim
     npos = state.n_positions
     if npos == 0:
         return state
     keys, inverse = shift_plan(group, state.positions, adjoint)
-    amps = np.zeros((keys.shape[0], dim), dtype=complex)
+    amps = np.zeros(state.amps.shape[:-2] + (keys.shape[0], dim), dtype=complex)
     for c in range(dim):
         # within one coin block the shift x -> x s_c is injective, so plain
-        # assignment (not accumulation) is safe
-        amps[inverse[c * npos:(c + 1) * npos], c] = state.amps[:, c]
+        # assignment (not accumulation) is safe; `...` spans the walks
+        amps[..., inverse[c * npos:(c + 1) * npos], c] = state.amps[..., c]
     if not state.amps.all():
         # a row is left empty only if every entry shifted onto it was zero
         keep = nonzero_rows(amps)
         if not keep.all():
-            keys, amps = keys.compress(keep), amps.compress(keep, axis=0)
+            keys, amps = keys.compress(keep), amps.compress(keep, axis=-2)
     return WalkState(group, keys, amps)
 
 
-def apply_coin(coin: QuantumCoin, state: WalkState, n: int) -> WalkState:
-    if coin.group != state.group:
-        raise SpecError("coin and state live on different groups")
-    return apply_block(state, coin.block(n, state.positions))
+def apply_coin(coin, state: WalkState, n: int) -> WalkState:
+    """The coin at step n applied over the state's positions, and the
+    product pruned (see states.prune). A one-walk state also drops the rows
+    left empty, at once (states.apply_block): its history then keeps fewer
+    heap holes. A lockstep state, with a sequence of one coin per walk,
+    leaves them for the shift, which so reuses the shift plan on which its
+    coins' shifted phases were evaluated."""
+    one = isinstance(coin, LocalUnitary)
+    if one != (state.amps.ndim == 2) or not one and len(coin) != len(state.amps):
+        raise SpecError("a state needs one coin per walk")
+    for c in (coin,) if one else coin:
+        if c.group != state.group:
+            raise SpecError("coin and state live on different groups")
+    if one:
+        return apply_block(state, coin.block(n, state.positions))
+    # every block before any product: a complex matmul (BLAS) can leave the
+    # vector unit in a state that slows the scalar math of a Python rule run
+    # next about fivefold, until some other numpy kernel resets it
+    blocks = [c.block(n, state.positions) for c in coin]
+    amps = np.empty(state.amps.shape, dtype=complex)
+    for w, block in enumerate(blocks):
+        block_product(block, state.amps[w], amps[w])
+    return WalkState(state.group, state.positions, prune(amps)[0])
 
 
-def step(coin: QuantumCoin, state: WalkState, n: int) -> WalkState:
-    """One walk step at time n: coin first, then the conditional shift."""
+def step(coin, state: WalkState, n: int) -> WalkState:
+    """One walk step at time n: coin first, then the conditional shift (of
+    each walk of a lockstep state, with one coin per walk)."""
     return apply_shift(apply_coin(coin, state, n))
 
 
@@ -117,21 +141,59 @@ class WalkInstance:
         self.initial_state = initial_state
 
 
-def evolve_iter(instance: WalkInstance, n_max: int) -> Iterator[WalkState]:
-    """Yield the states after 0..n_max steps, one at a time, so that a
-    consumer holds only the states it keeps. Aborts with NumericDriftError
-    if unitarity drifts numerically."""
+def _shared_start(states) -> WalkState:
+    """One state: the walks' initial states, stacked as a lockstep state on
+    the union of their positions (zero where a walk has none); with one
+    walk, its state."""
+    first = states[0]
+    if len(states) == 1:
+        return first
+    if all(same_keys(s.positions, first.positions) for s in states[1:]):
+        return WalkState(first.group, first.positions, np.stack([s.amps for s in states]))
+    keys, inverse = merge_keys(np.concatenate([s.positions for s in states]))
+    amps = np.zeros((len(states), keys.shape[0], first.group.coin_dim), dtype=complex)
+    at = 0
+    for walk, s in zip(amps, states):
+        walk[inverse[at:at + s.n_positions]] = s.amps
+        at += s.n_positions
+    return WalkState(first.group, keys, amps)
+
+
+def lockstep(instances, n_max: int) -> Iterator[WalkState]:
+    """Step walks on one group together: yield, after 0..n_max steps, one
+    lockstep state (see states) holding each walk's coin vectors on the
+    union of the walks' supports. Each step evaluates each walk's coin on
+    that support, prunes all walks at once, and shifts them by one shift
+    plan, a row kept while any walk has an amplitude in it. While the walks
+    share their support, each walk's amplitudes are those of its own
+    evolution to the byte; elsewhere it also carries zero rows, and its
+    coin products, over more rows, may differ in the last bits. With one
+    walk the states are its evolution. Aborts with NumericDriftError if any
+    walk's norm drifts numerically."""
     if n_max < 0:
         raise SpecError("step count must be nonnegative")
-    current = instance.initial_state
+    group = instances[0].group
+    if any(inst.group != group for inst in instances):
+        raise SpecError("walks stepped together must share one group")
+    several = len(instances) > 1
+    coins = [inst.coin for inst in instances] if several else instances[0].coin
+    current = _shared_start([inst.initial_state for inst in instances])
     yield current
     for n in range(int(n_max)):
-        current = step(instance.coin, current, n)
-        drift = abs(current.norm() - 1.0)
-        if not drift <= DRIFT_TOL:  # also catches a NaN norm
-            raise NumericDriftError(
-                f"norm drifted by {drift:.3e} after step {n + 1}")
+        current = step(coins, current, n)
+        for w, walk in enumerate(current.amps if several else (current.amps,)):
+            drift = abs(norm_of(walk) - 1.0)
+            if not drift <= DRIFT_TOL:  # also catches a NaN norm
+                which = f" of walk {w}" if several else ""
+                raise NumericDriftError(
+                    f"norm{which} drifted by {drift:.3e} after step {n + 1}")
         yield current
+
+
+def evolve_iter(instance: WalkInstance, n_max: int) -> Iterator[WalkState]:
+    """Yield the states after 0..n_max steps, one at a time, so that a
+    consumer holds only the states it keeps: the one-walk lockstep."""
+    return lockstep((instance,), n_max)
 
 
 def evolve(instance: WalkInstance, n_max: int) -> list[WalkState]:

@@ -1,0 +1,140 @@
+"""Relation checks step the original and the transformed walk in lockstep on
+one support (walk.lockstep). Their reports are compared here with a
+reference written out below: two separate evolutions, then the original
+state dressed, relabeled for a generalized symmetry, subtracted and its
+norm taken at each step.
+
+Where the two walks' supports coincide, the lockstep multiplies, prunes and
+subtracts the same coin vectors in the same order, so its residuals equal
+the reference's to the bit. Where they differ (a mirror symmetry from off
+the identity, the x -> 1 - x symmetry on the line, and a claimed pair
+started elsewhere), each walk also carries the rows that only the other
+walk has, as zeros. Its coin product then runs over more rows, which BLAS
+may block differently, and a norm sums the same terms with zeros between
+them, so a residual may differ in its last bits, here bounded by 1e-15."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from cayleywalk import (CyclicGroup, GeneralizedSymmetry, HypercubeGroup, LatticeGroup,
+                        LineGroup, QuantumCoin, ShiftedAutomorphism,
+                        WalkInstance, WalkState, check_symmetry, corrupted_phases,
+                        decompose_line_coin, evolve, evolve_iter, hadamard_coin,
+                        make_generalized_symmetry, mirror_generalized_symmetry,
+                        permutation_apply, transform_coin)
+from cayleywalk.automorphisms import transform_pair
+
+from conftest import random_unitary
+from test_acceptance import FAMILIES, _draw_symmetry
+
+GROUPS = [(LineGroup(), 3), (CyclicGroup(8), 3), (HypercubeGroup(3), (1, 0, 1)),
+          (LatticeGroup(2, period=6), (2, 5))]
+GROUP_IDS = ["line", "cyclic8", "hypercube3", "torus6"]
+
+
+def _reference(coin, psi0, transform, n_max, dressing=None, transformed=None):
+    """(relation residuals, probability residuals, whether the supports
+    coincided at every step) of two separate evolutions."""
+    if isinstance(transform, GeneralizedSymmetry):
+        inner, perm = transform.inner, transform.perm
+    else:
+        inner, perm = transform, None
+    new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
+    phases = inner.phases if dressing is None else dressing
+    group = coin.group
+    relation, probability, same = [], [], True
+    for n, (psi, phi) in enumerate(zip(evolve_iter(WalkInstance(group, coin, psi0), n_max),
+                                       evolve_iter(WalkInstance(group, new_coin, new_state),
+                                                   n_max))):
+        expected = phases.apply(psi, n)
+        same &= np.array_equal(psi.positions, phi.positions)
+        if perm is not None:
+            expected = permutation_apply(perm, expected)
+        relation.append((phi - expected).norm())
+        moved = {perm.apply_element(x) if perm else x: p
+                 for x, p in psi.position_distribution(warn_unnormalized=False).items()}
+        mapped = phi.position_distribution(warn_unnormalized=False)
+        probability.append(max(abs(moved.get(x, 0.0) - mapped.get(x, 0.0))
+                               for x in moved.keys() | mapped.keys()))
+    return relation, probability, same
+
+
+def _start(group, at, rng):
+    vec = rng.normal(size=group.coin_dim) + 1j * rng.normal(size=group.coin_dim)
+    return WalkState.localized(group, at, vec / np.linalg.norm(vec))
+
+
+def _compare(coin, psi0, transform, n_max, **claim):
+    relation, probability = check_symmetry(coin, psi0, transform, n_max, **claim)
+    want_relation, want_probability, same = _reference(coin, psi0, transform, n_max, **claim)
+    for report, want in ((relation, want_relation), (probability, want_probability)):
+        if same:
+            assert report.per_step_residuals == want
+        else:
+            assert np.abs(np.subtract(report.per_step_residuals, want)).max() <= 1e-15
+    return relation, same
+
+
+@pytest.mark.parametrize("at", ["identity", "off identity"])
+@pytest.mark.parametrize("group, off", GROUPS, ids=GROUP_IDS)
+def test_lockstep_reports_match_two_separate_walks(group, off, at):
+    rng = np.random.default_rng([77, group.coin_dim, at == "identity"])
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    psi0 = _start(group, group.identity if at == "identity" else off, rng)
+    n_max = 40 if group.kind == "line" else 16
+    transforms = [_draw_symmetry(family, group, rng) for family in FAMILIES]
+    if group.kind == "line":
+        transforms.append(mirror_generalized_symmetry(
+            decompose_line_coin(coin.matrix_at(0)), group))
+    for t in transforms:
+        report, same = _compare(coin, psi0, t, n_max)
+        # only a mirror moves the support, and only from off the identity
+        assert report.passed and same == (at == "identity" or t not in transforms[4:]), t
+
+
+def test_a_support_moving_symmetry_steps_on_the_union_of_supports():
+    """x -> 1 - x moves a line walk's support to the other parity, so the
+    two walks never share a position; the lockstep steps both on the union."""
+    group = LineGroup()
+    rng = np.random.default_rng(5)
+    coin = QuantumCoin.uniform(group, random_unitary(2, rng))
+    inner = _draw_symmetry("general", group, rng)
+    reflect = make_generalized_symmetry(ShiftedAutomorphism(group, 1, (1, 0)), inner)
+    for at in (0, 4):
+        psi0 = _start(group, at, rng)
+        report, same = _compare(coin, psi0, reflect, 30)
+        assert report.passed and not same
+
+
+@pytest.mark.parametrize("group, off", GROUPS, ids=GROUP_IDS)
+def test_a_wrong_claimed_pair_fails_as_with_two_separate_walks(group, off):
+    rng = np.random.default_rng([78, group.coin_dim])
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    psi0 = _start(group, group.identity, rng)
+    t = _draw_symmetry("time_homog", group, rng)
+    # the right coin from the wrong place, and the wrong coin from the right one
+    for claim in ((transform_coin(t, coin), _start(group, off, rng)),
+                  (coin, transform_pair(t, coin, psi0)[1])):
+        report, _ = _compare(coin, psi0, t, 12, transformed=claim)
+        assert not report.passed
+
+
+@pytest.mark.parametrize("family", FAMILIES + ["mirror"])
+def test_corrupted_controls_fail_at_the_step_two_separate_walks_fail(family):
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    psi0 = WalkState.localized(group, 0, np.array([0.6, 0.8j]))
+    rng = np.random.default_rng(31)
+    t = (mirror_generalized_symmetry(decompose_line_coin(coin.matrix_at(0)), group)
+         if family == "mirror" else _draw_symmetry(family, group, rng))
+    inner = t.inner if family == "mirror" else t
+    n0 = 7
+    (x, c), _ = max(evolve(WalkInstance(group, coin, psi0), n0)[n0].terms().items(),
+                    key=lambda item: abs(item[1]))
+    bad = corrupted_phases(inner.phases, (n0, x, c))
+    report, _ = _compare(coin, psi0, t, 14, dressing=bad)
+    assert report.first_failing_step == n0
+    assert _reference(coin, psi0, t, 14, dressing=bad)[0][n0] > 1e-3
+

@@ -275,16 +275,20 @@ def test_lockstepped_relation_check_merges_each_shifted_support_once(family, mon
     assert merges == Counter({2 * (n + 1): 1 for n in range(40)})
 
 
-@pytest.mark.parametrize("group, n_max", [(LineGroup(), 100), (CyclicGroup(8), 30),
-                                          (HypercubeGroup(3), 30)],
+@pytest.mark.parametrize("at", ["identity", "off identity"])
+@pytest.mark.parametrize("group, n_max, off", [(LineGroup(), 100, 3), (CyclicGroup(8), 30, 3),
+                                               (HypercubeGroup(3), 30, (1, 0, 1))],
                          ids=["line", "cyclic8", "hypercube3"])
-def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monkeypatch):
-    """A count guard: a warm relation check of every family evaluates its
-    dressing about once per step, and neither a space_homog nor a
-    time_homog check merges keys that a general check does not. The walk
-    starts at the identity, as the benchmark's checks do; the allowance of
-    12 covers the flag probe of a uniform transformed coin (10 evaluations)
-    and its one block."""
+def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, off, at,
+                                                              monkeypatch):
+    """A count guard: a warm relation check of every family, from the
+    identity or elsewhere, evaluates its dressing about once per step, and
+    merges keys at most once per step, as often as a general check does: the
+    two walks and the transformed coin's shifted phases share one shift plan
+    per step, which a finite group's repeating supports find again. The
+    allowance of 12 evaluations covers the flag probe of a uniform
+    transformed coin (10 evaluations) and its one block, which a warm check
+    no longer needs (its transform keeps the coin it built)."""
     from cayleywalk import states
     counts, watched = Counter(), []
     evaluate, merge_keys = LocalUnitary._evaluate, states.merge_keys
@@ -302,7 +306,7 @@ def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monk
     rng = np.random.default_rng([4242, group.coin_dim])
     coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
     psi0 = [0.6, 0.8j] + [0] * (group.coin_dim - 2)
-    start = WalkState.localized(group, group.identity, psi0)
+    start = WalkState.localized(group, group.identity if at == "identity" else off, psi0)
     merges = {}
     for family in FAMILIES:
         t = _draw_symmetry(family, group, rng)
@@ -314,9 +318,63 @@ def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, monk
         assert report.passed, (family, report)
         assert counts["evaluate"] <= n_max + 12, (family, counts)
         merges[family] = counts["merge"]
-    assert merges["space_homog"] <= merges["general"] + 2, merges
-    # a warm delta memo finds its rows without merging each batch into its keys
-    assert merges["time_homog"] <= merges["general"] + 2, merges
+    assert set(merges.values()) == {merges["general"]}, merges
+    # every step's support is new on the line
+    assert merges["general"] == n_max if group.kind == "line" else merges["general"] <= n_max
+
+
+def test_a_warm_check_builds_and_probes_a_uniform_transformed_coin_once(monkeypatch):
+    group = LineGroup()
+    coin = hadamard_coin(group)
+    t = make_full_homog_symmetry(group, epsilon=1j, uprime=[1j, -1])
+    probes = Counter()
+    probe = QuantumCoin._probe_flags
+
+    def counted(self):
+        probes[type(self)] += 1
+        return probe(self)
+
+    monkeypatch.setattr(QuantumCoin, "_probe_flags", counted)
+    new_coin = transform_coin(t, coin)
+    assert transform_coin(t, coin) is new_coin
+    start = WalkState.localized(group, 3, [0.6, 0.8j])
+    for _ in range(2):
+        assert check_symmetry_relation(coin, start, t, n_max=10).passed
+    assert probes == Counter({QuantumCoin: 1})
+    # another coin gets its own transformed coin
+    other = QuantumCoin.uniform(group, hadamard_matrix() @ np.diag([1, 1j]))
+    assert transform_coin(t, other) is not new_coin
+    assert probes == Counter({QuantumCoin: 2})
+
+
+def test_a_general_symmetry_keeps_each_dressing_block_once(monkeypatch):
+    """The general family's dressing evaluates its parts through their
+    checked evaluation, so only the dressing's own memo keeps a block: its
+    U0 and phase field keep none, and a warm check stores three memo
+    entries a step (the shift plan, the transformed coin's block and the
+    dressing's step-(n+1) block), not four."""
+    from cayleywalk import states
+    group = LineGroup()
+    u0 = LocalUnitary.uniform(group, hadamard_matrix())
+    phases = LocalUnitary(group, lambda n, x, c: np.exp(1j * (0.4 * n + 0.9 * x + 1.3 * c)))
+    t = make_general_symmetry(u0, phases)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    coin = hadamard_coin(group)
+    n_max = 40
+    assert check_symmetry_relation(coin, start, t, n_max=n_max).passed
+    stored = Counter()
+    memo_keys = states.memo_keys
+
+    def counted(keys):
+        stored["memo"] += 1
+        return memo_keys(keys)
+
+    monkeypatch.setattr(states, "memo_keys", counted)
+    assert check_symmetry_relation(coin, start, t, n_max=n_max).passed
+    assert u0._memo == [] and phases._memo == []
+    assert stored["memo"] <= 3 * n_max + 2, stored
+    # the dressing still honours its parts' flags: a uniform U0 is one shared matrix
+    assert t.phases.block(0, group.keys([0, 1, 2])).shape == (1, 2, 2)
 
 
 # Bound of the drift guard below. Over its 3,000 steps the largest residual

@@ -7,12 +7,13 @@ import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         LocalUnitary, NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
-                        WalkInstance, WalkState, apply_coin, apply_shift, evolve,
+                        WalkInstance, WalkState, apply_coin, apply_shift, check_symmetry, evolve,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk.linalg import require_unit
 from cayleywalk.states import PRUNE_TOL, merge_keys, nonzero_rows
 
 from conftest import random_state, random_unitary
+from test_acceptance import _draw_symmetry
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -183,6 +184,57 @@ def test_step_and_local_apply_match_a_plain_reference_to_the_byte(group, rng):
                 _assert_bytes(got, positions, amps)
     # both branches of the prune ran: with entries to zero and without
     assert pruned == {True, False}
+
+
+@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(4),
+                                   LatticeGroup(2, period=6), LatticeGroup(2)],
+                         ids=["line", "cyclic8", "hypercube4", "torus6", "z2"])
+def test_evolve_histories_match_a_plain_reference_to_the_byte(group, rng):
+    """Whole histories of the one-walk lockstep (evolve), from the planted
+    states with their NaN row zeroed, step for step as the plain reference
+    steps them."""
+    pruned = set()
+    for state in _planted_states(group, rng):
+        start = WalkState(group, state.positions, np.nan_to_num(state.amps)).normalized()
+        for coin in _kernel_operators(QuantumCoin, group, rng):
+            positions, amps = start.positions, start.amps
+            for n, got in enumerate(evolve(WalkInstance(group, coin, start), 8)):
+                _assert_bytes(got, positions, amps)
+                positions, amps = _reference_shift(group, *_reference_apply(
+                    coin.block(n, positions), positions, amps, pruned))
+    assert pruned == {True, False}
+
+
+def test_a_transformed_walk_that_drifts_alone_aborts_at_its_step():
+    """In a relation check only the claimed transformed walk goes wrong: its
+    coin turns NaN at step 3, so its norm fails after step 4, as the same
+    walk's does alone."""
+    group = LineGroup()
+    nan_coin = QuantumCoin.from_rule(
+        group, lambda n, x: np.eye(2) * (np.nan if n == 3 else 1), validate=False)
+    psi0 = WalkState.localized(group, 0, [0.6, 0.8j])
+    with pytest.raises(NumericDriftError, match="^norm drifted by nan after step 4$"):
+        evolve(WalkInstance(group, nan_coin, psi0), 8)
+    t = _draw_symmetry("general", group, np.random.default_rng(2))
+    with pytest.raises(NumericDriftError, match="^norm of walk 1 drifted by nan after step 4$"):
+        check_symmetry(hadamard_coin(group), psi0, t, 8, transformed=(nan_coin, psi0))
+
+
+def test_a_lockstep_step_takes_one_coin_per_walk(rng):
+    group = CyclicGroup(8)
+    a, b = random_state(group, rng), random_state(group, rng)
+    both = WalkState(group, a.positions, np.stack([a.amps, a.amps]))
+    coins = (hadamard_coin(group), QuantumCoin.uniform(group, random_unitary(2, rng)))
+    stepped = step(coins, both, 3)
+    for walk, coin in zip(stepped.amps, coins):
+        alone = step(coin, a, 3)
+        assert np.array_equal(stepped.positions, alone.positions)
+        assert walk.tobytes() == alone.amps.tobytes()
+    for wrong in (coins[0], coins + coins[:1]):
+        with pytest.raises(SpecError, match="one coin per walk"):
+            step(wrong, both, 3)
+    with pytest.raises(SpecError, match="one coin per walk"):
+        step(coins, b, 3)
 
 
 def test_evolution_history_and_norms(rng):
