@@ -14,7 +14,8 @@ rules are adapted to a batch by `elementwise` and nowhere else.
 
 A block's product is pruned by `prune`: entries below PRUNE_TOL are zeroed
 only when one magnitude test finds any. `apply_block` then drops the rows
-left empty; a lockstep step leaves that to the shift (walk.apply_coin).
+left empty; a lockstep step leaves that to the shift (walk.apply_coin),
+and a dressing keeps them (symmetry.apply_dressing).
 
 Walks stepped in lockstep (walk.lockstep) share one WalkState: its amps
 stack the walks' coin vectors, walk w's in the contiguous (N, dim) block

@@ -26,13 +26,11 @@ import numpy as np
 from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary
-from .states import (LocalUnitary, WalkState, elementwise, find_keys, lookup_rows, merge_keys,
-                     require_block, shift_plan)
+from .states import (LocalUnitary, WalkState, block_product, elementwise, find_keys, lookup_rows,
+                     merge_keys, prune, require_block, shift_plan)
 from .walk import QuantumCoin
 
 UNIT_TOL = 1e-12
-# Uniform transformed coins each transform keeps (see transform_coin).
-UNIFORM_COINS = 2
 
 
 # The dressing-phase name of the one local-operator type.
@@ -48,9 +46,9 @@ class SymmetryTransform:
     phases: LocalUnitary
     family: str = "general"
     params: dict = field(default_factory=dict)
-    # (coin, transformed coin) of the latest uniform transformed coins (see
-    # transform_coin); dataclasses.replace starts a new list
-    uniform_coins: list = field(default_factory=list, init=False, repr=False)
+    # (coin, transformed coin) of the uniform transformed coin built latest
+    # (see transform_coin); dataclasses.replace starts without one
+    uniform_coin: tuple | None = field(default=None, init=False, repr=False)
 
 
 class UnitaryCharacter:
@@ -489,13 +487,13 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
     The transformed coin declares homogeneity flags only when it is uniform
     (the full_homog family of a uniform coin), where they give one block for
     the whole walk; the flags are probed here, once per transform and coin:
-    the transform keeps the uniform coins it built latest (UNIFORM_COINS)
-    and hands them out again for the same coin. Any other transformed
-    coin is evaluated at the walk's own (n, keys), even where the family
-    preserves one homogeneity (verify.check_homogeneity certifies that by
-    probing): the shifted positions are the next state's positions unless a
-    row is pruned, so the dressing's memo serves the step-(n+1) phases again
-    as U(n+1) one step later, and again to dress the original walk.
+    the transform keeps the uniform coin it built latest and hands it out
+    again for the same coin. Any other transformed coin is evaluated at the
+    walk's own (n, keys), even where the family preserves one homogeneity
+    (verify.check_homogeneity certifies that by probing): the shifted
+    positions are the next state's positions unless a row is pruned, so the
+    dressing's memo serves the step-(n+1) phases again as U(n+1) one step
+    later, and again to dress the original walk.
     """
     group = t.group
     if coin.group != group:
@@ -514,18 +512,21 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
     # dressing's own checks), so the product is not checked again
     if not (coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"):
         return QuantumCoin.batched(group, blocks, False)
-    for known, built in t.uniform_coins:
-        if known is coin:
-            return built
+    if t.uniform_coin is not None and t.uniform_coin[0] is coin:
+        return t.uniform_coin[1]
     new_coin = QuantumCoin.batched(group, blocks, False, True, True)
     new_coin._probe_flags()
-    # kept, so that checking the transform again does not probe it again;
-    # evicted in insertion order
-    t.uniform_coins.append((coin, new_coin))
-    del t.uniform_coins[:-UNIFORM_COINS]
+    # kept, so that checking the transform again does not probe it again
+    object.__setattr__(t, "uniform_coin", (coin, new_coin))
     return new_coin
 
 
 def apply_dressing(t: SymmetryTransform, n: int, state: WalkState) -> WalkState:
-    """Dress a step-n state with the symmetry's local operator U(n)."""
-    return t.phases.apply(state, n)
+    """Dress a step-n state with the symmetry's local operator U(n), on the
+    state's own rows: the product is pruned as a coin product is
+    (states.prune), and a row left empty is kept, so that a relation check
+    subtracts the dressed original from the transformed state in place."""
+    if state.group != t.phases.group:
+        raise SpecError("operator and state live on different groups")
+    amps = block_product(t.phases.block(n, state.positions), state.amps)
+    return WalkState(state.group, state.positions, prune(amps)[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,9 +19,8 @@ from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             transform_pair)
 from .errors import SpecError
 from .groups import CayleyGroup, brute_force_causal
-from .states import (PROBE_STEPS, PRUNE_TOL, LocalUnitary, WalkState, block_product,
-                     homogeneity_spreads, merge_keys, norm_of)
-from .symmetry import SymmetryTransform
+from .states import PROBE_STEPS, LocalUnitary, WalkState, homogeneity_spreads, merge_keys, norm_of
+from .symmetry import SymmetryTransform, apply_dressing
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
 from .walk import QuantumCoin, WalkInstance, apply_shift, evolve, lockstep
@@ -114,13 +113,13 @@ def check_symmetry(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 5
     `relation` and `probability` are the case ids of the two claims' reports,
     returned in that order; None leaves a claim out. The defining relation
     compares the transformed state at each step against the dressed
-    original: the dressed coin vectors, pruned as any block product is, are
-    subtracted on the shared support, or relabeled by the automorphism of a
-    generalized symmetry and then subtracted. `dressing` overrides the
-    dressing operator applied to the original trajectory, which is how a
-    corrupted-dressing negative control is expressed. The probability map
-    compares measured distributions: ordinary symmetries leave them
-    unchanged, generalized ones relabel them by x -> shift * phi(x).
+    original (symmetry.apply_dressing, on the shared support): subtracted in
+    place, or first relabeled by the automorphism of a generalized symmetry.
+    `dressing` overrides the dressing operator applied to the original
+    trajectory, which is how a corrupted-dressing negative control is
+    expressed. The probability map compares measured distributions:
+    ordinary symmetries leave them unchanged, generalized ones relabel them
+    by x -> shift * phi(x).
     `transformed` supplies the claimed (coin, state) pair instead of
     deriving it, so a wrong claim can be exhibited as a failing report.
     """
@@ -133,24 +132,20 @@ def check_symmetry(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 5
     new_coin, new_state = transformed or transform_pair(transform, coin, psi0)
     walks = lockstep((WalkInstance(group, coin, psi0), WalkInstance(group, new_coin, new_state)),
                      n_max)
-    phases = inner.phases if dressing is None else dressing
+    dress = inner if dressing is None else replace(inner, phases=dressing)
     perm = None if generalized is None else generalized.perm
     relation_residuals, probability_residuals = [], []
     for n, both in enumerate(walks):
         keys, (psi, phi) = both.positions, both.amps
         if relation is not None:
-            expected = block_product(phases.block(n, keys), psi)
-            small = np.abs(expected) < PRUNE_TOL
-            # zeroed as states.prune zeroes a product, unless every small
-            # entry is zero already (a line walk's edge rows are half zero),
-            # which leaves the residual as it is
-            if np.count_nonzero(small) > expected.size - np.count_nonzero(expected):
-                expected = np.where(small, 0.0, expected)
+            # on the lockstep's rows, so that no merge is needed
+            expected = apply_dressing(dress, n, WalkState(group, keys, psi))
             if perm is None:
-                relation_residuals.append(norm_of(np.subtract(phi, expected, out=expected)))
+                relation_residuals.append(
+                    norm_of(np.subtract(phi, expected.amps, out=expected.amps)))
             else:
-                expected = permutation_apply(perm, WalkState(group, keys, expected))
-                relation_residuals.append((WalkState(group, keys, phi) - expected).norm())
+                relation_residuals.append(
+                    (WalkState(group, keys, phi) - permutation_apply(perm, expected)).norm())
         if probability is not None:
             probability_residuals.append(_probability_residual(
                 WalkState(group, keys, psi), WalkState(group, keys, phi), perm))

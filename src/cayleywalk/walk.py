@@ -101,14 +101,17 @@ def apply_coin(coin, state: WalkState, n: int) -> WalkState:
     heap holes. A lockstep state, with a sequence of one coin per walk,
     leaves them for the shift, which so reuses the shift plan on which its
     coins' shifted phases were evaluated."""
-    one = isinstance(coin, LocalUnitary)
-    if one != (state.amps.ndim == 2) or not one and len(coin) != len(state.amps):
-        raise SpecError("a state needs one coin per walk")
-    for c in (coin,) if one else coin:
+    if isinstance(coin, LocalUnitary):
+        if coin.group != state.group:
+            raise SpecError("coin and state live on different groups")
+        if state.amps.ndim != 2:
+            raise SpecError("a lockstep state needs one coin per walk")
+        return apply_block(state, coin.block(n, state.positions))
+    if state.amps.ndim != 3 or len(coin) != len(state.amps):
+        raise SpecError("a lockstep state needs one coin per walk")
+    for c in coin:
         if c.group != state.group:
             raise SpecError("coin and state live on different groups")
-    if one:
-        return apply_block(state, coin.block(n, state.positions))
     # every block before any product: a complex matmul (BLAS) can leave the
     # vector unit in a state that slows the scalar math of a Python rule run
     # next about fivefold, until some other numpy kernel resets it
@@ -177,17 +180,28 @@ def lockstep(instances, n_max: int) -> Iterator[WalkState]:
         raise SpecError("walks stepped together must share one group")
     several = len(instances) > 1
     coins = [inst.coin for inst in instances] if several else instances[0].coin
+    check = _check_drifts if several else _check_drift
     current = _shared_start([inst.initial_state for inst in instances])
     yield current
     for n in range(int(n_max)):
         current = step(coins, current, n)
-        for w, walk in enumerate(current.amps if several else (current.amps,)):
-            drift = abs(norm_of(walk) - 1.0)
-            if not drift <= DRIFT_TOL:  # also catches a NaN norm
-                which = f" of walk {w}" if several else ""
-                raise NumericDriftError(
-                    f"norm{which} drifted by {drift:.3e} after step {n + 1}")
+        check(current.amps, n)
         yield current
+
+
+def _check_drift(amps: np.ndarray, n: int, walk: int | None = None) -> None:
+    """Abort with NumericDriftError if a walk's amplitudes after step n + 1
+    have drifted off norm 1."""
+    drift = abs(norm_of(amps) - 1.0)
+    if not drift <= DRIFT_TOL:  # also catches a NaN norm
+        which = "" if walk is None else f" of walk {walk}"
+        raise NumericDriftError(f"norm{which} drifted by {drift:.3e} after step {n + 1}")
+
+
+def _check_drifts(amps: np.ndarray, n: int) -> None:
+    """_check_drift for each walk of a lockstep state."""
+    for walk, walk_amps in enumerate(amps):
+        _check_drift(walk_amps, n, walk)
 
 
 def evolve_iter(instance: WalkInstance, n_max: int) -> Iterator[WalkState]:

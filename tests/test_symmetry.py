@@ -18,6 +18,7 @@ from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup, La
                         make_time_homog_symmetry, sign_character, transform_coin,
                         transform_state, trivial_character)
 from cayleywalk.linalg import hadamard_matrix
+from cayleywalk.states import PRUNE_TOL
 from cayleywalk.verify import check_homogeneity, homogeneity_spreads
 
 from conftest import random_phases, random_state, random_unitary, sampler
@@ -366,6 +367,25 @@ def test_apply_dressing_step_zero_vs_later(rng):
         expect = (-1.0) ** ((3 - k) % 2)
         assert dressed3.amplitude(x, 0) == pytest.approx(
             expect * state.amplitude(x, 0))
+
+
+def test_apply_dressing_prunes_on_the_states_own_rows():
+    """The dressed state keeps the state's rows, a row left empty included,
+    and zeroes the entries below PRUNE_TOL as a coin product's prune does."""
+    group = LineGroup()
+    t = make_time_homog_symmetry(group, eta=[1.0, -1.0])
+    state = WalkState.from_terms(group, [(-1, 0, 1e-16), (-1, 1, 1e-16j), (0, 0, 0.6),
+                                         (0, 1, 0.8j), (2, 0, 0.5), (2, 1, 1e-16)])
+    dressed = apply_dressing(t, 3, state)
+    assert dressed.positions is state.positions
+    want = t.phases.block(3, state.positions) * state.amps
+    want[np.abs(want) < PRUNE_TOL] = 0.0
+    assert dressed.amps.tobytes() == want.tobytes()
+    assert not dressed.amps[0].any()
+    # the same state as the operator's own action, which drops the empty row
+    assert (dressed - t.phases.apply(state, 3)).norm() == 0.0
+    with pytest.raises(SpecError, match="different groups"):
+        apply_dressing(t, 3, WalkState.localized(CyclicGroup(8), 0, [1.0, 0.0]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -213,6 +213,17 @@ def test_nan_corrupted_control_fails_with_nan_residual():
         check_symmetry_relation(coin, start, t, n_max=8, dressing=bad)
 
 
+def test_a_dressing_from_another_group_is_rejected():
+    group = CyclicGroup(8)
+    coin = hadamard_coin(group)
+    t = make_full_homog_symmetry(group, epsilon=1j)
+    start = WalkState.localized(group, 3, [0.6, 0.8j])
+    # the same coin dimension and key range, so only the group check can tell
+    other = make_full_homog_symmetry(CyclicGroup(9), epsilon=1j)
+    with pytest.raises(SpecError, match="different groups"):
+        check_symmetry_relation(coin, start, t, n_max=4, dressing=other.phases)
+
+
 def test_nan_residual_fails_the_report():
     report = _report("nan", [0.0, float("nan"), 1e-16], 1e-10)
     assert np.isnan(report.max_residual)
