@@ -87,6 +87,9 @@ class CayleyGroup:
         self.chi: int | None = None  # set by _set_causal
         # (keys, adjoint, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
+        # zeroed buffers of walk.apply_shift's window path, each taken out
+        # while a step uses it
+        self.shift_windows: list = []
 
         width = len(self.moduli)
         if all(self.moduli):

@@ -14,8 +14,15 @@ rules are adapted to a batch by `elementwise` and nowhere else.
 
 A block's product is pruned by `prune`: entries below PRUNE_TOL are zeroed
 only when one magnitude test finds any. `apply_block` then drops the rows
-left empty; a lockstep step leaves that to the shift (walk.apply_coin),
-and a dressing keeps them (symmetry.apply_dressing).
+left empty; a lockstep step, and a step on the window path, leave that to
+the shift (walk.apply_coin), and a dressing keeps them
+(symmetry.apply_dressing).
+
+The shift (walk.apply_shift) merges the shifted keys by the group's shift
+plan, except on the window path (see walk): a one-walk state on a single
+infinite axis whose shifted keys are compact, by merge_keys' rule, is
+scattered into a zeroed window over their range, and the rows that
+`nonzero_rows` marks are kept.
 
 Walks stepped in lockstep (walk.lockstep) share one WalkState: its amps
 stack the walks' coin vectors, walk w's in the contiguous (N, dim) block
@@ -52,9 +59,17 @@ def nonzero_rows(amps: np.ndarray) -> np.ndarray:
     lockstep state. A NaN counts as nonzero, so a corrupted amplitude is
     kept and shows in every norm."""
     parts = np.ascontiguousarray(amps).view(np.float64) != 0
-    # a boolean matmul is any() along each row, without the per-row cost of
-    # reducing a short axis
-    rows = parts @ np.ones(parts.shape[-1], dtype=bool)
+    width = parts.shape[-1]
+    if amps.ndim == 2 and width in (2, 4, 8):
+        # a row's flags read as one unsigned int are nonzero where any is;
+        # a one-walk step may test thousands of rows (the window path), a
+        # relation check seldom any, so it keeps the matmul below and maps
+        # no more of numpy's code
+        rows = parts.view(f"u{width}")[..., 0] != 0
+    else:
+        # a boolean matmul is any() along each row, without the per-row cost
+        # of reducing a short axis
+        rows = parts @ np.ones(width, dtype=bool)
     # and along the walks
     return rows if rows.ndim == 1 else np.ones(rows.shape[0], dtype=bool) @ rows
 
@@ -201,18 +216,27 @@ class WalkState:
             self._elements = self.group.elements_of(self.positions)
         return self._elements
 
+    def _walk_amps(self) -> np.ndarray:
+        """The amps of a one-walk state. A lockstep state holds several
+        walks, whose observables are each walk's own: SpecError."""
+        if self.amps.ndim != 2:
+            raise SpecError(f"this is a lockstep state of {self.amps.shape[0]} walks; take walk "
+                            f"w's block, WalkState(state.group, state.positions, state.amps[w])")
+        return self.amps
+
     def amplitude(self, x, c: int) -> complex:
+        amps = self._walk_amps()
         c = int(c)
         if not 0 <= c < self.group.coin_dim:
             raise EncodingError(f"coin index {c} out of range")
         key = self.group.keys([x])[0]
         i = int(np.searchsorted(self.positions, key))
         if i < self.n_positions and self.positions[i] == key:
-            return complex(self.amps[i, c])
+            return complex(amps[i, c])
         return 0j
 
     def terms(self) -> dict:
-        return {(x, c): complex(amp) for x, row in zip(self.elements(), self.amps)
+        return {(x, c): complex(amp) for x, row in zip(self.elements(), self._walk_amps())
                 for c, amp in enumerate(row) if amp != 0}
 
     @property
@@ -222,7 +246,7 @@ class WalkState:
     def support(self) -> list:
         """Positions holding any amplitude above the pruning threshold (or
         NaN, which is kept so that a corrupted row stays visible)."""
-        mask = ~(np.abs(self.amps).max(axis=1) <= PRUNE_TOL)
+        mask = ~(np.abs(self._walk_amps()).max(axis=1) <= PRUNE_TOL)
         return [x for x, keep in zip(self.elements(), mask) if keep]
 
     # -- algebra ----------------------------------------------------------------
@@ -256,7 +280,7 @@ class WalkState:
         """(keys, probabilities) of the positions whose probability is above
         PRUNE_TOL, in key order. A NaN probability is kept, so that a
         corrupted row stays visible."""
-        probs = np.sum(np.abs(self.amps) ** 2, axis=1)
+        probs = np.sum(np.abs(self._walk_amps()) ** 2, axis=1)
         keep = ~(probs <= PRUNE_TOL)
         return np.compress(keep, self.positions), np.compress(keep, probs)
 

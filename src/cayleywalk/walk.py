@@ -6,6 +6,19 @@ time step and the position. A coin is a states.LocalUnitary, whose declared
 homogeneity flags unlock one shared block and are probed at construction.
 One stepper, `lockstep`, steps one walk (`evolve_iter`) or several on one
 shared support (a relation check's original and transformed walks).
+
+A step shifts by one of two paths, chosen from the state. A one-walk state
+on a group with a single infinite axis (the line in any generator form,
+Z^1), shifted forward, takes the window path while its shifted keys fit
+fewer than COMPACT_SPAN slots per shifted key (merge_keys' rule for
+compact keys): the coin product is pruned once, keeping its rows, and the
+shift scatters each coin column at its shifted keys' offsets into a zeroed
+window over their range, [first - 1, last + 1] on the two-sided line, and
+keeps the rows that `nonzero_rows` marks, without a shift plan. Every
+other state (lockstep states, finite groups, Z^d, sparse line supports,
+adjoint shifts) takes the plan path: the shift merges the shifted keys by
+the group's memoized shift plan, which a lockstep step also reuses for its
+transformed coin's shifted phases.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import (LocalUnitary, WalkState, apply_block, block_product, merge_keys, nonzero_rows,
-                     norm_of, prune, same_keys, shift_plan)
+from .states import (COMPACT_SPAN, LocalUnitary, WalkState, apply_block, block_product, merge_keys,
+                     nonzero_rows, norm_of, prune, same_keys, shift_plan)
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
 DRIFT_TOL = 1e-8
@@ -72,9 +85,53 @@ def rotation_coin(group: CayleyGroup, angle: float) -> QuantumCoin:
     return QuantumCoin.uniform(group, rotation_matrix(angle), validate=False)
 
 
+def _takes_window(state: WalkState, adjoint: bool = False) -> bool:
+    """Whether the state steps by the window path (see the module
+    docstring). The generators of a single infinite axis are +1 and -1, so
+    its shifted keys lie in [first - 1, last + 1]."""
+    group, keys = state.group, state.positions
+    npos = keys.shape[0]
+    return (group.moduli == (0,) and not adjoint and state.amps.ndim == 2 and npos > 0
+            and int(keys[-1]) - int(keys[0]) + 2 < COMPACT_SPAN * npos * group.coin_dim)
+
+
 def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
     """Conditional shift: |x, c> -> |x s_c, c> (adjoint: |x, c> -> |x s_c^-1, c>),
-    of each walk of a lockstep state, and the rows left empty dropped."""
+    of each walk of a lockstep state, and the rows left empty dropped, by
+    the window path or the plan path (see the module docstring). The window
+    is a buffer that the group keeps and that is zeroed again after each
+    use: a fresh window per step leaves a long history more heap holes."""
+    if not _takes_window(state, adjoint):
+        return _plan_shift(state, adjoint)
+    group, amps = state.group, state.amps
+    shifted = [group.shift_rows(state.positions, c) for c in range(group.coin_dim)]
+    lo = min([int(rows[0]) for rows in shifted])
+    size = max([int(rows[-1]) for rows in shifted]) - lo + 1
+    try:  # list.pop is atomic: no two threads stepping on the group share a buffer
+        buffer = group.shift_windows.pop()
+    except IndexError:  # the group's first window, or its window is in use
+        buffer = None
+    if buffer is None or buffer.shape[0] < size:
+        buffer = np.zeros((2 * size, group.coin_dim), dtype=complex)
+    window = buffer[:size]
+    for c, rows in enumerate(shifted):
+        # one generator's shift is injective, so plain assignment is safe
+        rows -= lo
+        window[rows, c] = amps[:, c]
+    # release the shifted keys and the coin product (which step hands over)
+    # before the kept rows are allocated, so that these take their place in
+    # the heap: a 2000-step line history then leaves almost no heap holes
+    del shifted, rows
+    at = nonzero_rows(window).nonzero()[0]
+    del state, amps
+    out = WalkState(group, at + lo, window.take(at, axis=0))
+    window.fill(0)
+    group.shift_windows.append(buffer)
+    return out
+
+
+def _plan_shift(state: WalkState, adjoint: bool) -> WalkState:
+    """apply_shift by the group's shift plan."""
     group = state.group
     dim = group.coin_dim
     npos = state.n_positions
@@ -96,17 +153,23 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
 
 def apply_coin(coin, state: WalkState, n: int) -> WalkState:
     """The coin at step n applied over the state's positions, and the
-    product pruned (see states.prune). A one-walk state also drops the rows
-    left empty, at once (states.apply_block): its history then keeps fewer
-    heap holes. A lockstep state, with a sequence of one coin per walk,
-    leaves them for the shift, which so reuses the shift plan on which its
-    coins' shifted phases were evaluated."""
+    product pruned (see states.prune). A state on the window path (see the
+    module docstring) keeps the product and its empty rows, which its shift
+    drops. Another one-walk state drops the rows left empty at once
+    (states.apply_block): its history then keeps fewer heap holes. A
+    lockstep state, with a sequence of one coin per walk, leaves them for
+    the shift, which so reuses the shift plan on which its coins' shifted
+    phases were evaluated."""
     if isinstance(coin, LocalUnitary):
         if coin.group != state.group:
             raise SpecError("coin and state live on different groups")
         if state.amps.ndim != 2:
             raise SpecError("a lockstep state needs one coin per walk")
-        return apply_block(state, coin.block(n, state.positions))
+        block = coin.block(n, state.positions)
+        if _takes_window(state):
+            return WalkState(state.group, state.positions,
+                             prune(block_product(block, state.amps))[0])
+        return apply_block(state, block)
     if state.amps.ndim != 3 or len(coin) != len(state.amps):
         raise SpecError("a lockstep state needs one coin per walk")
     for c in coin:

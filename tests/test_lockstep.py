@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, GeneralizedSymmetry, HypercubeGroup, LatticeGroup,
-                        LineGroup, QuantumCoin, ShiftedAutomorphism,
+                        LineGroup, QuantumCoin, ShiftedAutomorphism, SpecError,
                         WalkInstance, WalkState, check_symmetry, corrupted_phases,
-                        decompose_line_coin, evolve, evolve_iter, hadamard_coin,
+                        decompose_line_coin, evolve, evolve_final, evolve_iter, hadamard_coin,
                         make_generalized_symmetry, mirror_generalized_symmetry,
                         permutation_apply, transform_coin)
 from cayleywalk.automorphisms import transform_pair
+from cayleywalk.walk import lockstep
 
 from conftest import random_unitary
 from test_acceptance import FAMILIES, _draw_symmetry
@@ -138,3 +139,22 @@ def test_corrupted_controls_fail_at_the_step_two_separate_walks_fail(family):
     assert report.first_failing_step == n0
     assert _reference(coin, psi0, t, 14, dressing=bad)[0][n0] > 1e-3
 
+
+
+def test_a_lockstep_state_sends_its_observables_to_each_walk():
+    """A lockstep state stacks several walks, so it has no one support,
+    distribution or amplitude: asking it raises SpecError naming the walk
+    block to take, not a numpy error."""
+    group = LineGroup()
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    instances = [WalkInstance(group, hadamard_coin(group), start),
+                 WalkInstance(group, QuantumCoin.uniform(group, np.eye(2)), start)]
+    both = list(lockstep(instances, 3))[-1]
+    for observe in (both.support, both.terms, both.position_probabilities,
+                    both.position_distribution, lambda: both.amplitude(1, 0)):
+        with pytest.raises(SpecError, match=r"lockstep state of 2 walks; take walk w's block"):
+            observe()
+    for w, instance in enumerate(instances):
+        alone = evolve_final(instance, 3)
+        walk = WalkState(group, both.positions, both.amps[w])
+        assert walk.position_distribution() == alone.position_distribution()

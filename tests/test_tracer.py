@@ -56,3 +56,25 @@ def test_every_traced_name_resolves_where_the_tracer_looks():
     missing = [(owner.__name__, attr) for owner, attr in _traced(_load_spans())
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_a_traced_line_evolution_spans_every_step_and_counts_its_shifted_rows():
+    """The benchmark reads the coin and shift layers from their spans, and
+    the shift's work from the rows each group.shift_rows call is given:
+    one span each per step, and every generator's shift of each stepped
+    state's rows, whichever path the step takes."""
+    spans = _load_spans()
+    group = cw.LineGroup()
+    start = cw.WalkState.localized(group, 0, [0.6, 0.8j])
+    instance = cw.WalkInstance(group, cw.hadamard_coin(group), start)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        history = cw.evolve(instance, 50)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["walk.apply_coin"]["calls"] == 50
+    assert totals["walk.apply_shift"]["calls"] == 50
+    assert tracer.units["groups.shift_rows"] == \
+        group.coin_dim * sum(state.n_positions for state in history[:-1])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,10 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         LocalUnitary, NonUnitaryError, NumericDriftError, QuantumCoin, SpecError,
                         WalkInstance, WalkState, apply_coin, apply_shift, check_symmetry, evolve,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
-from cayleywalk.linalg import require_unit
+from cayleywalk import states, walk
+from cayleywalk.linalg import hadamard_matrix, require_unit
 from cayleywalk.states import PRUNE_TOL, merge_keys, nonzero_rows
+from cayleywalk.walk import lockstep
 
 from conftest import random_state, random_unitary
 from test_acceptance import _draw_symmetry
@@ -131,8 +136,12 @@ def _planted_states(group, rng):
     """A state with nothing to prune, and the same state holding a
     sub-threshold entry, exact zeros, -0.0, an all-small row and a NaN row."""
     gens = group.generators
-    positions = np.unique(group.keys(
-        [group.identity, *gens, *(group.mul(a, b) for a in gens for b in gens)]))
+    xs = [group.identity, *gens, *(group.mul(a, b) for a in gens for b in gens)]
+    if len(gens) == 1:
+        # one generator reaches three elements in two hops; the planted rows
+        # (all of them empty with one coin) need a few more beside them
+        xs += [group.pow_c0(k) for k in range(3, 8)]
+    positions = np.unique(group.keys(xs))
     shape = (len(positions), group.coin_dim)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     planted = amps.copy()
@@ -142,7 +151,7 @@ def _planted_states(group, rng):
     planted[1, 0] = -0.0
     planted[2, -1] = 0.0
     planted[3, 0] = complex(-0.0, -0.0)
-    planted[4, 1] = np.nan
+    planted[4, min(1, shape[1] - 1)] = np.nan
     return [WalkState(group, positions, a) for a in (amps, planted)]
 
 
@@ -186,13 +195,20 @@ def test_step_and_local_apply_match_a_plain_reference_to_the_byte(group, rng):
     assert pruned == {True, False}
 
 
-@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), HypercubeGroup(4),
-                                   LatticeGroup(2, period=6), LatticeGroup(2)],
-                         ids=["line", "cyclic8", "hypercube4", "torus6", "z2"])
+# groups with a single infinite axis: a one-walk step on them takes the window
+# path while the support is compact (see walk)
+LINE_LIKE = [LineGroup(), LineGroup((1,)), LineGroup((-1,)), LatticeGroup(1)]
+LINE_LIKE_IDS = ["line", "line_plus", "line_minus", "z1"]
+
+
+@pytest.mark.parametrize("group", LINE_LIKE + [CyclicGroup(8), HypercubeGroup(4),
+                                               LatticeGroup(2, period=6), LatticeGroup(2)],
+                         ids=LINE_LIKE_IDS + ["cyclic8", "hypercube4", "torus6", "z2"])
 def test_evolve_histories_match_a_plain_reference_to_the_byte(group, rng):
     """Whole histories of the one-walk lockstep (evolve), from the planted
     states with their NaN row zeroed, step for step as the plain reference
-    steps them."""
+    steps them: on the window path (the line-like groups) and the plan
+    path (the others)."""
     pruned = set()
     for state in _planted_states(group, rng):
         start = WalkState(group, state.positions, np.nan_to_num(state.amps)).normalized()
@@ -203,6 +219,136 @@ def test_evolve_histories_match_a_plain_reference_to_the_byte(group, rng):
                 positions, amps = _reference_shift(group, *_reference_apply(
                     coin.block(n, positions), positions, amps, pruned))
     assert pruned == {True, False}
+
+
+def _counted_merges(monkeypatch) -> list:
+    """The lengths of the key arrays merged from now on: by shift plans and
+    every other caller of merge_keys."""
+    merges, merge_keys = [], states.merge_keys
+
+    def counted(keys):
+        merges.append(len(keys))
+        return merge_keys(keys)
+
+    monkeypatch.setattr(states, "merge_keys", counted)
+    monkeypatch.setattr(walk, "merge_keys", counted)
+    return merges
+
+
+def test_a_two_packet_line_history_crosses_from_the_plan_to_the_window_path(rng, monkeypatch):
+    """Two packets 60 apart are too sparse for the window: 62 slots for the
+    shifted keys of 2 rows, not fewer than COMPACT_SPAN * 2 * 2 = 16. After
+    n steps they hold 2(n + 1) rows over 60 + 2n slots, so steps 0-3 merge
+    by shift plans and steps 4-11 take the window, to the same bytes."""
+    group = LineGroup()
+    merges = _counted_merges(monkeypatch)
+    start = WalkState.from_terms(group, [(0, 0, 0.6), (60, 1, 0.8j)])
+    coin = QuantumCoin.uniform(group, random_unitary(2, rng))
+    history = evolve(WalkInstance(group, coin, start), 12)
+    assert merges == [4, 8, 12, 16]
+    positions, amps = start.positions, start.amps
+    for n, got in enumerate(history):
+        _assert_bytes(got, positions, amps)
+        positions, amps = _reference_shift(group, *_reference_apply(
+            coin.block(n, positions), positions, amps, set()))
+
+
+@pytest.mark.parametrize("group", LINE_LIKE, ids=LINE_LIKE_IDS)
+def test_a_one_walk_line_evolution_from_a_compact_start_merges_no_keys(group, rng,
+                                                                       monkeypatch):
+    """A path guard: each step of a one-walk line evolution takes the window,
+    which needs no shift plan; an adjoint shift still takes the plan."""
+    merges = _counted_merges(monkeypatch)
+    start = WalkState.from_terms(group, [(group.pow_c0(k), c, rng.normal() + 1j)
+                                         for k in range(3) for c in range(group.coin_dim)])
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    final = evolve_final(WalkInstance(group, coin, start.normalized()), 60)
+    assert merges == []
+    assert final.n_positions > 2
+    apply_shift(final, adjoint=True)
+    assert merges == [group.coin_dim * final.n_positions]
+
+
+@pytest.mark.parametrize("group, steps, want", [(CyclicGroup(8), 12, 5),
+                                                (HypercubeGroup(4), 12, 7),
+                                                (LatticeGroup(2), 12, 12)],
+                         ids=["cyclic8", "hypercube4", "z2"])
+def test_other_one_walk_evolutions_merge_by_shift_plans(group, steps, want, monkeypatch):
+    """Finite groups and Z^d keep the plan path, merging as often as before
+    the window path: once per new support (a finite group's supports come
+    back, and the plan memo finds them), each step's on Z^2."""
+    merges = _counted_merges(monkeypatch)
+    coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
+    psi0 = [0.6, 0.8j] + [0] * (group.coin_dim - 2)
+    evolve(WalkInstance(group, coin, WalkState.localized(group, group.identity, psi0)), steps)
+    assert len(merges) == want
+
+
+def test_lockstep_line_walks_merge_once_per_step(rng, monkeypatch):
+    """Walks stepped in lockstep keep the plan path on the line too (a
+    relation check's transformed coin shifts its phases by the same plan)."""
+    group = LineGroup()
+    merges = _counted_merges(monkeypatch)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    coins = (hadamard_coin(group), QuantumCoin.uniform(group, random_unitary(2, rng)))
+    history = list(lockstep([WalkInstance(group, coin, start) for coin in coins], 20))
+    assert len(history) == 21
+    assert merges == [2 * (n + 1) for n in range(20)]
+
+
+def test_threads_stepping_on_one_group_do_not_share_a_window(rng):
+    """A stress test: line walks on one group, evolved by more threads than
+    cores and switched often, each end as it does alone."""
+    group = LineGroup()
+    coin = QuantumCoin.uniform(group, random_unitary(2, rng))
+    instances = [WalkInstance(group, coin, WalkState.localized(group, 3 * k, psi0))
+                 for k, psi0 in enumerate(([1, 0], [0, 1], [0.6, 0.8j], [0.8, -0.6j]) * 2)]
+    want = [evolve_final(instance, 150) for instance in instances]
+    got = [None] * len(instances)
+
+    def run(k):
+        got[k] = evolve_final(instances[k], 150)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(instances))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for a, b in zip(got, want):
+        _assert_bytes(a, b.positions, b.amps)
+
+
+def test_a_lockstep_step_evaluates_every_block_before_any_product(monkeypatch):
+    """A complex matmul slows the scalar math of a Python rule run right
+    after it (see walk.apply_coin), so a lockstep step evaluates each walk's
+    coin block before it multiplies any."""
+    group = LineGroup()
+    events = []
+    block_product = walk.block_product
+
+    def recorded_product(block, amps, out=None):
+        events.append("product")
+        return block_product(block, amps, out)
+
+    def rule(n, x):
+        events.append("block")
+        return hadamard_matrix()
+
+    monkeypatch.setattr(walk, "block_product", recorded_product)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    coins = [QuantumCoin.from_rule(group, rule, validate=False) for _ in range(2)]
+    steps = lockstep([WalkInstance(group, coin, start) for coin in coins], 6)
+    next(steps)
+    for _ in steps:
+        last_block = max(i for i, event in enumerate(events) if event == "block")
+        assert events.count("product") == 2 and events.index("product") > last_block, events
+        events.clear()
 
 
 def test_a_transformed_walk_that_drifts_alone_aborts_at_its_step():
