@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from operator import add, mul
 
@@ -45,6 +46,13 @@ from .errors import EncodingError, SpecError, UnsupportedGroupError
 # causal computation when constructed; larger ones rely on the same closed
 # forms, which the test suite pins on representative instances.
 _SELF_CHECK_MAX_ORDER = 512
+
+
+class _KeyRanges(weakref.WeakValueDictionary):
+    """Key ranges by id, held weakly: a pickled group takes none along."""
+
+    def __reduce__(self):
+        return type(self), ()
 
 
 def _integer(value, what: str, error=SpecError) -> int:
@@ -62,6 +70,10 @@ class CayleyGroup:
     vectors, one row each; `generators` holds them in element form. An
     infinite axis keeps coordinates in [lo, hi]; its key digit is the
     coordinate minus `offset` (default lo).
+
+    A group keeps for its lifetime its two latest shift plans and a window
+    buffer per thread stepping on it (at most twice the widest window); it
+    refers weakly to the key ranges that positions view (walk.apply_shift).
     """
 
     kind = "abstract"
@@ -88,8 +100,10 @@ class CayleyGroup:
         # (keys, adjoint, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
         # zeroed buffers of walk.apply_shift's window path, each taken out
-        # while a step uses it
+        # while a step uses it, and the key ranges whose strided views are
+        # that path's equally spaced positions, by id
         self.shift_windows: list = []
+        self.shift_ranges = _KeyRanges()
 
         width = len(self.moduli)
         if all(self.moduli):

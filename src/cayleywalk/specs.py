@@ -261,6 +261,15 @@ def _parse_state_text(group: CayleyGroup, text: str) -> WalkState:
     vec_text = text[split + 1:].strip()
     if not (vec_text.startswith("(") and vec_text.endswith(")")):
         raise SpecError(f"coin vector must be parenthesized in {text!r}")
+    depth = 0
+    for i, ch in enumerate(vec_text):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            break
+    if i < len(vec_text) - 1:
+        raise SpecError(f"unexpected {vec_text[i + 1:]!r} after the coin vector in {text!r}: "
+                        "the shorthand gives one site; give several as records, "
+                        '[{"x": ..., "c": ..., "re": ..., "im": ...}, ...]')
     comps = [parse_complex(v) for v in vec_text[1:-1].split(",")]
     if len(comps) != group.coin_dim:
         raise SpecError(f"coin vector needs {group.coin_dim} components")

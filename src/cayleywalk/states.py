@@ -22,7 +22,8 @@ The shift (walk.apply_shift) merges the shifted keys by the group's shift
 plan, except on the window path (see walk): a one-walk state on a single
 infinite axis whose shifted keys are compact, by merge_keys' rule, is
 scattered into a zeroed window over their range, and the rows that
-`nonzero_rows` marks are kept.
+`nonzero_rows` marks are kept, their keys a strided view of a read-only
+key range when they are equally spaced.
 
 Walks stepped in lockstep (walk.lockstep) share one WalkState: its amps
 stack the walks' coin vectors, walk w's in the contiguous (N, dim) block
@@ -158,7 +159,9 @@ class WalkState:
     row i of `amps` holds the coin vector at positions[i] (row i of each
     walk's block in a lockstep state; see the module docstring). States
     never write their positions, which may be read-only and shared: a
-    shifted state's are its group's shift plan keys (see shift_plan).
+    shifted state's are its group's shift plan keys (see shift_plan) or a
+    view of a key range (see walk.apply_shift). A lockstep state raises
+    SpecError for what is each walk's own (see _walk_amps).
     """
 
     __slots__ = ("group", "positions", "amps", "_elements")
@@ -255,18 +258,20 @@ class WalkState:
         return norm_of(self.amps)
 
     def normalized(self) -> "WalkState":
-        n = self.norm()
+        amps = self._walk_amps()
+        n = norm_of(amps)
         if not 1e-12 <= n < np.inf:  # also catches a NaN norm
             raise SpecError(f"cannot normalize a state of norm {n:.3e}")
-        return WalkState(self.group, self.positions, self.amps / n)
+        return WalkState(self.group, self.positions, amps / n)
 
     def inner(self, other: "WalkState") -> complex:
         """Inner product, conjugate-linear in self."""
         if self.group != other.group:
             raise SpecError("inner product requires states on the same group")
+        a, b = self._walk_amps(), other._walk_amps()
         _, i, j = np.intersect1d(self.positions, other.positions, assume_unique=True,
                                  return_indices=True)
-        return complex(np.vdot(self.amps[i], other.amps[j]))
+        return complex(np.vdot(a[i], b[j]))
 
     def __add__(self, other: "WalkState") -> "WalkState":
         return _combine(self, other, 1.0)
@@ -294,6 +299,9 @@ class WalkState:
         return dict(zip(self.group.elements_of(keys), probs.tolist()))
 
     def __repr__(self):
+        if self.amps.ndim != 2:
+            return (f"WalkState({self.group.kind}, positions={self.n_positions}, "
+                    f"walks={self.amps.shape[0]})")
         return (f"WalkState({self.group.kind}, positions={self.n_positions}, "
                 f"norm={self.norm():.6f})")
 
@@ -335,15 +343,16 @@ def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkS
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
+    a_amps, b_amps = a._walk_amps(), b._walk_amps()
     if same_keys(a.positions, b.positions):
         # the usual case (a state and its dressed or transformed twin): no merge
-        return WalkState(a.group, a.positions, a.amps + sign * b.amps)
+        return WalkState(a.group, a.positions, a_amps + sign * b_amps)
     positions, inverse = merge_keys(np.concatenate([a.positions, b.positions]))
-    out = np.zeros((positions.shape[0], a.amps.shape[1]), dtype=complex)
+    out = np.zeros((positions.shape[0], a_amps.shape[1]), dtype=complex)
     # each operand's keys are unique, so plain indexed updates do not collide
     n = a.n_positions
-    out[inverse[:n]] = a.amps
-    out[inverse[n:]] += sign * b.amps
+    out[inverse[:n]] = a_amps
+    out[inverse[n:]] += sign * b_amps
     return WalkState(a.group, positions, out)
 
 

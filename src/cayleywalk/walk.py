@@ -14,7 +14,8 @@ fewer than COMPACT_SPAN slots per shifted key (merge_keys' rule for
 compact keys): the coin product is pruned once, keeping its rows, and the
 shift scatters each coin column at its shifted keys' offsets into a zeroed
 window over their range, [first - 1, last + 1] on the two-sided line, and
-keeps the rows that `nonzero_rows` marks, without a shift plan. Every
+keeps the rows that `nonzero_rows` marks, without a shift plan (their
+keys, when equally spaced, a view of a key range: see _kept_keys). Every
 other state (lockstep states, finite groups, Z^d, sparse line supports,
 adjoint shifts) takes the plan path: the shift merges the shifted keys by
 the group's memoized shift plan, which a lockstep step also reuses for its
@@ -103,8 +104,8 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
     use: a fresh window per step leaves a long history more heap holes."""
     if not _takes_window(state, adjoint):
         return _plan_shift(state, adjoint)
-    group, amps = state.group, state.amps
-    shifted = [group.shift_rows(state.positions, c) for c in range(group.coin_dim)]
+    group, amps, keys = state.group, state.amps, state.positions
+    shifted = [group.shift_rows(keys, c) for c in range(group.coin_dim)]
     lo = min([int(rows[0]) for rows in shifted])
     size = max([int(rows[-1]) for rows in shifted]) - lo + 1
     try:  # list.pop is atomic: no two threads stepping on the group share a buffer
@@ -114,20 +115,56 @@ def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
     if buffer is None or buffer.shape[0] < size:
         buffer = np.zeros((2 * size, group.coin_dim), dtype=complex)
     window = buffer[:size]
+    # keys viewing a key range are equally spaced, and so are their shifts:
+    # each coin column fills a strided slice
+    key_range = keys.base
+    if key_range is not None and group.shift_ranges.get(id(key_range)) is not key_range:
+        key_range = None
+    stride = keys.strides[0] // keys.itemsize
     for c, rows in enumerate(shifted):
         # one generator's shift is injective, so plain assignment is safe
-        rows -= lo
-        window[rows, c] = amps[:, c]
+        if key_range is None:
+            rows -= lo
+            window[rows, c] = amps[:, c]
+        else:
+            window[int(rows[0]) - lo:int(rows[-1]) - lo + 1:stride, c] = amps[:, c]
     # release the shifted keys and the coin product (which step hands over)
     # before the kept rows are allocated, so that these take their place in
     # the heap: a 2000-step line history then leaves almost no heap holes
-    del shifted, rows
-    at = nonzero_rows(window).nonzero()[0]
+    del shifted, rows, keys
+    keep = nonzero_rows(window)
+    at = keep.nonzero()[0]
     del state, amps
-    out = WalkState(group, at + lo, window.take(at, axis=0))
+    out = WalkState(group, _kept_keys(group, key_range, keep, at, lo), window.take(at, axis=0))
     window.fill(0)
     group.shift_windows.append(buffer)
     return out
+
+
+def _kept_keys(group: CayleyGroup, key_range, keep: np.ndarray, at: np.ndarray,
+               lo: int) -> np.ndarray:
+    """The keys lo + at of a window's kept rows (mask `keep`, offsets `at`):
+    if equally spaced (one parity class on the line), a strided view of
+    `key_range`, the range the shifted keys viewed, while it holds them,
+    else of a new range twice as wide; if not, a new array."""
+    n = at.shape[0]
+    if n:
+        first = int(at[0])
+        span = int(at[-1]) - first
+        stride = span // (n - 1) if n > 1 else 1
+        # n kept rows, and n slots of that stride over their span: all kept
+        if span == stride * (n - 1) and (
+                stride == 1 or np.count_nonzero(keep[first:first + span + 1:stride]) == n):
+            first += lo
+            i = -1 if key_range is None else first - int(key_range[0])
+            if not 0 <= i < key_range.shape[0] - span:
+                pad = span // 2 + 1
+                key_range = np.arange(first - pad, first + span + pad + 1, dtype=np.int64)
+                key_range.flags.writeable = False
+                group.shift_ranges[id(key_range)] = key_range
+                i = pad
+            return key_range[i:i + span + 1:stride]
+    return at + lo
 
 
 def _plan_shift(state: WalkState, adjoint: bool) -> WalkState:

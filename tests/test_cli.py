@@ -307,6 +307,16 @@ def test_malformed_specs_exit_2_without_a_traceback(args):
     assert "error:" in result.stderr and "Traceback" not in result.stderr
 
 
+def test_a_second_site_in_the_state_shorthand_points_to_the_records_form():
+    """The shorthand gives one site: text after its coin vector is named as
+    such, not misread as a complex number."""
+    result = run_cli("simulate", *LINE_WALK[:4], "--start", "0:(1,0),1:(0,1)", "--steps", "1")
+    assert result.returncode == 2, result.stderr
+    assert "unexpected ',1:(0,1)' after the coin vector" in result.stderr
+    assert "give several as records" in result.stderr
+    assert "complex" not in result.stderr and "Traceback" not in result.stderr
+
+
 def test_key_error_in_a_handler_is_not_reported_as_invalid_configuration(monkeypatch):
     from cayleywalk import cli
 

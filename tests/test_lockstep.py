@@ -158,3 +158,36 @@ def test_a_lockstep_state_sends_its_observables_to_each_walk():
         alone = evolve_final(instance, 3)
         walk = WalkState(group, both.positions, both.amps[w])
         assert walk.position_distribution() == alone.position_distribution()
+
+
+def _lockstep_pair():
+    """A lockstep state of two line walks after three steps, and a one-walk
+    state on its rows."""
+    group = LineGroup()
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    both = list(lockstep([WalkInstance(group, hadamard_coin(group), start),
+                          WalkInstance(group, QuantumCoin.uniform(group, np.eye(2)), start)],
+                         3))[-1]
+    return both, WalkState(group, both.positions, both.amps[0])
+
+
+@pytest.mark.parametrize("use", [
+    lambda both, one: both.inner(one), lambda both, one: one.inner(both),
+    lambda both, one: both + one, lambda both, one: one + both,
+    lambda both, one: both - one, lambda both, one: one - both,
+    lambda both, one: both.normalized()],
+    ids=["inner", "inner_of_one", "add", "add_to_one", "sub", "sub_from_one", "normalized"])
+def test_a_lockstep_state_has_no_arithmetic_of_its_own(use):
+    """A lockstep state's inner product, sum, difference and normalization
+    are each walk's own, so they raise SpecError naming the walk block to
+    take, rather than fail inside numpy (inner), add one walk to every walk
+    (+, -) or divide by the norm of all walks together (normalized)."""
+    both, one = _lockstep_pair()
+    with pytest.raises(SpecError, match=r"lockstep state of 2 walks; take walk w's block"):
+        use(both, one)
+
+
+def test_a_lockstep_state_names_its_walk_count():
+    both, one = _lockstep_pair()
+    assert repr(both) == f"WalkState(line, positions={both.n_positions}, walks=2)"
+    assert repr(one) == f"WalkState(line, positions={one.n_positions}, norm=1.000000)"

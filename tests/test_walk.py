@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +269,134 @@ def test_a_one_walk_line_evolution_from_a_compact_start_merges_no_keys(group, rn
     assert final.n_positions > 2
     apply_shift(final, adjoint=True)
     assert merges == [group.coin_dim * final.n_positions]
+
+
+def _equally_spaced(keys) -> bool:
+    return len(set(np.diff(keys).tolist())) <= 1
+
+
+@pytest.mark.parametrize("sites", [(0,), (0, 1), (0, 3)], ids=["one", "adjacent", "gap3"])
+@pytest.mark.parametrize("group", LINE_LIKE[:1] + [LineGroup((-1, 1))] + LINE_LIKE[1:],
+                         ids=LINE_LIKE_IDS[:1] + ["line_minus_plus"] + LINE_LIKE_IDS[1:])
+def test_line_histories_view_equally_spaced_keys_to_the_byte(group, sites, rng):
+    """On the window path a state's keys, when equally spaced (one parity
+    class from one site of the two-sided line, every site from two
+    adjacent ones), are a read-only view of a key range, and
+    otherwise (sites 0 and 3 on the two-sided line) an array of their own;
+    either way the history is the plain reference's to the byte."""
+    start = WalkState.from_terms(group, [(group.pow_c0(k), c, rng.normal() + 1j)
+                                         for k in sites for c in range(group.coin_dim)])
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    history = evolve(WalkInstance(group, coin, start.normalized()), 40)
+    positions, amps = history[0].positions, history[0].amps
+    shared = set()
+    for n, got in enumerate(history):
+        _assert_bytes(got, positions, amps)
+        if n:
+            view = not got.positions.flags.writeable
+            assert view == _equally_spaced(got.positions)
+            assert view == (got.positions.base is not None)
+            shared.add(view)
+        positions, amps = _reference_shift(group, *_reference_apply(
+            coin.block(n, positions), positions, amps, set()))
+    # the packets from sites 0 and 3 differ in parity, and each keeps stride
+    # 2 at its outer edge on the two-sided line; one generator translates
+    # the two sites, which stay equally spaced (stride 3)
+    assert shared == {sites != (0, 3) or group.coin_dim == 1}
+    if True in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            history[-1].positions[0] = 0
+
+
+def test_line_walks_stepped_in_turn_on_one_group_keep_their_own_key_ranges(rng):
+    """Walks far apart, stepped in turn on one group and kept whole, each
+    view the few key ranges of their own history (rebuilt as the walk
+    outgrows them), not a range per step, and end as a walk alone does."""
+    coin = random_unitary(2, rng)
+    group = LineGroup()
+    starts = (0, 10 ** 6)
+    walks = [evolve_iter(WalkInstance(group, QuantumCoin.uniform(group, coin),
+                                      WalkState.localized(group, x, [0.6, 0.8j])), 60)
+             for x in starts]
+    histories = zip(*zip(*walks))  # one step of each in turn
+    for x, history in zip(starts, histories):
+        assert len({id(state.positions.base) for state in history[1:]}) <= 6
+        alone = LineGroup()
+        want = evolve_final(WalkInstance(alone, QuantumCoin.uniform(alone, coin),
+                                         WalkState.localized(alone, x, [0.6, 0.8j])), 60)
+        _assert_bytes(history[-1], want.positions, want.amps)
+
+
+def test_a_window_with_an_empty_interior_row_keeps_keys_of_its_own():
+    """Kept rows with a gap are not equally spaced, whether the gap breaks
+    the span (1, 2, 4, 5) or only the spacing (0, 2, 3, 6): their keys are
+    a new array; without the gap they are a view. The keys shifted view an
+    array of the caller's, no key range, so their rows scatter by index."""
+    group = LineGroup()
+
+    def shifted(keys, empty=()):
+        amps = np.zeros((len(keys), 2), dtype=complex)
+        amps[:, 0] = 1  # coin 0 moves each row by +1
+        amps[list(empty)] = 0
+        keys = np.array([-10, *keys], dtype=np.int64)[1:]
+        return apply_shift(WalkState(group, keys, amps))
+
+    full = shifted(range(5))
+    assert full.positions.tolist() == [1, 2, 3, 4, 5] and not full.positions.flags.writeable
+    for got, want in ((shifted(range(5), [2]), [1, 2, 4, 5]),
+                      (shifted([-1, 1, 2, 5]), [0, 2, 3, 6])):
+        assert got.positions.tolist() == want
+        assert got.positions.flags.writeable and got.positions.base is None
+
+
+def _hadamard_line_history(steps: int):
+    group = LineGroup()
+    start = WalkState.localized(group, 0, [1, 0])
+    return group, evolve(WalkInstance(group, hadamard_coin(group), start), steps)
+
+
+def test_a_long_line_history_holds_little_more_than_its_amplitudes():
+    """A memory guard: a 2000-step Hadamard line history keeps one parity
+    class per state, whose keys view a few ranges, so it holds its amplitudes
+    and at most 2 MB more (with a key array per state, about 12 MB more)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, history = _hadamard_line_history(2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= sum(state.amps.nbytes for state in history) + 2 * 2 ** 20
+
+
+def test_a_line_group_keeps_one_window_and_no_key_range():
+    """What a group keeps after a long history (see CayleyGroup): one
+    window buffer, at most three times the last window (the span of the
+    last step's shifted keys), and no key range: the ranges, each also at
+    most three times the last window, live while states view them."""
+    group, history = _hadamard_line_history(2000)
+    keys = history[-2].positions
+    window = int(keys[-1]) - int(keys[0]) + 3
+    assert len(group.shift_windows) == 1
+    assert group.shift_windows[0].shape[0] <= 3 * window
+    ranges = list(group.shift_ranges.values())
+    assert history[-1].positions.base is max(ranges, key=len)
+    assert max(map(len, ranges)) <= 3 * window and len(ranges) <= 16
+    del history, keys, ranges
+    assert len(group.shift_ranges) == 0
+
+
+def test_a_state_viewing_a_key_range_pickles_with_its_group():
+    """A group refers to its key ranges weakly, and weak references do not
+    pickle: a pickled state takes its keys' values along, its group none of
+    the ranges, and it steps on as the original does."""
+    group, history = _hadamard_line_history(20)
+    copy = pickle.loads(pickle.dumps(history[-1]))
+    _assert_bytes(copy, history[-1].positions, history[-1].amps)
+    assert copy.group == group and len(copy.group.shift_ranges) == 0
+    want = evolve_final(WalkInstance(group, hadamard_coin(group), history[-1]), 5)
+    got = evolve_final(WalkInstance(copy.group, hadamard_coin(copy.group), copy), 5)
+    _assert_bytes(got, want.positions, want.amps)
 
 
 @pytest.mark.parametrize("group, steps, want", [(CyclicGroup(8), 12, 5),
