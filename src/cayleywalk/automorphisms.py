@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAutomorphismError, SpecError
-from .groups import CayleyGroup
+from .groups import CayleyGroup, _integer
 from .states import LocalUnitary, WalkState
 from .symmetry import SymmetryTransform, identity_symmetry, transform_coin, transform_state
 from .walk import QuantumCoin
 
 
 def _check_perm(perm, dim: int) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_integer(p, "perm entry", NotAutomorphismError) for p in perm)
     if sorted(perm) != list(range(dim)):
         raise NotAutomorphismError(
             f"{perm} is not a permutation of 0..{dim - 1}")

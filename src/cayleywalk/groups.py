@@ -157,8 +157,7 @@ class CayleyGroup:
             t = tuple(x)
         else:
             raise EncodingError(f"expected a length-{len(self.moduli)} tuple element, got {x!r}")
-        if not all([type(v) is int for v in t]):
-            t = tuple([_integer(v, "element coordinate", EncodingError) for v in t])
+        t = tuple([_integer(v, "element coordinate", EncodingError) for v in t])
         for v, m in zip(t, self.moduli):
             if m and not 0 <= v < m:
                 raise EncodingError(f"{self.kind} element {x!r} out of range [0, {m}) "

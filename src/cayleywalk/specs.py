@@ -15,7 +15,7 @@ import numpy as np
 
 from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism, make_generalized_symmetry
 from .errors import CayleyWalkError, FamilyPreconditionError, SpecError
-from .groups import CayleyGroup, make_group
+from .groups import CayleyGroup, _integer, make_group
 from .line import LineCoinParams, build_line_coin
 from .states import LocalUnitary, WalkState
 from .symmetry import (SymmetryTransform, UnitaryCharacter,
@@ -84,7 +84,8 @@ def parse_element(group: CayleyGroup, value):
     if isinstance(value, str):
         value = _parse_element_text(value)
     if isinstance(value, list):
-        value = tuple(int(v) for v in value)
+        value = tuple(value)
+    # validate takes integer coordinates only (groups._integer)
     return group.validate(value)
 
 
@@ -205,7 +206,7 @@ def parse_coin_spec(group: CayleyGroup, value) -> QuantumCoin:
         by_step: dict = {}
         positional = False
         for entry in value.get("entries", []):
-            n = int(entry["n"])
+            n = _integer(entry["n"], "rule_table n")
             mat = parse_matrix(entry["matrix"], group.coin_dim)
             if "x" in entry and entry["x"] is not None:
                 positional = True
@@ -311,7 +312,7 @@ def parse_character_spec(group: CayleyGroup, value, domain: str) -> UnitaryChara
     if kind == "sign":
         return sign_character(group, value["mask"], domain)
     if kind == "cyclic_exp":
-        return cyclic_character(group, int(value["j"]), domain)
+        return cyclic_character(group, _integer(value["j"], "cyclic_exp j"), domain)
     raise SpecError(f"unknown character kind {kind!r}")
 
 
@@ -369,7 +370,8 @@ def parse_symmetry_spec(group: CayleyGroup, value):
                                   else parse_matrix(u0_spec, group.coin_dim))
         table = {}
         for entry in value.get("phase_table", []):
-            key = (int(entry["n"]), parse_element(group, entry["x"]), int(entry["c"]))
+            key = (_integer(entry["n"], "phase_table n"), parse_element(group, entry["x"]),
+                   _integer(entry["c"], "phase_table c"))
             table[key] = parse_complex(entry["value"])
         phases = LocalUnitary.from_table(group, table,
                                          parse_complex(value.get("default", 1.0)))
@@ -384,8 +386,8 @@ def parse_symmetry_spec(group: CayleyGroup, value):
         if value.get("delta_table") is not None:
             delta = {}
             for entry in value["delta_table"]:
-                delta[(parse_element(group, entry["x"]), int(entry["c"]))] = \
-                    parse_complex(entry["value"])
+                xc = (parse_element(group, entry["x"]), _integer(entry["c"], "delta_table c"))
+                delta[xc] = parse_complex(entry["value"])
         transform = make_time_homog_symmetry(
             group, epsilon=parse_complex(value.get("epsilon", 1.0)),
             eta=_parse_eta(value.get("eta")), delta=delta)
@@ -399,7 +401,8 @@ def parse_symmetry_spec(group: CayleyGroup, value):
         raise SpecError(f"unknown symmetry family {family!r}")
     corrupt = value.get("corrupt_phase")
     if corrupt is not None:
-        at = (int(corrupt["n"]), parse_element(group, corrupt["x"]), int(corrupt["c"]))
+        at = (_integer(corrupt["n"], "corrupt_phase n"), parse_element(group, corrupt["x"]),
+              _integer(corrupt["c"], "corrupt_phase c"))
         dressing = corrupted_phases(getattr(transform, "inner", transform).phases, at,
                                     parse_complex(corrupt.get("factor", -1.0)))
     return transform, dressing

@@ -7,16 +7,16 @@ keeps the evolution hot paths vectorized while tests and callers see plain
 elements.
 
 Every local rule (coins, local unitaries, dressing phases) maps a batch of N
-position keys to a block, which `apply_block` applies: (N, dim) diagonal
+position keys to a block, which `block_product` applies: (N, dim) diagonal
 phases, (1, dim, dim) one shared matrix (the leading 1 keeps it apart from a
 diagonal when N == dim) or (N, dim, dim) a matrix per position. Scalar user
 rules are adapted to a batch by `elementwise` and nowhere else.
 
 A block's product is pruned by `prune`: entries below PRUNE_TOL are zeroed
-only when one magnitude test finds any. `apply_block` then drops the rows
-left empty; a lockstep step, and a step on the window path, leave that to
-the shift (walk.apply_coin), and a dressing keeps them
-(symmetry.apply_dressing).
+only when one magnitude test finds any. Coin and dressing products keep the
+state's rows, a row left empty included (walk.apply_coin,
+symmetry.apply_dressing): the shift drops the empty rows, and
+`apply_block` (LocalUnitary.apply) drops them at once.
 
 The shift (walk.apply_shift) merges the shifted keys by the group's shift
 plan, except on the window path (see walk): a one-walk state on a single
@@ -41,7 +41,7 @@ from types import MethodType
 import numpy as np
 
 from .errors import EncodingError, NonUnitaryError, SpecError
-from .groups import CayleyGroup
+from .groups import CayleyGroup, _integer
 from .linalg import as_complex_matrix, require_unit, require_unitary
 
 # Amplitudes below this magnitude are dropped after inexact operations.
@@ -164,13 +164,12 @@ class WalkState:
     SpecError for what is each walk's own (see _walk_amps).
     """
 
-    __slots__ = ("group", "positions", "amps", "_elements")
+    __slots__ = ("group", "positions", "amps")
 
     def __init__(self, group: CayleyGroup, positions: np.ndarray, amps: np.ndarray):
         self.group = group
         self.positions = positions
         self.amps = amps
-        self._elements = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -187,7 +186,7 @@ class WalkState:
                 x, c, amp = term
             else:
                 (x, c), amp = term
-            c = int(c)
+            c = _integer(c, "coin index", EncodingError)
             if not 0 <= c < dim:
                 raise EncodingError(f"coin index {c} out of range [0, {dim})")
             row = group.encode(x)
@@ -215,9 +214,7 @@ class WalkState:
     # -- inspection -----------------------------------------------------------
 
     def elements(self) -> list:
-        if self._elements is None:
-            self._elements = self.group.elements_of(self.positions)
-        return self._elements
+        return self.group.elements_of(self.positions)
 
     def _walk_amps(self) -> np.ndarray:
         """The amps of a one-walk state. A lockstep state holds several
@@ -325,21 +322,6 @@ def prune(amps: np.ndarray):
     return np.where(small, 0.0, amps), small
 
 
-def _clean(group: CayleyGroup, positions: np.ndarray, amps: np.ndarray) -> WalkState:
-    """The state of a block product, pruned, without the rows left empty."""
-    pruned, small = prune(amps)
-    if small is None:
-        # still a copy: a walk step then frees its coin product before the
-        # shift allocates the rows it keeps, which spares a 2000-step line
-        # history about 13 MB of heap holes
-        return WalkState(group, positions, amps.copy())
-    # a boolean matmul is any() along each row (see nonzero_rows)
-    keep = ~small @ np.ones(small.shape[1], dtype=bool)
-    if not keep.all():
-        positions, pruned = positions.compress(keep), pruned.compress(keep, axis=0)
-    return WalkState(group, positions, pruned)
-
-
 def _combine(a: WalkState, b: WalkState, sign: float) -> WalkState:
     if a.group != b.group:
         raise SpecError("cannot combine states on different groups")
@@ -389,13 +371,21 @@ def block_product(block: np.ndarray, amps: np.ndarray, out=None) -> np.ndarray:
         return np.multiply(amps, block, out=out)
     if block.shape[0] == 1:
         return np.matmul(amps, block[0].T, out=out)
+    # a batched matmul sums in another order, which changes the last bits,
+    # and is slower: 8.5 against 5.7 us at 200x2x2 (2-core Xeon, numpy 2.4)
     return np.einsum("nij,nj->ni", block, amps, out=out)
 
 
 def apply_block(state: WalkState, block: np.ndarray) -> WalkState:
     """Apply a block over the state's positions; the product is pruned and
     its empty rows dropped."""
-    return _clean(state.group, state.positions, block_product(block, state.amps))
+    positions = state.positions
+    amps, small = prune(block_product(block, state.amps))
+    if small is not None:
+        keep = nonzero_rows(amps)
+        if not keep.all():
+            positions, amps = positions.compress(keep), amps.compress(keep, axis=0)
+    return WalkState(state.group, positions, amps)
 
 
 def find_keys(known: np.ndarray, keys: np.ndarray):
@@ -427,10 +417,11 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
     dim = group.coin_dim
     rows: dict = {}
     for (x, c), value in table.items():
-        if not 0 <= int(c) < dim:
+        c = _integer(c, "coin index")
+        if not 0 <= c < dim:
             raise SpecError(f"coin index {c} out of range [0, {dim})")
         key = int(group.keys([x])[0])
-        rows.setdefault(key, np.full(dim, default, dtype=complex))[int(c)] = value
+        rows.setdefault(key, np.full(dim, default, dtype=complex))[c] = value
     known = np.array(sorted(rows), dtype=np.int64)
     # row known.size is the default, where every miss is sent
     values = np.array([rows[k] for k in known.tolist()] + [np.full(dim, default)], dtype=complex)
@@ -444,7 +435,7 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
 class LocalUnitary:
     """Position-controlled unitary that may depend on the step:
     `blocks(n, keys)` gives its step-n block over a batch of position keys
-    (see apply_block), checked once per batch when `validate` is set.
+    (see block_product), checked once per batch when `validate` is set.
     Step-free operators ignore n. A symmetry's dressing is one such
     operator: an arbitrary local unitary U0 at step 0, diagonal phases
     u(n, x, c) after. A coin is another (walk.QuantumCoin).

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FamilyPreconditionError, SpecError
-from .groups import CayleyGroup
+from .groups import CayleyGroup, _integer
 from .linalg import as_complex_matrix, require_unit, require_unitary
 from .states import (LocalUnitary, WalkState, block_product, elementwise, find_keys, lookup_rows,
                      merge_keys, prune, require_block, shift_plan)
@@ -164,12 +164,12 @@ def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
     """Character (-1)^(mask . x); mask entries are 0 or 1, one per axis on
     the tuple kinds. A set entry needs an even period on a finite axis."""
     if group.tuple_elements:
-        vec = [int(v) % 2 for v in mask]
+        vec = [_integer(v, "mask entry") % 2 for v in mask]
         if len(vec) != len(group.moduli):
             raise SpecError(f"mask must have length {len(group.moduli)}")
         descriptor = {"kind": "sign", "mask": vec}
     else:
-        vec = [int(mask)]
+        vec = [_integer(mask, "mask")]
         descriptor = {"kind": "sign", "mask": vec[0]}
     if any(v % 2 and m % 2 for v, m in zip(vec, group.moduli)):
         raise SpecError("sign character requires an even period")

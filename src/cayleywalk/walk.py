@@ -5,17 +5,19 @@ conditional shift T sending |x, c> to |x s_c, c>. Coins may depend on the
 time step and the position. A coin is a states.LocalUnitary, whose declared
 homogeneity flags unlock one shared block and are probed at construction.
 One stepper, `lockstep`, steps one walk (`evolve_iter`) or several on one
-shared support (a relation check's original and transformed walks).
+shared support (a relation check's original and transformed walks). A coin
+product keeps the state's rows, a row left empty included, and the shift
+drops the empty rows, on either path below.
 
 A step shifts by one of two paths, chosen from the state. A one-walk state
 on a group with a single infinite axis (the line in any generator form,
 Z^1), shifted forward, takes the window path while its shifted keys fit
 fewer than COMPACT_SPAN slots per shifted key (merge_keys' rule for
-compact keys): the coin product is pruned once, keeping its rows, and the
-shift scatters each coin column at its shifted keys' offsets into a zeroed
-window over their range, [first - 1, last + 1] on the two-sided line, and
-keeps the rows that `nonzero_rows` marks, without a shift plan (their
-keys, when equally spaced, a view of a key range: see _kept_keys). Every
+compact keys): the shift scatters each coin column at its shifted keys'
+offsets into a zeroed window over their range, [first - 1, last + 1] on
+the two-sided line, and keeps the rows that `nonzero_rows` marks, without
+a shift plan (their keys, when equally spaced, a view of a key range: see
+_kept_keys). Every
 other state (lockstep states, finite groups, Z^d, sparse line supports,
 adjoint shifts) takes the plan path: the shift merges the shifted keys by
 the group's memoized shift plan, which a lockstep step also reuses for its
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import NumericDriftError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
-from .states import (COMPACT_SPAN, LocalUnitary, WalkState, apply_block, block_product, merge_keys,
+from .states import (COMPACT_SPAN, LocalUnitary, WalkState, block_product, merge_keys,
                      nonzero_rows, norm_of, prune, same_keys, shift_plan)
 
 # Norm drift beyond this aborts an evolution as numerically unsound.
@@ -44,7 +46,7 @@ class QuantumCoin(LocalUnitary):
     LocalUnitary is, by `uniform`, `from_rule` or `batched`, whose
     `blocks(n, keys)` gives its block at step n over a batch of position
     keys: (1, dim, dim) when shared, (N, dim, dim) per position (see
-    states.apply_block)."""
+    states.block_product)."""
 
     __slots__ = ()
 
@@ -86,25 +88,19 @@ def rotation_coin(group: CayleyGroup, angle: float) -> QuantumCoin:
     return QuantumCoin.uniform(group, rotation_matrix(angle), validate=False)
 
 
-def _takes_window(state: WalkState, adjoint: bool = False) -> bool:
-    """Whether the state steps by the window path (see the module
-    docstring). The generators of a single infinite axis are +1 and -1, so
-    its shifted keys lie in [first - 1, last + 1]."""
-    group, keys = state.group, state.positions
-    npos = keys.shape[0]
-    return (group.moduli == (0,) and not adjoint and state.amps.ndim == 2 and npos > 0
-            and int(keys[-1]) - int(keys[0]) + 2 < COMPACT_SPAN * npos * group.coin_dim)
-
-
 def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
     """Conditional shift: |x, c> -> |x s_c, c> (adjoint: |x, c> -> |x s_c^-1, c>),
     of each walk of a lockstep state, and the rows left empty dropped, by
     the window path or the plan path (see the module docstring). The window
     is a buffer that the group keeps and that is zeroed again after each
     use: a fresh window per step leaves a long history more heap holes."""
-    if not _takes_window(state, adjoint):
-        return _plan_shift(state, adjoint)
     group, amps, keys = state.group, state.amps, state.positions
+    npos = keys.shape[0]
+    # the generators of a single infinite axis are +1 and -1, so its shifted
+    # keys lie in [first - 1, last + 1]
+    if not (group.moduli == (0,) and not adjoint and amps.ndim == 2 and npos > 0
+            and int(keys[-1]) - int(keys[0]) + 2 < COMPACT_SPAN * npos * group.coin_dim):
+        return _plan_shift(state, adjoint)
     shifted = [group.shift_rows(keys, c) for c in range(group.coin_dim)]
     lo = min([int(rows[0]) for rows in shifted])
     size = max([int(rows[-1]) for rows in shifted]) - lo + 1
@@ -172,8 +168,6 @@ def _plan_shift(state: WalkState, adjoint: bool) -> WalkState:
     group = state.group
     dim = group.coin_dim
     npos = state.n_positions
-    if npos == 0:
-        return state
     keys, inverse = shift_plan(group, state.positions, adjoint)
     amps = np.zeros(state.amps.shape[:-2] + (keys.shape[0], dim), dtype=complex)
     for c in range(dim):
@@ -189,24 +183,19 @@ def _plan_shift(state: WalkState, adjoint: bool) -> WalkState:
 
 
 def apply_coin(coin, state: WalkState, n: int) -> WalkState:
-    """The coin at step n applied over the state's positions, and the
-    product pruned (see states.prune). A state on the window path (see the
-    module docstring) keeps the product and its empty rows, which its shift
-    drops. Another one-walk state drops the rows left empty at once
-    (states.apply_block): its history then keeps fewer heap holes. A
-    lockstep state, with a sequence of one coin per walk, leaves them for
-    the shift, which so reuses the shift plan on which its coins' shifted
-    phases were evaluated."""
+    """The coin at step n applied over the state's positions (over each walk
+    of a lockstep state, with a sequence of one coin per walk), and the
+    product pruned (see states.prune). The product keeps the state's rows,
+    a row left empty included: the shift drops them, and so reuses, in a
+    lockstep step, the shift plan on which the coins' shifted phases were
+    evaluated."""
     if isinstance(coin, LocalUnitary):
         if coin.group != state.group:
             raise SpecError("coin and state live on different groups")
         if state.amps.ndim != 2:
             raise SpecError("a lockstep state needs one coin per walk")
-        block = coin.block(n, state.positions)
-        if _takes_window(state):
-            return WalkState(state.group, state.positions,
-                             prune(block_product(block, state.amps))[0])
-        return apply_block(state, block)
+        amps = block_product(coin.block(n, state.positions), state.amps)
+        return WalkState(state.group, state.positions, prune(amps)[0])
     if state.amps.ndim != 3 or len(coin) != len(state.amps):
         raise SpecError("a lockstep state needs one coin per walk")
     for c in coin:

@@ -53,6 +53,22 @@ def test_simulate_rejects_non_unitary_coin():
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--group", "lattice:2", "--coin", "grover", "--steps", "1",
+     "--start", '{"records": [{"x": [0, 0], "c": 1.9, "re": 1}]}'],
+    ["verify", "--group", "line", "--coin", "hadamard", "--start", "0:(1,0)", "--steps", "4",
+     "--symmetry", '{"family": "general", "phase_table": [{"n": 2.9, "x": 0, "c": 0, '
+     '"value": -1}]}'],
+    ["verify", "--group", "lattice:2", "--coin", "grover", "--start", "(0,0):(1,0,0,0)",
+     "--steps", "4", "--symmetry", '{"family": "time_homog", "delta_table": '
+     '[{"x": [0.5, 0.5], "c": 0, "value": -1}]}'],
+], ids=["record_c", "phase_table_n", "delta_table_x"])
+def test_a_non_integer_spec_entry_exits_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and "must be an integer" in result.stderr
+
+
 def test_simulate_rejects_a_nan_start_state_as_invalid_input(tmp_path):
     out = tmp_path / "dist.csv"
     args = ["simulate", "--group", "line", "--coin", "hadamard", "--start", "0:(nan,0)",

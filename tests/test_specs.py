@@ -8,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from cayleywalk import (EncodingError, FamilyPreconditionError, HypercubeGroup, LineGroup,
-                        SpecError, WalkState,
+from cayleywalk import (CyclicGroup, EncodingError, FamilyPreconditionError, HypercubeGroup,
+                        LatticeGroup, LineGroup, SpecError, WalkState, make_time_homog_symmetry,
                         canonicalize_line_coin, check_symmetry_relation,
                         dump_json, dump_state, hadamard_coin, parse_coin_spec,
                         parse_group_spec, parse_state_spec, parse_symmetry_spec,
@@ -47,6 +47,52 @@ def test_parse_element_forms():
     assert parse_element(cube, "(1,0,1)") == (1, 0, 1)
     assert dump_element((1, 0, 1)) == [1, 0, 1]
     assert dump_element(-3) == -3
+
+
+def _general(**entry):
+    return {"family": "general", "phase_table": [{"n": 1, "x": [0, 0], "c": 0, "value": 1,
+                                                  **entry}]}
+
+
+def _time_homog(**entry):
+    return {"family": "time_homog", "delta_table": [{"x": [0, 0], "c": 0, "value": 1, **entry}]}
+
+
+# a spec field naming a step, a coin index or a coordinate, given a value that
+# is not an integer, which must be rejected rather than truncated to one
+NON_INTEGER_SPECS = {
+    "element": lambda g: parse_element(g, [1.5, 2]),
+    "record_c": lambda g: load_state(g, [{"x": [0, 0], "c": 1.9, "re": 1.0}]),
+    "phase_table_n": lambda g: parse_symmetry_spec(g, _general(n=2.9)),
+    "phase_table_c": lambda g: parse_symmetry_spec(g, _general(c=0.5)),
+    "phase_table_x": lambda g: parse_symmetry_spec(g, _general(x=[0, 0.5])),
+    "delta_table_x": lambda g: parse_symmetry_spec(g, _time_homog(x=[0.5, 0.5])),
+    "delta_table_c": lambda g: parse_symmetry_spec(g, _time_homog(c=1.5)),
+    "corrupt_phase_n": lambda g: parse_symmetry_spec(g, {
+        "family": "time_homog", "corrupt_phase": {"n": 2.5, "x": [0, 0], "c": 0}}),
+    "corrupt_phase_c": lambda g: parse_symmetry_spec(g, {
+        "family": "time_homog", "corrupt_phase": {"n": 2, "x": [0, 0], "c": 0.5}}),
+    "rule_table_n": lambda g: parse_coin_spec(g, {
+        "kind": "rule_table", "default": np.eye(4).tolist(),
+        "entries": [{"n": 1.5, "matrix": np.eye(4).tolist()}]}),
+    "rule_table_x": lambda g: parse_coin_spec(g, {
+        "kind": "rule_table", "default": np.eye(4).tolist(),
+        "entries": [{"n": 1, "x": [0.5, 0], "matrix": np.eye(4).tolist()}]}),
+    "sign_mask": lambda g: parse_symmetry_spec(g, {
+        "family": "full_homog", "character": {"kind": "sign", "mask": [1.5, 0]}}),
+    "cyclic_j": lambda g: parse_symmetry_spec(CyclicGroup(8), {
+        "family": "full_homog", "character": {"kind": "cyclic_exp", "j": 1.5}}),
+    "perm": lambda g: parse_symmetry_spec(g, {
+        "family": "generalized", "perm": {"perm": [1.0, 0, 2, 3]}}),
+    "from_terms_c": lambda g: WalkState.from_terms(g, [((0, 0), 1.9, 1.0)]),
+    "lookup_rows_c": lambda g: make_time_homog_symmetry(g, delta={((0, 0), 0.5): 1.0}),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_SPECS.values(), ids=NON_INTEGER_SPECS)
+def test_a_non_integer_step_coin_or_coordinate_is_rejected(build):
+    with pytest.raises(SpecError, match="must be an integer"):
+        build(LatticeGroup(2))
 
 
 def test_parse_matrix_checks_shape():

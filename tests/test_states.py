@@ -241,7 +241,7 @@ def test_merge_keys_on_shifted_supports(group, compact, rng, monkeypatch):
     assert sorts == ([] if compact else [keys.size])
 
 
-# -- _clean, through apply_block ------------------------------------------------------
+# -- apply_block ------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "shared", "per position"])

@@ -223,6 +223,35 @@ def test_evolve_histories_match_a_plain_reference_to_the_byte(group, rng):
     assert pruned == {True, False}
 
 
+@pytest.mark.parametrize("group, walks", [
+    (LineGroup(), 1), (CyclicGroup(8), 1), (HypercubeGroup(4), 1), (LatticeGroup(2), 1),
+    (LineGroup(), 2), (LatticeGroup(2), 2)],
+    ids=["line", "cyclic8", "hypercube4", "z2", "lockstep_line", "lockstep_z2"])
+def test_a_coin_product_keeps_its_rows_and_the_shift_drops_them(group, walks, rng):
+    """One rule on every path (the line's window path, the plan path of
+    finite groups and Z^2, lockstep states): the coin keeps the state's
+    rows, an all-small row among them, emptied by the prune; the shift
+    drops every empty row, and gives the state that shifting only the
+    nonempty rows gives."""
+    planted = _planted_states(group, rng)[1]
+    positions = planted.positions
+    # row 1 of the planted state is all small, and so is its coin product
+    assert (np.abs(planted.amps[1]) < PRUNE_TOL).all()
+    amps = planted.amps if walks == 1 else np.stack([planted.amps, 1j * planted.amps])
+    state = WalkState(group, positions, amps)
+    for coin in _kernel_operators(QuantumCoin, group, rng):
+        coined = apply_coin(coin if walks == 1 else [coin] * walks, state, 3)
+        assert coined.positions is positions
+        assert not np.count_nonzero(coined.amps[..., 1, :])
+        keep = nonzero_rows(coined.amps)
+        assert not keep[1]
+        shifted = apply_shift(coined)
+        assert nonzero_rows(shifted.amps).all()
+        want = apply_shift(WalkState(group, positions.compress(keep),
+                                     coined.amps.compress(keep, axis=-2)))
+        _assert_bytes(shifted, want.positions, want.amps)
+
+
 def _counted_merges(monkeypatch) -> list:
     """The lengths of the key arrays merged from now on: by shift plans and
     every other caller of merge_keys."""
