@@ -187,16 +187,14 @@ def transform_pair(transform, coin: QuantumCoin, psi0: WalkState):
     return transform_coin(transform, coin), transform_state(transform, psi0)
 
 
-def enumerate_automorphisms(group: CayleyGroup, shift=None) -> list[ShiftedAutomorphism]:
-    """All valid generator permutations (with a fixed shift, default identity)."""
+def enumerate_automorphisms(group: CayleyGroup) -> list[ShiftedAutomorphism]:
+    """All valid generator permutations, each with the identity shift."""
     if group.coin_dim > 6:
         raise SpecError("automorphism enumeration is limited to <= 6 generators")
-    if shift is None:
-        shift = group.identity
     found = []
     for perm in itertools.permutations(range(group.coin_dim)):
         try:
-            found.append(ShiftedAutomorphism(group, shift, perm))
+            found.append(ShiftedAutomorphism(group, group.identity, perm))
         except NotAutomorphismError:
             continue
     return found

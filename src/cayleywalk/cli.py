@@ -23,13 +23,14 @@ from .automorphisms import enumerate_automorphisms, transform_pair
 from .errors import (CayleyWalkError, DegenerateCoinError, FamilyPreconditionError,
                      NumericDriftError, SpecError)
 from .groups import CayleyGroup, brute_force_causal
-from .line import (LineCoinParams, canonicalize_line_coin, decompose_line_coin,
+from .line import (LineCoinParams, _line_group, canonicalize_line_coin, decompose_line_coin,
                    mirror_chirality_map, mirror_inner_symmetry, reflection_automorphism,
                    symmetric_initial_states)
 from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_state,
                     parse_coin_spec, parse_complex, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv, write_distribution_json)
+from .states import merge_keys
 from .verify import check_homogeneity, check_symmetry, run_invariant_suite
 from .walk import WalkInstance, evolve_iter
 
@@ -74,11 +75,7 @@ def _emit(args, text: str) -> None:
 
 
 def _line_group_from(args) -> CayleyGroup:
-    spec = getattr(args, "group", None) or "line"
-    group = parse_group_spec(_read_spec_arg(spec))
-    if group.kind != "line":
-        raise SpecError("this subcommand is defined on the line group only")
-    return group
+    return _line_group(parse_group_spec(_read_spec_arg(args.group or "line")))
 
 
 def _coin_matrix(group, coin_spec) -> np.ndarray:
@@ -135,22 +132,14 @@ def cmd_transform(args) -> int:
 
 def _window_positions(group: CayleyGroup, window: int) -> list:
     """Ball of radius `window` around the identity (whole group if finite
-    and small)."""
+    and small), in key order."""
     if group.is_finite and group.order <= 256:
         return sorted(group.elements(), key=group.encode)
-    seen = {group.encode(group.identity): group.identity}
-    frontier = [group.identity]
+    keys = group.keys([group.identity])
     for _ in range(window):
-        new_frontier = []
-        for x in frontier:
-            for s in group.generators:
-                y = group.mul(x, s)
-                key = group.encode(y)
-                if key not in seen:
-                    seen[key] = y
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return [seen[key] for key in sorted(seen)]
+        keys = merge_keys(np.concatenate(
+            [keys] + [group.shift_rows(keys, c) for c in range(group.coin_dim)]))[0]
+    return group.elements_of(keys)
 
 
 def cmd_verify(args) -> int:

@@ -45,11 +45,11 @@ def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix",
     return a
 
 
-def require_unit(z, tol: float = UNITARY_TOL, what: str = "phase", where=None):
-    """z as complex units: a complex for a scalar, a complex array for an
-    array (rows named by `where` in an error), checked once."""
+def require_unit(z, what: str = "phase", where=None):
+    """z as complex units (to UNITARY_TOL): a complex for a scalar, a complex
+    array for an array (rows named by `where` in an error), checked once."""
     a = np.asarray(z, dtype=complex)
-    _first_failure(np.abs(np.abs(a) - 1.0) <= tol, what, where,
+    _first_failure(np.abs(np.abs(a) - 1.0) <= UNITARY_TOL, what, where,
                    lambda i: f"must be a complex unit, got |z| = {abs(a.flat[i]):.12f}")
     return complex(a) if a.ndim == 0 else a
 

@@ -48,6 +48,8 @@ from .linalg import as_complex_matrix, require_unit, require_unitary
 PRUNE_TOL = 1e-15
 # Steps at which declared homogeneity is probed.
 PROBE_STEPS = (0, 1, 2, 3, 5)
+# Largest probe spread of a homogeneous rule (see homogeneity_spreads).
+HOMOGENEITY_TOL = 1e-12
 # Shift plans each group keeps (see shift_plan).
 PLAN_MEMO = 2
 # merge_keys and find_keys index slots rather than sorting when the keys
@@ -226,7 +228,7 @@ class WalkState:
 
     def amplitude(self, x, c: int) -> complex:
         amps = self._walk_amps()
-        c = int(c)
+        c = _integer(c, "coin index", EncodingError)
         if not 0 <= c < self.group.coin_dim:
             raise EncodingError(f"coin index {c} out of range")
         key = self.group.keys([x])[0]
@@ -523,9 +525,10 @@ class LocalUnitary:
         default = require_unit(default, what="default phase")
         by_step: dict = {}
         for (n, x, c), u in table.items():
-            if int(n) < 1:
+            n = _integer(n, "table step")
+            if n < 1:
                 raise SpecError("phase tables start at n = 1")
-            by_step.setdefault(int(n), {})[(x, c)] = require_unit(
+            by_step.setdefault(n, {})[(x, c)] = require_unit(
                 u, what=f"table phase at {(n, x, c)}")
         steps = {n: lookup_rows(group, entries, default) for n, entries in by_step.items()}
         untabulated = lookup_rows(group, {}, default)
@@ -567,9 +570,9 @@ class LocalUnitary:
     def _probe_flags(self) -> None:
         """Check that the declared homogeneity matches the rule."""
         time_spread, space_spread = homogeneity_spreads(self)
-        if self.time_homogeneous and not time_spread <= 1e-12:
+        if self.time_homogeneous and not time_spread <= HOMOGENEITY_TOL:
             raise SpecError(f"{self.LABEL} declared time-homogeneous but varies with the step")
-        if self.space_homogeneous and not space_spread <= 1e-12:
+        if self.space_homogeneous and not space_spread <= HOMOGENEITY_TOL:
             raise SpecError(f"{self.LABEL} declared space-homogeneous but varies with position")
 
     def check(self, n: int, keys: np.ndarray, block) -> np.ndarray:
@@ -586,7 +589,8 @@ class LocalUnitary:
     def at(self, n: int, x, c: int) -> complex:
         """Entry (c, c) of the step-n component at x: the phase u(n, x, c)
         of a diagonal operator."""
-        return complex(self.component(x, n)[int(c), int(c)])
+        c = _integer(c, "coin index")
+        return complex(self.component(x, n)[c, c])
 
     def apply(self, state: WalkState, n: int = 0) -> WalkState:
         if state.group != self.group:
@@ -594,10 +598,10 @@ class LocalUnitary:
         return apply_block(state, self.block(n, state.positions))
 
 
-def homogeneity_spreads(op: LocalUnitary, n_probe=PROBE_STEPS,
-                        positions_probe=None) -> tuple[float, float]:
+def homogeneity_spreads(op: LocalUnitary, positions_probe=None) -> tuple[float, float]:
     """(time spread, space spread): the worst deviation of the operator
-    rule's matrices across probe steps and positions, whatever its flags.
+    rule's matrices across the steps PROBE_STEPS and probe positions,
+    whatever its flags.
     The default positions (identity, every generator, c0 * c0 and four
     seeded random elements, drawn from random.Random(0) on every call) catch
     a rule varying along any one generator."""
@@ -607,7 +611,7 @@ def homogeneity_spreads(op: LocalUnitary, n_probe=PROBE_STEPS,
                            + g.random_elements(random.Random(0), 4))
     keys = g.keys(positions_probe)
     shape = (len(keys), g.coin_dim, g.coin_dim)
-    blocks = [op._evaluate(int(n), keys) for n in n_probe]
+    blocks = [op._evaluate(n, keys) for n in PROBE_STEPS]
     # a diagonal block as the matrices it stands for
     mats = np.stack([np.broadcast_to(b if b.ndim == 3 else b[..., None] * np.eye(g.coin_dim),
                                      shape) for b in blocks])

@@ -25,12 +25,10 @@ import numpy as np
 
 from .errors import FamilyPreconditionError, SpecError
 from .groups import CayleyGroup, _integer
-from .linalg import as_complex_matrix, require_unit, require_unitary
+from .linalg import UNITARY_TOL, as_complex_matrix, require_unit, require_unitary
 from .states import (LocalUnitary, WalkState, block_product, elementwise, find_keys, lookup_rows,
                      merge_keys, prune, require_block, shift_plan)
 from .walk import QuantumCoin
-
-UNIT_TOL = 1e-12
 
 
 # The dressing-phase name of the one local-operator type.
@@ -102,7 +100,7 @@ class UnitaryCharacter:
                 a, b = group.decompose_keys(a)[0], group.decompose_keys(b)[0]
         lhs = self.values(group.mul_keys(a, b))
         rhs = self.values(a) * self.values(b)
-        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= UNIT_TOL))
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= UNITARY_TOL))
         if bad.size:
             pair = tuple(group.elements_of(np.array([a[bad[0]], b[bad[0]]])))
             raise SpecError(f"character is not multiplicative at {pair!r}")
@@ -184,7 +182,8 @@ def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> 
         raise SpecError("cyclic characters need a cyclic group")
     if not math.isfinite(j):
         raise SpecError(f"cyclic character index {j!r} is not finite")
-    return exp_character(group, 2.0 * np.pi * int(j) / group.n, domain)
+    return exp_character(group, 2.0 * np.pi * _integer(j, "cyclic character index") / group.n,
+                         domain)
 
 
 def _unit_powers(z: complex):
@@ -238,7 +237,7 @@ def _require_nonseparating(group: CayleyGroup) -> None:
 
 def _check_epsilon(group: CayleyGroup, epsilon) -> complex:
     eps = require_unit(epsilon, what="epsilon")
-    if group.chi is None and abs(eps - 1.0) > UNIT_TOL:
+    if group.chi is None and abs(eps - 1.0) > UNITARY_TOL:
         raise FamilyPreconditionError(
             "epsilon must be 1 when the coset count is infinite")
     return eps
@@ -266,7 +265,7 @@ def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
     if arr.ndim == 1:
         vec = arr
     elif arr.ndim == 2:
-        if np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
+        if np.abs(arr - np.diag(np.diagonal(arr))).max() > UNITARY_TOL:
             raise FamilyPreconditionError(f"U' must be diagonal {ctx}".rstrip())
         vec = np.diagonal(arr).copy()
     else:
@@ -323,7 +322,7 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
         vec = _uprime_diagonal(group, rest, "for steps n >= 1")
         return u0m, lambda n: vec
     arr = np.asarray(uprime, dtype=complex)
-    if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNIT_TOL:
+    if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNITARY_TOL:
         return step_zero(arr.astype(complex)), lambda n: ones
     vec = _uprime_diagonal(group, arr, "when given as a single vector")
     return np.diag(vec), lambda n: vec

@@ -18,8 +18,9 @@ from .automorphisms import (GeneralizedSymmetry, ShiftedAutomorphism, compose,
                             enumerate_automorphisms, invert, permutation_apply,
                             transform_pair)
 from .errors import SpecError
-from .groups import CayleyGroup, brute_force_causal
-from .states import PROBE_STEPS, LocalUnitary, WalkState, homogeneity_spreads, merge_keys, norm_of
+from .groups import CayleyGroup, _integer, brute_force_causal
+from .states import (HOMOGENEITY_TOL, LocalUnitary, WalkState, homogeneity_spreads, merge_keys,
+                     norm_of)
 from .symmetry import SymmetryTransform, apply_dressing
 # evolve is not called here but stays importable from verify, where the span
 # tracer of perfbench/spans.py finds it
@@ -75,7 +76,8 @@ def corrupted_phases(base: LocalUnitary, at, factor: complex = -1.0) -> LocalUni
     """Copy of a dressing operator with row c of its step-n block at x
     multiplied by `factor` (for n >= 1 the phase u(n, x, c), at n = 0 row c
     of U0): a deliberately wrong dressing for negative controls."""
-    n0, key0, c0 = int(at[0]), base.group.keys([at[1]])[0], int(at[2])
+    n0, c0 = _integer(at[0], "step"), _integer(at[2], "coin index")
+    key0 = base.group.keys([at[1]])[0]
     if n0 < 0 or not 0 <= c0 < base.group.coin_dim:
         raise SpecError(f"no dressing entry to corrupt at n = {n0}, c = {c0}")
 
@@ -170,32 +172,26 @@ def _probability_residual(a: WalkState, b: WalkState, perm) -> float:
     return float(np.max(np.abs(diff)))
 
 
-def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform,
-                            n_max: int = 50, tol: float = 1e-10,
-                            dressing: LocalUnitary | None = None,
-                            case_id: str = "symmetry_relation") -> VerificationReport:
+def check_symmetry_relation(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 50,
+                            dressing: LocalUnitary | None = None) -> VerificationReport:
     """The defining relation of check_symmetry alone: the transformed state
     at each step against the dressed original."""
-    return check_symmetry(coin, psi0, transform, n_max, tol, relation=case_id,
-                          probability=None, dressing=dressing)[0]
+    return check_symmetry(coin, psi0, transform, n_max, probability=None, dressing=dressing)[0]
 
 
-def check_probability_map(coin: QuantumCoin, psi0: WalkState, transform,
-                          n_max: int = 50, tol: float = 1e-10,
-                          transformed: tuple | None = None,
-                          case_id: str = "probability_map") -> VerificationReport:
+def check_probability_map(coin: QuantumCoin, psi0: WalkState, transform, n_max: int = 50,
+                          transformed: tuple | None = None) -> VerificationReport:
     """The probability map of check_symmetry alone: measured distributions
     map as the symmetry dictates, for the derived or the `transformed`
     (coin, state) pair."""
-    return check_symmetry(coin, psi0, transform, n_max, tol, relation=None,
-                          probability=case_id, transformed=transformed)[0]
+    return check_symmetry(coin, psi0, transform, n_max, relation=None, transformed=transformed)[0]
 
 
-def check_homogeneity(coin: QuantumCoin, n_probe=PROBE_STEPS,
-                      positions_probe=None, tol: float = 1e-12) -> tuple[bool, bool]:
-    """(time-homogeneous, space-homogeneous) by probing the coin rule."""
-    time_spread, space_spread = homogeneity_spreads(coin, n_probe, positions_probe)
-    return time_spread <= tol, space_spread <= tol
+def check_homogeneity(coin: QuantumCoin, positions_probe=None) -> tuple[bool, bool]:
+    """(time-homogeneous, space-homogeneous) by probing the coin rule, with
+    the tolerance of a declared flag's probe (states.HOMOGENEITY_TOL)."""
+    time_spread, space_spread = homogeneity_spreads(coin, positions_probe)
+    return time_spread <= HOMOGENEITY_TOL, space_spread <= HOMOGENEITY_TOL
 
 
 # -- dense assembly on finite groups -------------------------------------------
@@ -206,32 +202,26 @@ def basis_labels(group: CayleyGroup) -> list:
     return [(x, c) for x in group.elements() for c in range(group.coin_dim)]
 
 
-def _basis_index(group: CayleyGroup, labels) -> dict:
-    return {(group.encode(x), c): i for i, (x, c) in enumerate(labels)}
+def _basis_permutation(group: CayleyGroup, image) -> np.ndarray:
+    """Integer matrix sending basis vector (x, c) to image(x, c)."""
+    labels = basis_labels(group)
+    index = {(group.encode(x), c): i for i, (x, c) in enumerate(labels)}
+    mat = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for j, (x, c) in enumerate(labels):
+        y, d = image(x, c)
+        mat[index[(group.encode(y), d)], j] = 1
+    return mat
 
 
 def assemble_step_matrix(group: CayleyGroup) -> np.ndarray:
-    """Conditional shift as an integer permutation matrix."""
-    labels = basis_labels(group)
-    index = _basis_index(group, labels)
-    dim = len(labels)
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    for j, (x, c) in enumerate(labels):
-        target = group.mul(x, group.generators[c])
-        mat[index[(group.encode(target), c)], j] = 1
-    return mat
+    """Conditional shift as an integer permutation matrix, built from the
+    group law (group.mul), not from the state kernel's shift."""
+    return _basis_permutation(group, lambda x, c: (group.mul(x, group.generators[c]), c))
 
 
 def assemble_permutation_matrix(a: ShiftedAutomorphism) -> np.ndarray:
     """Total permutation operator of a shifted automorphism (integer matrix)."""
-    group = a.group
-    labels = basis_labels(group)
-    index = _basis_index(group, labels)
-    dim = len(labels)
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    for j, (x, c) in enumerate(labels):
-        mat[index[(group.encode(a.apply_element(x)), a.perm[c])], j] = 1
-    return mat
+    return _basis_permutation(a.group, lambda x, c: (a.apply_element(x), a.perm[c]))
 
 
 def assemble_local_matrix(op, n: int = 0) -> np.ndarray:
@@ -263,8 +253,7 @@ def _stream(seed: int, stream: int) -> random.Random:
     return random.Random(f"{int(seed)}/{stream}")
 
 
-def run_invariant_suite(group: CayleyGroup, seed: int = 0,
-                        tol: float = 1e-12) -> list[VerificationReport]:
+def run_invariant_suite(group: CayleyGroup, seed: int = 0) -> list[VerificationReport]:
     """Fixed battery of structural checks for one group.
 
     Covers step-operator unitarity (finite groups, exact), commutation of the

@@ -31,7 +31,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import NumericDriftError, SpecError
-from .groups import CayleyGroup
+from .groups import CayleyGroup, _integer
 from .linalg import as_complex_matrix, hadamard_matrix, grover_matrix, require_unitary, rotation_matrix
 from .states import (COMPACT_SPAN, LocalUnitary, WalkState, block_product, merge_keys,
                      nonzero_rows, norm_of, prune, same_keys, shift_plan)
@@ -53,11 +53,10 @@ class QuantumCoin(LocalUnitary):
     LABEL = "coin"
 
     @classmethod
-    def table(cls, group: CayleyGroup, matrices, validate: bool = True) -> "QuantumCoin":
+    def table(cls, group: CayleyGroup, matrices) -> "QuantumCoin":
         """Space-homogeneous coin cycling through a finite list over time."""
         mats = np.array([as_complex_matrix(m, group.coin_dim) for m in matrices])
-        if validate:
-            require_unitary(mats, what="coin matrix")
+        require_unitary(mats, what="coin matrix")
         period = len(mats)
         return cls.batched(group, lambda n, keys: mats[n % period][None], False,
                            time_homogeneous=(period == 1), space_homogeneous=True)
@@ -262,35 +261,29 @@ def lockstep(instances, n_max: int) -> Iterator[WalkState]:
     coin products, over more rows, may differ in the last bits. With one
     walk the states are its evolution. Aborts with NumericDriftError if any
     walk's norm drifts numerically."""
+    n_max = _integer(n_max, "step count")
     if n_max < 0:
         raise SpecError("step count must be nonnegative")
     group = instances[0].group
     if any(inst.group != group for inst in instances):
         raise SpecError("walks stepped together must share one group")
-    several = len(instances) > 1
-    coins = [inst.coin for inst in instances] if several else instances[0].coin
-    check = _check_drifts if several else _check_drift
+    coins = [inst.coin for inst in instances] if len(instances) > 1 else instances[0].coin
     current = _shared_start([inst.initial_state for inst in instances])
     yield current
-    for n in range(int(n_max)):
+    for n in range(n_max):
         current = step(coins, current, n)
-        check(current.amps, n)
+        _check_drift(current.amps, n)
         yield current
 
 
-def _check_drift(amps: np.ndarray, n: int, walk: int | None = None) -> None:
-    """Abort with NumericDriftError if a walk's amplitudes after step n + 1
-    have drifted off norm 1."""
-    drift = abs(norm_of(amps) - 1.0)
-    if not drift <= DRIFT_TOL:  # also catches a NaN norm
-        which = "" if walk is None else f" of walk {walk}"
-        raise NumericDriftError(f"norm{which} drifted by {drift:.3e} after step {n + 1}")
-
-
-def _check_drifts(amps: np.ndarray, n: int) -> None:
-    """_check_drift for each walk of a lockstep state."""
-    for walk, walk_amps in enumerate(amps):
-        _check_drift(walk_amps, n, walk)
+def _check_drift(amps: np.ndarray, n: int) -> None:
+    """Abort with NumericDriftError if the amplitudes after step n + 1, of
+    one walk or of any walk of a lockstep state, have drifted off norm 1."""
+    for walk, walk_amps in enumerate([amps] if amps.ndim == 2 else amps):
+        drift = abs(norm_of(walk_amps) - 1.0)
+        if not drift <= DRIFT_TOL:  # also catches a NaN norm
+            which = "" if amps.ndim == 2 else f" of walk {walk}"
+            raise NumericDriftError(f"norm{which} drifted by {drift:.3e} after step {n + 1}")
 
 
 def evolve_iter(instance: WalkInstance, n_max: int) -> Iterator[WalkState]:

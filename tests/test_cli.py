@@ -230,6 +230,30 @@ def test_line_mirror_output():
     assert payload["symmetry"]["perm"]["perm"] == [1, 0]
 
 
+@pytest.mark.parametrize("group", ["cyclic:8", "halfline"])
+@pytest.mark.parametrize("command", [["canonicalize", "--coin", "hadamard"],
+                                     ["mirror", "--coin", "hadamard"],
+                                     ["symmetric-states", "--nu", "1+0i", "--psi", "0.5"]])
+def test_line_tools_need_the_two_generator_line(command, group):
+    result = run_cli("line", *command, "--group", group)
+    assert result.returncode == 2
+    assert result.stderr == "error: line toolkit needs the two-generator line group\n"
+
+
+@pytest.mark.parametrize("spec,window", [("line", 3), ("halfline", 4), ("lattice:2", 3),
+                                         ("hypercube:9", 2), ("cyclic:8", 1)])
+def test_transform_window_is_the_ball_around_the_identity(spec, window):
+    from cayleywalk import parse_group_spec
+    from cayleywalk.cli import _window_positions
+    group = parse_group_spec(spec)
+    ball = {group.identity}
+    for _ in range(window):
+        ball |= {group.mul(x, s) for x in ball for s in group.generators}
+    if group.is_finite and group.order <= 256:  # the whole group
+        ball = set(group.elements())
+    assert _window_positions(group, window) == sorted(ball, key=group.encode)
+
+
 def test_group_causal_output():
     result = run_cli("group", "causal", "--group", "cyclic:8")
     payload = json.loads(result.stdout)

@@ -1,17 +1,19 @@
 """The package's public surface: `__all__` names each public object once,
-the wrappers that only repeated another call stay removed, and no module
-imports a name it never reads."""
+the wrappers that only repeated another call and the parameters that no
+caller set stay removed, and no module imports a name it never reads."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
 import cayleywalk as cw
-from cayleywalk import automorphisms, groups, linalg, states, walk
+from cayleywalk import automorphisms, groups, linalg, states, symmetry, verify, walk
 
-# (owner, name) of each removed wrapper; the README lists what replaces it
+# (owner, name) of each removed wrapper, constant or helper; the README lists
+# what replaces a public one
 REMOVED = [
     (states.WalkState, "distance"),
     (states.WalkState, "basis_state"),
@@ -26,6 +28,25 @@ REMOVED = [
     (automorphisms, "make_shifted_automorphism"),
     (walk, "PROBE_STEPS"),
     (walk, "homogeneity_spreads"),
+    (symmetry, "UNIT_TOL"),
+    (verify, "_basis_index"),
+    (walk, "_check_drifts"),
+]
+
+# (function, name) of each removed parameter that no caller set; the README
+# lists what replaces it
+REMOVED_PARAMETERS = [
+    (verify.check_symmetry_relation, "tol"),
+    (verify.check_symmetry_relation, "case_id"),
+    (verify.check_probability_map, "tol"),
+    (verify.check_probability_map, "case_id"),
+    (verify.check_homogeneity, "n_probe"),
+    (verify.check_homogeneity, "tol"),
+    (states.homogeneity_spreads, "n_probe"),
+    (verify.run_invariant_suite, "tol"),
+    (automorphisms.enumerate_automorphisms, "shift"),
+    (walk.QuantumCoin.table, "validate"),
+    (linalg.require_unit, "tol"),
 ]
 
 # (module file, name) of each import kept although the module never reads it
@@ -48,6 +69,12 @@ def test_removed_wrappers_stay_removed():
     assert survivors == []
     # a coin is built as any LocalUnitary is, by its class methods
     assert "__init__" not in vars(walk.QuantumCoin)
+
+
+def test_removed_parameters_stay_removed():
+    survivors = [f"{f.__qualname__}({name})" for f, name in REMOVED_PARAMETERS
+                 if name in inspect.signature(f).parameters]
+    assert survivors == []
 
 
 def _unread_imports(path: Path) -> list:

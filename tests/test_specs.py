@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, EncodingError, FamilyPreconditionError, HypercubeGroup,
-                        LatticeGroup, LineGroup, SpecError, WalkState, make_time_homog_symmetry,
-                        canonicalize_line_coin, check_symmetry_relation,
+                        LatticeGroup, LineGroup, LocalUnitary, SpecError, WalkState,
+                        make_time_homog_symmetry, canonicalize_line_coin, check_symmetry_relation,
+                        corrupted_phases, cyclic_character,
                         dump_json, dump_state, hadamard_coin, parse_coin_spec,
                         parse_group_spec, parse_state_spec, parse_symmetry_spec,
                         symmetry_to_spec, transform_coin, write_distribution_csv)
@@ -93,6 +94,33 @@ NON_INTEGER_SPECS = {
 def test_a_non_integer_step_coin_or_coordinate_is_rejected(build):
     with pytest.raises(SpecError, match="must be an integer"):
         build(LatticeGroup(2))
+
+
+def _line_walk():
+    group = LineGroup()
+    return group, hadamard_coin(group), WalkState.localized(group, 0, [1.0, 0.0])
+
+
+# the same values handed to the API, which must reject them as the parser does
+NON_INTEGER_CALLS = {
+    "cyclic_character_j": lambda: cyclic_character(CyclicGroup(8), 1.5),
+    "from_table_n": lambda: LocalUnitary.from_table(LineGroup(), {(2.9, 0, 0): -1}),
+    "amplitude_c": lambda: _line_walk()[2].amplitude(0, 0.5),
+    "at_c": lambda: _line_walk()[1].at(0, 0, 0.5),
+    "corrupted_phases_n": lambda: corrupted_phases(
+        make_time_homog_symmetry(LineGroup()).phases, (2.7, 0, 0)),
+    "corrupted_phases_c": lambda: corrupted_phases(
+        make_time_homog_symmetry(LineGroup()).phases, (2, 0, 0.4)),
+    "evolve_n_max": lambda: evolve(WalkInstance(*_line_walk()), 2.5),
+    "check_n_max": lambda: check_symmetry_relation(
+        *_line_walk()[1:], make_time_homog_symmetry(LineGroup()), n_max=2.5),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_the_api_rejects_a_non_integer_step_or_coin_index(call):
+    with pytest.raises(SpecError, match="must be an integer"):
+        call()
 
 
 def test_parse_matrix_checks_shape():
