@@ -13,7 +13,7 @@ from .errors import (CayleyWalkError, DegenerateCoinError, EncodingError,
 from .groups import (CausalStructure, CayleyGroup, CyclicGroup, HypercubeGroup,
                      LatticeGroup, LineGroup, brute_force_causal, make_group)
 from .line import (LineCoinParams, build_line_coin, canonicalize_line_coin,
-                   decompose_line_coin, line_coin, mirror_chirality_map,
+                   decompose_line_coin, mirror_chirality_map,
                    mirror_generalized_symmetry, mirror_inner_symmetry,
                    reflection_automorphism, symmetric_initial_states)
 from .linalg import grover_matrix, hadamard_matrix, rotation_matrix

@@ -97,7 +97,7 @@ class CayleyGroup:
         self.gen_vectors = np.array([self.vector(g) for g in gens], dtype=np.int64)
         self.c0_index = c0_index
         self.chi: int | None = None  # set by _set_causal
-        # (keys, adjoint, plan) of states.shift_plan, oldest first
+        # (keys, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
         # zeroed buffers of walk.apply_shift's window path, each taken out
         # while a step uses it, and the key ranges whose strided views are
@@ -124,19 +124,18 @@ class CayleyGroup:
         finite = [m > 0 for m in self.moduli]
         self._wrap_axes = (slice(None) if all(finite) else np.array(finite)
                            if any(finite) else None)
-        # (weight, modulus, step, carry) per generator, forward and adjoint.
-        # Every generator moves along one axis. A carry check exists only
-        # where a carry is possible: an infinite axis next to other axes.
-        self._shifts = ([], [])
+        # (weight, modulus, step, carry) per generator. Every generator moves
+        # along one axis. A carry check exists only where a carry is
+        # possible: an infinite axis next to other axes.
+        self._shifts = []
         for vec in self.gen_vectors.tolist():
             axis = next((i for i, v in enumerate(vec) if v), 0)
-            m, w = self.moduli[axis], weights[axis]
-            for adjoint, step in ((0, vec[axis]), (1, -vec[axis])):
-                carry = None
-                if not m and width > 1:
-                    carry = (axis, w.bit_length() - 1, radix[axis] - 1,
-                             radix[axis] - 1 if step > 0 else 0)
-                self._shifts[adjoint].append((w, m, step % m if m else step, carry))
+            m, w, step = self.moduli[axis], weights[axis], vec[axis]
+            carry = None
+            if not m and width > 1:
+                carry = (axis, w.bit_length() - 1, radix[axis] - 1,
+                         radix[axis] - 1 if step > 0 else 0)
+            self._shifts.append((w, m, step % m if m else step, carry))
 
     def _set_causal(self, chi: int | None, coset_form) -> None:
         """Declare chi and the coset form, coset_index(x) = (form . x) mod chi,
@@ -278,11 +277,11 @@ class CayleyGroup:
             return list(map(tuple, coords.tolist()))
         return coords[:, 0].tolist()
 
-    def shift_rows(self, keys: np.ndarray, gen_index: int, adjoint: bool = False) -> np.ndarray:
-        """Right-multiply a batch of keys by a generator (or its inverse when
-        adjoint): a wrapped digit add on a finite axis, a plain add on an
-        infinite one. Raises EncodingError rather than carry a digit."""
-        weight, modulus, step, carry = self._shifts[adjoint][gen_index]
+    def shift_rows(self, keys: np.ndarray, gen_index: int) -> np.ndarray:
+        """Right-multiply a batch of keys by a generator: a wrapped digit add
+        on a finite axis, a plain add on an infinite one. Raises
+        EncodingError rather than carry a digit."""
+        weight, modulus, step, carry = self._shifts[gen_index]
         if modulus:
             digit = keys // weight % modulus
             return keys + ((digit + step) % modulus - digit) * weight

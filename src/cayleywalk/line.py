@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCoinError, SpecError
-from .groups import CayleyGroup, LineGroup
+from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary, rotation_matrix
 from .symmetry import SymmetryTransform, exp_character, make_full_homog_symmetry
 from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism, make_generalized_symmetry
-from .walk import QuantumCoin
 
 # Below this |sin(psi)| the nu parameter is no longer determined by the coin.
 DEGENERACY_TOL = 1e-9
@@ -39,9 +38,7 @@ class LineCoinParams:
             require_unit(getattr(self, name), what=name)
 
 
-def _line_group(group: CayleyGroup | None) -> CayleyGroup:
-    if group is None:
-        return LineGroup()
+def _line_group(group: CayleyGroup) -> CayleyGroup:
     if group.kind != "line" or group.coin_dim != 2:
         raise SpecError("line toolkit needs the two-generator line group")
     return group
@@ -88,13 +85,7 @@ def decompose_line_coin(matrix) -> LineCoinParams:
     return params
 
 
-def line_coin(group: CayleyGroup, p: LineCoinParams) -> QuantumCoin:
-    """Uniform coin on the line built from factorization parameters."""
-    return QuantumCoin.uniform(_line_group(group), build_line_coin(p),
-                               validate=False)
-
-
-def canonicalize_line_coin(matrix, group: CayleyGroup | None = None):
+def canonicalize_line_coin(matrix, group: CayleyGroup):
     """Symmetry reducing a coin to its canonical real rotation.
 
     Returns (psi, t) where t is the fully homogeneous symmetry with
@@ -113,7 +104,7 @@ def canonicalize_line_coin(matrix, group: CayleyGroup | None = None):
     return p.psi, t
 
 
-def reflection_automorphism(group: CayleyGroup | None = None) -> ShiftedAutomorphism:
+def reflection_automorphism(group: CayleyGroup) -> ShiftedAutomorphism:
     """The automorphism x -> -x with swapped coin directions."""
     g = _line_group(group)
     plus = g.generator_index(1)
@@ -123,8 +114,7 @@ def reflection_automorphism(group: CayleyGroup | None = None) -> ShiftedAutomorp
     return ShiftedAutomorphism(g, 0, perm)
 
 
-def mirror_inner_symmetry(p: LineCoinParams,
-                          group: CayleyGroup | None = None) -> SymmetryTransform:
+def mirror_inner_symmetry(p: LineCoinParams, group: CayleyGroup) -> SymmetryTransform:
     """Compensating symmetry so that reflection leaves the coin unchanged."""
     g = _line_group(group)
     phi = -float(np.angle(p.mu ** 2 * p.nu ** 2))
@@ -136,16 +126,14 @@ def mirror_inner_symmetry(p: LineCoinParams,
     )
 
 
-def mirror_generalized_symmetry(p: LineCoinParams,
-                                group: CayleyGroup | None = None) -> GeneralizedSymmetry:
+def mirror_generalized_symmetry(p: LineCoinParams, group: CayleyGroup) -> GeneralizedSymmetry:
     """Reflection composed with the compensating symmetry.
 
     The transformed coin equals the original one, and the transformed walk's
     distribution is the left-right mirror of the original.
     """
-    g = _line_group(group)
-    return make_generalized_symmetry(reflection_automorphism(g),
-                                     mirror_inner_symmetry(p, g))
+    return make_generalized_symmetry(reflection_automorphism(group),
+                                     mirror_inner_symmetry(p, group))
 
 
 def mirror_chirality_map(p: LineCoinParams) -> np.ndarray:

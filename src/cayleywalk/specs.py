@@ -230,8 +230,8 @@ def parse_coin_spec(group: CayleyGroup, value) -> QuantumCoin:
 
 
 @_reads_input
-def parse_state_spec(group: CayleyGroup, value, normalize: bool = True) -> WalkState:
-    """State from records or the "x:(a0,a1,...)" localized shorthand."""
+def parse_state_spec(group: CayleyGroup, value) -> WalkState:
+    """Normalized state from records or the "x:(a0,a1,...)" shorthand."""
     value = _load_obj(value)
     if isinstance(value, str):
         state = _parse_state_text(group, value)
@@ -241,9 +241,7 @@ def parse_state_spec(group: CayleyGroup, value, normalize: bool = True) -> WalkS
             if value is None:
                 raise SpecError("state spec object needs a 'records' list")
         state = load_state(group, value)
-    if normalize:
-        state = state.normalized()
-    return state
+    return state.normalized()
 
 
 def _parse_state_text(group: CayleyGroup, text: str) -> WalkState:

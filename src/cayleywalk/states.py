@@ -130,26 +130,23 @@ def memo_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
-def shift_plan(group: CayleyGroup, keys: np.ndarray, adjoint: bool = False):
+def shift_plan(group: CayleyGroup, keys: np.ndarray):
     """(merged, inverse): merge_keys of the keys shifted by each of the
-    group's generators in turn (adjoint: by its inverse), so that coin c's
-    rows land at merged[inverse[c * N:(c + 1) * N]]. Both arrays are
-    read-only.
+    group's generators in turn, so that coin c's rows land at
+    merged[inverse[c * N:(c + 1) * N]]. Both arrays are read-only.
 
     The group keeps its latest PLAN_MEMO plans, which are handed out again
-    for an equal key array and direction: a relation check shifts the same
-    support for the original walk, the transformed coin's shifted phases and
-    the transformed walk."""
-    adjoint = bool(adjoint)
-    for known, adj, plan in group.shift_plans:
-        if adj is adjoint and same_keys(known, keys):
+    for an equal key array: a relation check shifts the same support for the
+    original walk, the transformed coin's shifted phases and the transformed
+    walk."""
+    for known, plan in group.shift_plans:
+        if same_keys(known, keys):
             return plan
-    plan = merge_keys(np.concatenate(
-        [group.shift_rows(keys, c, adjoint=adjoint) for c in range(group.coin_dim)]))
+    plan = merge_keys(np.concatenate([group.shift_rows(keys, c) for c in range(group.coin_dim)]))
     for part in plan:
         part.flags.writeable = False
     # evict in insertion order, as LocalUnitary.block does
-    group.shift_plans.append((memo_keys(keys), adjoint, plan))
+    group.shift_plans.append((memo_keys(keys), plan))
     del group.shift_plans[:-PLAN_MEMO]
     return plan
 
@@ -188,9 +185,7 @@ class WalkState:
                 x, c, amp = term
             else:
                 (x, c), amp = term
-            c = _integer(c, "coin index", EncodingError)
-            if not 0 <= c < dim:
-                raise EncodingError(f"coin index {c} out of range [0, {dim})")
+            c = _coin_index(c, dim)
             row = group.encode(x)
             vec = by_pos.setdefault(row, np.zeros(dim, dtype=complex))
             vec[c] += complex(amp)
@@ -228,9 +223,7 @@ class WalkState:
 
     def amplitude(self, x, c: int) -> complex:
         amps = self._walk_amps()
-        c = _integer(c, "coin index", EncodingError)
-        if not 0 <= c < self.group.coin_dim:
-            raise EncodingError(f"coin index {c} out of range")
+        c = _coin_index(c, self.group.coin_dim)
         key = self.group.keys([x])[0]
         i = int(np.searchsorted(self.positions, key))
         if i < self.n_positions and self.positions[i] == key:
@@ -288,11 +281,12 @@ class WalkState:
         keep = ~(probs <= PRUNE_TOL)
         return np.compress(keep, self.positions), np.compress(keep, probs)
 
-    def position_distribution(self, warn_unnormalized: bool = True) -> dict:
-        """Probability per position; NaN rows are kept and warned about."""
+    def position_distribution(self) -> dict:
+        """Probability per position, warning when the total (NaN rows
+        included) is off 1; position_probabilities does not warn."""
         keys, probs = self.position_probabilities()
         total = float(probs.sum())
-        if warn_unnormalized and not abs(total - 1.0) <= 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             warnings.warn(f"state norm^2 = {total:.6f}; distribution computed anyway",
                           stacklevel=2)
         return dict(zip(self.group.elements_of(keys), probs.tolist()))
@@ -303,6 +297,14 @@ class WalkState:
                     f"walks={self.amps.shape[0]})")
         return (f"WalkState({self.group.kind}, positions={self.n_positions}, "
                 f"norm={self.norm():.6f})")
+
+
+def _coin_index(c, dim: int) -> int:
+    """c as a coin index in [0, dim), else EncodingError."""
+    c = _integer(c, "coin index", EncodingError)
+    if not 0 <= c < dim:
+        raise EncodingError(f"coin index {c} out of range [0, {dim})")
+    return c
 
 
 def norm_of(amps: np.ndarray) -> float:
@@ -510,12 +512,12 @@ class LocalUnitary:
 
     @classmethod
     def from_rule(cls, group: CayleyGroup, rule, time_homogeneous: bool = False,
-                  space_homogeneous: bool = False, validate: bool = True):
-        """rule(n, x) returns the coin-space matrix at step n, element x."""
+                  space_homogeneous: bool = False):
+        """rule(n, x), checked per batch: the coin-space matrix at step n, element x."""
         dim = group.coin_dim
         return cls.batched(group, lambda n, keys: elementwise(
             MethodType(rule, n), group.elements_of(keys), (dim, dim)),
-            validate, time_homogeneous, space_homogeneous)
+            True, time_homogeneous, space_homogeneous)
 
     @classmethod
     def from_table(cls, group: CayleyGroup, table: dict,
@@ -537,7 +539,9 @@ class LocalUnitary:
 
     def _reduced(self, n: int, keys: np.ndarray):
         """(n, keys) at which the flags evaluate a request (see above)."""
-        return (0 if self.time_homogeneous else int(n),
+        # n must be an integer; a plain int skips _integer, as this runs on
+        # every block request
+        return (0 if self.time_homogeneous else n if type(n) is int else _integer(n, "step"),
                 self._identity if self.space_homogeneous else keys)
 
     def block(self, n: int, keys: np.ndarray) -> np.ndarray:
@@ -589,7 +593,7 @@ class LocalUnitary:
     def at(self, n: int, x, c: int) -> complex:
         """Entry (c, c) of the step-n component at x: the phase u(n, x, c)
         of a diagonal operator."""
-        c = _integer(c, "coin index")
+        c = _coin_index(c, self.group.coin_dim)
         return complex(self.component(x, n)[c, c])
 
     def apply(self, state: WalkState, n: int = 0) -> WalkState:

@@ -198,16 +198,18 @@ def _unit_powers(z: complex):
 def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     """Normalize an eta window into a function on integers or integer arrays.
 
-    For finite coset count chi the window has length chi and extends by
-    eta(m - chi) = eta(m) * rho0 (plain periodicity when rho0 = 1). For
-    infinite chi any callable (or None, or a plain periodic list) is allowed.
-    A list is checked here, once; a callable once per distinct m in each
-    batch it is evaluated on.
+    For finite coset count chi the window (a list, or a callable read once on
+    m = 0..chi-1) has length chi and extends by eta(m - chi) = eta(m) * rho0
+    (plain periodicity when rho0 = 1). For infinite chi any callable (or None,
+    or a plain periodic list) is allowed. A list or window is checked here,
+    once; a callable on infinite chi once per distinct m in each batch.
     """
     twist = _unit_powers(require_unit(rho0, what="eta extension factor"))
     if eta is None:
         # The trivial window still needs the rho0 twist across wraps.
         eta = [1.0 + 0j] * (group.chi or 1)
+    if callable(eta) and group.chi is not None:
+        eta = elementwise(eta, range(group.chi))
     if callable(eta):
         def evaluate(m):
             # once per distinct m: a batch holds few values of n - k
@@ -297,9 +299,9 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
 
     Accepted forms: None (all identity); a unit vector (constant diagonal);
     a diagonal matrix (same); a non-diagonal matrix (U'_0 only, identity
-    afterwards); a pair (U'_0, diag part); a callable n -> matrix/vector,
-    whose n >= 1 values must be diagonal. A callable must be a pure function
-    of n: its checked diagonal is kept for the latest steps.
+    afterwards); a callable n -> matrix/vector, whose n >= 1 values must be
+    diagonal. A callable must be a pure function of n: its checked diagonal
+    is kept for the latest steps.
     """
     dim = group.coin_dim
     ones = np.ones(dim, dtype=complex)
@@ -312,15 +314,6 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     if callable(uprime):
         return step_zero(uprime(0)), _latest_steps(
             lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})"))
-    if isinstance(uprime, tuple) and len(uprime) == 2:
-        u0m = step_zero(uprime[0])
-        rest = uprime[1]
-        if rest is None:
-            return u0m, lambda n: ones
-        if callable(rest):
-            return u0m, _latest_steps(lambda n: _uprime_diagonal(group, rest(n), f"for n = {n}"))
-        vec = _uprime_diagonal(group, rest, "for steps n >= 1")
-        return u0m, lambda n: vec
     arr = np.asarray(uprime, dtype=complex)
     if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNITARY_TOL:
         return step_zero(arr.astype(complex)), lambda n: ones
@@ -336,7 +329,9 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
     x = xt * c0^k; rho is a character of the zero-net-exponent subgroup, U'(0)
     may be any coin-space unitary while U'(n) is diagonal for n >= 1, and eta
     extends by eta(m - chi) = eta(m) * rho(c0^chi). A callable U' or eta must
-    be a pure function of its argument, as delta must be.
+    be a pure function of its argument, as delta must be. For a coin with no
+    zero entry these phases span every continuous solution; each zero entry
+    drops a constraint and admits more (tests/test_completeness.py counts).
     """
     _require_nonseparating(group)
     if rho is None:
@@ -417,7 +412,8 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
     formula at n = 0. delta maps (element, coin index) to a unit and must be
     a pure function of them: its row at a position is evaluated once and
     kept for as long as the transform lives. epsilon must be 1 when the
-    coset count is infinite; eta is plain chi-periodic.
+    coset count is infinite; eta is plain chi-periodic. As for space_homog,
+    the phases span every continuous solution only for a coin with no zero entry.
     """
     _require_nonseparating(group)
     eps = _check_epsilon(group, epsilon)
@@ -440,6 +436,8 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
     Phases follow u(n, x, c) = eta(n - k) * epsilon^n * gamma(x) * U'[c, c]
     for all n, with gamma a character of the whole group and U' one constant
     diagonal coin-space unitary; the step-0 dressing uses the same formula.
+    As for space_homog, the phases span every continuous solution only for a
+    coin with no zero entry.
     """
     _require_nonseparating(group)
     eps = _check_epsilon(group, epsilon)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class VerificationReport:
 
     case_id: str
     max_residual: float
-    per_step_residuals: list = field(default_factory=list)
-    tolerance: float = 1e-10
+    per_step_residuals: list
+    tolerance: float
 
     @property
     def passed(self) -> bool:

@@ -9,18 +9,17 @@ shared support (a relation check's original and transformed walks). A coin
 product keeps the state's rows, a row left empty included, and the shift
 drops the empty rows, on either path below.
 
-A step shifts by one of two paths, chosen from the state. A one-walk state
-on a group with a single infinite axis (the line in any generator form,
-Z^1), shifted forward, takes the window path while its shifted keys fit
-fewer than COMPACT_SPAN slots per shifted key (merge_keys' rule for
-compact keys): the shift scatters each coin column at its shifted keys'
-offsets into a zeroed window over their range, [first - 1, last + 1] on
-the two-sided line, and keeps the rows that `nonzero_rows` marks, without
-a shift plan (their keys, when equally spaced, a view of a key range: see
-_kept_keys). Every
-other state (lockstep states, finite groups, Z^d, sparse line supports,
-adjoint shifts) takes the plan path: the shift merges the shifted keys by
-the group's memoized shift plan, which a lockstep step also reuses for its
+A step shifts forward only, by one of two paths, chosen from the state. A
+one-walk state on a group with a single infinite axis (the line in any
+generator form, Z^1) takes the window path while its shifted keys fit fewer
+than COMPACT_SPAN slots per shifted key (merge_keys' rule for compact
+keys): the shift scatters each coin column at its shifted keys' offsets
+into a zeroed window over their range, [first - 1, last + 1] on the
+two-sided line, and keeps the rows that `nonzero_rows` marks, without a
+shift plan (their keys, when equally spaced, a view of a key range: see
+_kept_keys). Every other state (lockstep states, finite groups, Z^d, sparse
+line supports) takes the plan path: the shift merges the shifted keys by the
+group's memoized shift plan, which a lockstep step also reuses for its
 transformed coin's shifted phases.
 """
 
@@ -87,19 +86,19 @@ def rotation_coin(group: CayleyGroup, angle: float) -> QuantumCoin:
     return QuantumCoin.uniform(group, rotation_matrix(angle), validate=False)
 
 
-def apply_shift(state: WalkState, adjoint: bool = False) -> WalkState:
-    """Conditional shift: |x, c> -> |x s_c, c> (adjoint: |x, c> -> |x s_c^-1, c>),
-    of each walk of a lockstep state, and the rows left empty dropped, by
-    the window path or the plan path (see the module docstring). The window
-    is a buffer that the group keeps and that is zeroed again after each
-    use: a fresh window per step leaves a long history more heap holes."""
+def apply_shift(state: WalkState) -> WalkState:
+    """Conditional shift: |x, c> -> |x s_c, c>, of each walk of a lockstep
+    state, and the rows left empty dropped, by the window path or the plan
+    path (see the module docstring). The window is a buffer that the group
+    keeps and that is zeroed again after each use: a fresh window per step
+    leaves a long history more heap holes."""
     group, amps, keys = state.group, state.amps, state.positions
     npos = keys.shape[0]
     # the generators of a single infinite axis are +1 and -1, so its shifted
     # keys lie in [first - 1, last + 1]
-    if not (group.moduli == (0,) and not adjoint and amps.ndim == 2 and npos > 0
+    if not (group.moduli == (0,) and amps.ndim == 2 and npos > 0
             and int(keys[-1]) - int(keys[0]) + 2 < COMPACT_SPAN * npos * group.coin_dim):
-        return _plan_shift(state, adjoint)
+        return _plan_shift(state)
     shifted = [group.shift_rows(keys, c) for c in range(group.coin_dim)]
     lo = min([int(rows[0]) for rows in shifted])
     size = max([int(rows[-1]) for rows in shifted]) - lo + 1
@@ -162,12 +161,12 @@ def _kept_keys(group: CayleyGroup, key_range, keep: np.ndarray, at: np.ndarray,
     return at + lo
 
 
-def _plan_shift(state: WalkState, adjoint: bool) -> WalkState:
+def _plan_shift(state: WalkState) -> WalkState:
     """apply_shift by the group's shift plan."""
     group = state.group
     dim = group.coin_dim
     npos = state.n_positions
-    keys, inverse = shift_plan(group, state.positions, adjoint)
+    keys, inverse = shift_plan(group, state.positions)
     amps = np.zeros(state.amps.shape[:-2] + (keys.shape[0], dim), dtype=complex)
     for c in range(dim):
         # within one coin block the shift x -> x s_c is injective, so plain

@@ -54,6 +54,13 @@ def random_phases(count: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(count))
 
 
+def probabilities(state: WalkState) -> dict:
+    """Probability per position, as position_distribution gives it but
+    without its warning for a total off 1."""
+    keys, probs = state.position_probabilities()
+    return dict(zip(state.group.elements_of(keys), probs.tolist()))
+
+
 def pauli_x() -> np.ndarray:
     return np.array([[0, 1], [1, 0]], dtype=complex)
 

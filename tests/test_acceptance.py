@@ -87,7 +87,7 @@ def _draw_symmetry(family: str, group, rng):
         u0_mat = random_unitary(group.coin_dim, rng)
         tail = random_phases(group.coin_dim, rng)
         return make_space_homog_symmetry(group, eta=eta, rho=rho,
-                                         uprime=(u0_mat, tail))
+                                         uprime=lambda n: tail if n else u0_mat)
     if family == "time_homog":
         eps = np.exp(2j * np.pi * rng.random())
         seed = int(rng.integers(1 << 30))

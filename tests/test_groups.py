@@ -68,11 +68,11 @@ def test_shift_rows_matches_mul(group, rng):
         shifted = group.shift_rows(keys, idx)
         assert group.elements_of(shifted) == [oracle_add(moduli, x, s) for x in xs]
         assert [group.mul(x, group.generators[idx]) for x in xs] == group.elements_of(shifted)
-        back = group.shift_rows(shifted, idx, adjoint=True)
-        assert np.array_equal(back, keys)
-        minus = tuple(-v for v in s)
-        assert group.elements_of(group.shift_rows(keys, idx, adjoint=True)) == \
-            [oracle_add(moduli, x, minus) for x in xs]
+        # the shift by an inverse generator, where the set has it, undoes it
+        inverse = group.inv(group.generators[idx])
+        if inverse in group.generators:
+            back = group.shift_rows(shifted, group.generators.index(inverse))
+            assert np.array_equal(back, keys)
 
 
 def key_order_groups():
@@ -126,7 +126,8 @@ def test_line_encodes_within_bounds_and_shifts_without_wrapping():
             group.encode(x)
     state = WalkState.localized(group, group.hi, [1, 0])
     assert apply_shift(state).support() == [2 ** 62]
-    assert apply_shift(state, adjoint=True).support() == [2 ** 62 - 2]
+    state = WalkState.localized(group, group.hi, [0, 1])
+    assert apply_shift(state).support() == [2 ** 62 - 2]
 
 
 def test_key_size_limits_rejected_at_construction():

@@ -8,7 +8,7 @@ import pytest
 from cayleywalk import (DegenerateCoinError, LineCoinParams, LineGroup, QuantumCoin,
                         WalkInstance, WalkState, build_line_coin,
                         canonicalize_line_coin, check_symmetry_relation,
-                        decompose_line_coin, evolve, line_coin,
+                        decompose_line_coin, evolve,
                         mirror_chirality_map, mirror_generalized_symmetry,
                         mirror_inner_symmetry, symmetric_initial_states,
                         transform_coin, transform_state)
@@ -60,9 +60,9 @@ def test_params_must_be_units():
 
 
 def test_canonicalize_hadamard():
-    psi, t = canonicalize_line_coin(hadamard_matrix())
-    assert psi == pytest.approx(np.pi / 4)
     group = LineGroup()
+    psi, t = canonicalize_line_coin(hadamard_matrix(), group)
+    assert psi == pytest.approx(np.pi / 4)
     new_coin = transform_coin(t, QuantumCoin.uniform(group, hadamard_matrix()))
     assert np.abs(new_coin.matrix_at(5) - rotation_matrix(psi)).max() < 1e-12
     assert np.abs(new_coin.matrix_at(0) - rotation_matrix(psi)).max() < 1e-12
@@ -182,8 +182,8 @@ def test_mirror_relation_end_to_end(rng):
         assert report.passed, report
 
 
-def test_line_coin_wrapper():
+def test_line_coin_from_its_parameters():
     group = LineGroup()
     p = decompose_line_coin(hadamard_matrix())
-    coin = line_coin(group, p)
+    coin = QuantumCoin.uniform(group, build_line_coin(p))
     assert np.abs(coin.matrix_at(0) - hadamard_matrix()).max() < 1e-12

@@ -27,7 +27,7 @@ from cayleywalk import (CyclicGroup, GeneralizedSymmetry, HypercubeGroup, Lattic
 from cayleywalk.automorphisms import transform_pair
 from cayleywalk.walk import lockstep
 
-from conftest import random_unitary
+from conftest import probabilities, random_unitary
 from test_acceptance import FAMILIES, _draw_symmetry
 
 GROUPS = [(LineGroup(), 3), (CyclicGroup(8), 3), (HypercubeGroup(3), (1, 0, 1)),
@@ -55,8 +55,8 @@ def _reference(coin, psi0, transform, n_max, dressing=None, transformed=None):
             expected = permutation_apply(perm, expected)
         relation.append((phi - expected).norm())
         moved = {perm.apply_element(x) if perm else x: p
-                 for x, p in psi.position_distribution(warn_unnormalized=False).items()}
-        mapped = phi.position_distribution(warn_unnormalized=False)
+                 for x, p in probabilities(psi).items()}
+        mapped = probabilities(phi)
         probability.append(max(abs(moved.get(x, 0.0) - mapped.get(x, 0.0))
                                for x in moved.keys() | mapped.keys()))
     return relation, probability, same

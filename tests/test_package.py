@@ -1,6 +1,7 @@
 """The package's public surface: `__all__` names each public object once,
 the wrappers that only repeated another call and the parameters that no
-caller set stay removed, and no module imports a name it never reads."""
+caller set, or only tests set, stay removed, a parameter that every caller
+passes declares no default, and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import types
 from pathlib import Path
 
 import cayleywalk as cw
-from cayleywalk import automorphisms, groups, linalg, states, symmetry, verify, walk
+from cayleywalk import automorphisms, groups, line, linalg, specs, states, symmetry, verify, walk
 
 # (owner, name) of each removed wrapper, constant or helper; the README lists
 # what replaces a public one
@@ -31,9 +32,11 @@ REMOVED = [
     (symmetry, "UNIT_TOL"),
     (verify, "_basis_index"),
     (walk, "_check_drifts"),
+    (line, "line_coin"),
+    (cw, "line_coin"),
 ]
 
-# (function, name) of each removed parameter that no caller set; the README
+# (function, name) of each removed parameter that no caller, or only tests, set; the README
 # lists what replaces it
 REMOVED_PARAMETERS = [
     (verify.check_symmetry_relation, "tol"),
@@ -47,6 +50,26 @@ REMOVED_PARAMETERS = [
     (automorphisms.enumerate_automorphisms, "shift"),
     (walk.QuantumCoin.table, "validate"),
     (linalg.require_unit, "tol"),
+    # the walk steps forward only
+    (groups.CayleyGroup.shift_rows, "adjoint"),
+    (states.shift_plan, "adjoint"),
+    (walk.apply_shift, "adjoint"),
+    (walk._plan_shift, "adjoint"),
+    # parameters that only tests set
+    (states.WalkState.position_distribution, "warn_unnormalized"),
+    (specs.parse_state_spec, "normalize"),
+    (states.LocalUnitary.from_rule, "validate"),
+]
+
+# (function, name) of each parameter that every caller passes, so that it
+# declares no default
+NO_DEFAULT = [
+    (line.canonicalize_line_coin, "group"),
+    (line.reflection_automorphism, "group"),
+    (line.mirror_inner_symmetry, "group"),
+    (line.mirror_generalized_symmetry, "group"),
+    (verify.VerificationReport, "per_step_residuals"),
+    (verify.VerificationReport, "tolerance"),
 ]
 
 # (module file, name) of each import kept although the module never reads it
@@ -75,6 +98,12 @@ def test_removed_parameters_stay_removed():
     survivors = [f"{f.__qualname__}({name})" for f, name in REMOVED_PARAMETERS
                  if name in inspect.signature(f).parameters]
     assert survivors == []
+
+
+def test_parameters_that_every_caller_passes_declare_no_default():
+    defaults = [f"{f.__qualname__}({name})" for f, name in NO_DEFAULT
+                if inspect.signature(f).parameters[name].default is not inspect.Parameter.empty]
+    assert defaults == []
 
 
 def _unread_imports(path: Path) -> list:

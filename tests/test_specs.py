@@ -22,6 +22,8 @@ from cayleywalk.specs import (dump_complex, dump_element, parse_automorphism_spe
 from cayleywalk.states import PRUNE_TOL
 from cayleywalk.walk import WalkInstance, evolve
 
+from conftest import probabilities
+
 
 def test_parse_complex_forms():
     assert parse_complex(2) == 2.0 + 0j
@@ -173,14 +175,14 @@ def test_state_shorthand_and_records():
     assert state.support() == [(0, 1, 0)]
     records = parse_state_spec(group, [
         {"x": 0, "c": 0, "re": 1.0, "im": 0.0},
-        {"x": 2, "c": 1, "re": 0.0, "im": 1.0}], normalize=True)
+        {"x": 2, "c": 1, "re": 0.0, "im": 1.0}])
     assert records.norm() == pytest.approx(1.0)
 
 
 def test_state_dump_roundtrip():
     group = LineGroup()
     state = parse_state_spec(group, "0:(0.6,0.8i)")
-    again = parse_state_spec(group, dump_state(state), normalize=False)
+    again = load_state(group, dump_state(state))
     assert (state - again).norm() < 1e-12
 
 
@@ -309,7 +311,7 @@ def _rowwise_csv(group, states) -> str:
     oracle: a dict per step, sorted by encode, labels filled in label_template."""
     lines = ["step,x,probability\n"]
     for n, state in enumerate(states):
-        dist = state.position_distribution(warn_unnormalized=False)
+        dist = probabilities(state)
         for x in sorted(dist, key=group.encode):
             label = group.label_template % group.encode(x)
             text = f'"{label}"' if "," in label else label
@@ -322,7 +324,7 @@ def _payload_json(group, states) -> str:
     of the streaming JSON writer."""
     payload = [{"distribution": [
                     {"p": p, "x": dump_element(x)}
-                    for x, p in sorted(st.position_distribution(warn_unnormalized=False).items(),
+                    for x, p in sorted(probabilities(st).items(),
                                        key=lambda kv: group.encode(kv[0]))],
                 "step": n}
                for n, st in enumerate(states)]

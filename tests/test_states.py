@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
-                        WalkState, hadamard_coin, make_time_homog_symmetry)
+                        QuantumCoin, WalkState, hadamard_coin, make_time_homog_symmetry)
 from cayleywalk.linalg import hadamard_matrix
-from cayleywalk.errors import NonUnitaryError
+from cayleywalk.errors import EncodingError, NonUnitaryError, SpecError
 from cayleywalk.specs import dump_state, load_state
 from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, apply_block, elementwise,
                                lookup_rows, merge_keys, nonzero_rows, require_block, shift_plan)
 from cayleywalk.symmetry import RowMemo
 
-from conftest import random_state, random_unitary, sampler
+from conftest import pauli_x, random_state, random_unitary, sampler
 
 
 def test_from_terms_accumulates_duplicates():
@@ -556,9 +556,8 @@ def test_the_adapter_names_the_expected_shape():
 # -- shift plans -------------------------------------------------------------------
 
 
-def _fresh_plan(group, keys, adjoint=False):
-    return merge_keys(np.concatenate([group.shift_rows(keys, c, adjoint=adjoint)
-                                      for c in range(group.coin_dim)]))
+def _fresh_plan(group, keys):
+    return merge_keys(np.concatenate([group.shift_rows(keys, c) for c in range(group.coin_dim)]))
 
 
 def _counted_shifts(group, monkeypatch) -> list:
@@ -566,9 +565,9 @@ def _counted_shifts(group, monkeypatch) -> list:
     calls = []
     shift_rows = type(group).shift_rows
 
-    def counted(self, keys, gen_index, adjoint=False):
+    def counted(self, keys, gen_index):
         calls.append(len(keys))
-        return shift_rows(self, keys, gen_index, adjoint=adjoint)
+        return shift_rows(self, keys, gen_index)
 
     monkeypatch.setattr(type(group), "shift_rows", counted)
     return calls
@@ -577,11 +576,10 @@ def _counted_shifts(group, monkeypatch) -> list:
 @pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8), CyclicGroup(8, generators=(1,)),
                                    LatticeGroup(2), LatticeGroup(2, period=6), HypercubeGroup(3)],
                          ids=repr)
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_shift_plan_is_a_read_only_merge_of_the_shifted_keys(group, adjoint, rng):
+def test_shift_plan_is_a_read_only_merge_of_the_shifted_keys(group, rng):
     keys = np.unique(group.keys(group.random_elements(sampler(rng), 8)))
-    merged, inverse = shift_plan(group, keys, adjoint)
-    want_merged, want_inverse = _fresh_plan(group, keys, adjoint)
+    merged, inverse = shift_plan(group, keys)
+    want_merged, want_inverse = _fresh_plan(group, keys)
     assert np.array_equal(merged, want_merged) and np.array_equal(inverse, want_inverse)
     for part in (merged, inverse):
         assert not part.flags.writeable
@@ -600,7 +598,7 @@ def test_shift_plan_hits_for_an_equal_but_distinct_key_array(monkeypatch):
     # kept by reference; a writable one is copied
     merged = plan[0]
     second = shift_plan(group, merged)
-    assert [known is merged for known, _, _ in group.shift_plans] == [False, True]
+    assert [known is merged for known, _ in group.shift_plans] == [False, True]
     assert shift_plan(group, merged) is second and shift_plan(group, keys) is plan
     assert calls == [3, 3, 5, 5]
     # a third key set evicts the oldest plan
@@ -626,12 +624,31 @@ def test_shift_plan_is_not_stale_after_the_caller_mutates_its_keys():
     assert group.elements_of(shift_plan(group, view)[0]) == [49, 51, 59, 61, 69, 71]
 
 
-def test_adjoint_shift_gets_no_forward_plan():
-    group = CyclicGroup(12, generators=(1, 4))
-    keys = group.keys([0, 10])
-    forward = shift_plan(group, keys)
-    adjoint = shift_plan(group, keys, adjoint=True)
-    assert group.elements_of(forward[0]) == [1, 2, 4, 11]
-    assert group.elements_of(adjoint[0]) == [6, 8, 9, 11]
-    assert shift_plan(group, keys, adjoint=True) is adjoint
-    assert shift_plan(group, keys) is forward
+# -- scalar accessors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1.5, 2.7, np.float64(1.0)], ids=["1.5", "2.7", "float64"])
+def test_a_step_dependent_operator_rejects_a_float_step(n):
+    coin = QuantumCoin.table(LineGroup(), [np.eye(2), pauli_x(), np.diag([1.0, -1.0])])
+    calls = [lambda: coin.matrix_at(n), lambda: coin.block(n, coin.group.keys([0])),
+             lambda: coin.component(0, n), lambda: coin.at(n, 0, 0)]
+    for call in calls:
+        with pytest.raises(SpecError, match="step must be an integer"):
+            call()
+
+
+def test_a_numpy_integer_step_reads_as_the_same_int():
+    coin = QuantumCoin.table(LineGroup(), [np.eye(2), pauli_x(), np.diag([1.0, -1.0])])
+    keys = coin.group.keys([0, 3])
+    assert np.array_equal(coin.matrix_at(np.int64(4)), pauli_x())
+    # the memo finds the int's block again
+    assert coin.block(np.int64(2), keys) is coin.block(2, keys)
+
+
+def test_at_rejects_a_coin_index_out_of_range():
+    group = CyclicGroup(8)
+    phases = make_time_homog_symmetry(group, delta={(0, 0): 1j, (0, 1): -1}).phases
+    assert phases.at(0, 0, 1) == -1 and phases.at(0, 0, np.int64(0)) == 1j
+    for c in (-1, 2):
+        with pytest.raises(EncodingError, match=re.escape(f"coin index {c} out of range [0, 2)")):
+            phases.at(0, 0, c)

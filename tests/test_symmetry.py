@@ -451,7 +451,8 @@ def test_uprime_callable_runs_once_per_step():
 
 
 def test_eta_callable_runs_once_per_distinct_m_in_a_batch():
-    group = LineGroup()
+    # on an infinite coset count a callable eta is evaluated lazily
+    group = LineGroup((1,))
     calls = Counter()
 
     def eta(m):
@@ -477,11 +478,32 @@ def _bad_eta(m):
     lambda g: make_space_homog_symmetry(g, eta=_bad_eta),
     lambda g: make_time_homog_symmetry(g, eta=_bad_eta)], ids=["space_homog", "time_homog"])
 def test_non_unit_eta_callable_is_named(make):
-    group = LineGroup()
+    group = LineGroup((1,))
     t = make(group)
     t.phases.block(2, group.keys([0, 1]))  # m = 2, 1
     with pytest.raises(NonUnitaryError, match="eta at m = 3 "):
         t.phases.block(4, group.keys([0, 1]))  # m = 4, 3
+
+
+ETA_FAMILIES = {
+    "space_homog": make_space_homog_symmetry,
+    "time_homog": make_time_homog_symmetry,
+    "full_homog": make_full_homog_symmetry,
+}
+
+
+@pytest.mark.parametrize("group", [LineGroup(), CyclicGroup(8)], ids=["line", "cyclic8"])
+@pytest.mark.parametrize("make", ETA_FAMILIES.values(), ids=ETA_FAMILIES)
+def test_a_callable_eta_on_a_finite_coset_count_is_read_on_its_window(make, group):
+    """A callable eta follows the family's window rule, as the list of its
+    window values does, so the family's C' keeps both homogeneities."""
+    eta = lambda m: cmath.exp(0.3j * m)
+    t = make(group, eta=eta)
+    window = make(group, eta=[eta(m) for m in range(group.chi)])
+    keys = group.keys(group.random_elements(sampler(np.random.default_rng(3)), 12))
+    for n in range(6):
+        assert np.array_equal(t.phases.block(n, keys), window.phases.block(n, keys))
+    assert check_homogeneity(transform_coin(t, hadamard_coin(group))) == (True, True)
 
 
 def test_non_unit_delta_is_named_on_every_check():

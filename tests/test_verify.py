@@ -232,8 +232,10 @@ def test_nan_residual_fails_the_report():
 
 
 def test_homogeneity_probe_does_not_skip_nan():
-    coin = QuantumCoin.from_rule(
-        LineGroup(), lambda n, x: np.eye(2) * (np.nan if x == 1 else 1), validate=False)
+    # the key of x on the line is x
+    coin = QuantumCoin.batched(
+        LineGroup(), lambda n, keys: np.eye(2) * np.where(keys == 1, np.nan, 1)[:, None, None],
+        False)
     time_spread, space_spread = homogeneity_spreads(coin)
     assert np.isnan(time_spread) and np.isnan(space_spread)
     assert check_homogeneity(coin) == (False, False)
