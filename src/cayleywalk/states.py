@@ -52,6 +52,9 @@ PROBE_STEPS = (0, 1, 2, 3, 5)
 HOMOGENEITY_TOL = 1e-12
 # Shift plans each group keeps (see shift_plan).
 PLAN_MEMO = 2
+# Real forms of shared blocks kept (see real_form): a relation check
+# alternates a coin and its transform, so one is too few.
+REAL_FORMS = 4
 # merge_keys and find_keys index slots rather than sorting when the keys
 # span fewer than this many slots per key.
 COMPACT_SPAN = 4
@@ -368,13 +371,61 @@ def require_block(group: CayleyGroup, keys: np.ndarray, block, what: str) -> np.
     return check(block, what=what, where=lambda i: group.elements_of(keys[i:i + 1])[0])
 
 
+_real_forms: list = []  # (block, real_form(block)), oldest first
+
+
+def real_form(block: np.ndarray):
+    """The real (2 dim, 2 dim) matrix R of a shared (1, dim, dim) block B,
+    with amps.view(float64) @ R == (amps @ B[0].T).view(float64): each
+    entry m of B[0].T as [[Re m, Im m], [-Im m, Re m]], interleaved as
+    complex128 is. None when B[0] is diagonal. A read-only block, as
+    LocalUnitary.block hands out, is looked up by identity among the
+    latest REAL_FORMS ones and built once."""
+    for known, form in _real_forms:
+        if known is block:
+            return form
+    m = block[0].T
+    form = None
+    if np.count_nonzero(m) != np.count_nonzero(m.diagonal()):
+        dim = m.shape[0]
+        r = np.empty((dim, 2, dim, 2))
+        r[:, 0, :, 0] = r[:, 1, :, 1] = m.real
+        r[:, 0, :, 1] = m.imag
+        r[:, 1, :, 0] = -m.imag
+        form = r.reshape(2 * dim, 2 * dim)
+    if not block.flags.writeable:
+        _real_forms.append((block, form))
+        del _real_forms[:-REAL_FORMS]
+    return form
+
+
 def block_product(block: np.ndarray, amps: np.ndarray, out=None) -> np.ndarray:
     """A block (see the module docstring) times the (N, dim) coin vectors
-    `amps`, row by row, written to `out` if given."""
+    `amps`, row by row, written to `out` (C-contiguous) if given.
+
+    A diagonal block multiplies elementwise, and so does a shared block
+    whose matrix is diagonal (the identity coin, the uniform C' of a
+    diagonal coin). Any other shared block is one real GEMM (BLAS dgemm)
+    of the float64 view of `amps` by its real_form: 1.5-4x faster than the
+    complex GEMM (zgemm) of the same numbers from 200 to 10^4 rows (2-core
+    Xeon, 1 or 2 BLAS threads). It rounds its sums otherwise than zgemm, so
+    amplitudes may differ from a complex product's by up to 1e-15 for
+    unit-norm rows, while positions and verdicts do not change (as measured
+    on the benchmark's walks and checks); a NaN entry still makes its whole
+    row NaN. A per-position block goes through einsum."""
     if block.ndim == 2:
         return np.multiply(amps, block, out=out)
     if block.shape[0] == 1:
-        return np.matmul(amps, block[0].T, out=out)
+        form = real_form(block)
+        if form is None:
+            return np.multiply(amps, block[0].diagonal(), out=out)
+        # ndarray.dot: the BLAS call of np.matmul without its ufunc
+        # dispatch, which costs about 1 us
+        floats = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+        if out is None:
+            return floats.dot(form).view(complex)
+        floats.dot(form, out.view(np.float64))
+        return out
     # a batched matmul sums in another order, which changes the last bits,
     # and is slower: 8.5 against 5.7 us at 200x2x2 (2-core Xeon, numpy 2.4)
     return np.einsum("nij,nj->ni", block, amps, out=out)
@@ -539,9 +590,11 @@ class LocalUnitary:
 
     def _reduced(self, n: int, keys: np.ndarray):
         """(n, keys) at which the flags evaluate a request (see above)."""
-        # n must be an integer; a plain int skips _integer, as this runs on
-        # every block request
-        return (0 if self.time_homogeneous else n if type(n) is int else _integer(n, "step"),
+        # n must be an integer, whatever the flags; a plain int skips
+        # _integer, as this runs on every block request
+        if type(n) is not int:
+            n = _integer(n, "step")
+        return (0 if self.time_homogeneous else n,
                 self._identity if self.space_homogeneous else keys)
 
     def block(self, n: int, keys: np.ndarray) -> np.ndarray:

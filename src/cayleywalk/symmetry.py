@@ -260,10 +260,19 @@ def identity_symmetry(group: CayleyGroup) -> SymmetryTransform:
     return SymmetryTransform(group, LocalUnitary.identity(group), "general", {"identity": True})
 
 
+def _uprime_array(value) -> np.ndarray:
+    """A U' value as a complex array; SpecError naming U' when numpy cannot
+    read it as one (a ragged sequence, say)."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"U' must be a vector or a matrix of numbers: {exc}") from None
+
+
 def _uprime_diagonal(group: CayleyGroup, value, ctx: str = "") -> np.ndarray:
     """A diagonal U' given as a unit vector or a diagonal matrix, checked;
     `ctx` says which U' in an error."""
-    arr = np.asarray(value, dtype=complex)
+    arr = _uprime_array(value)
     if arr.ndim == 1:
         vec = arr
     elif arr.ndim == 2:
@@ -307,14 +316,14 @@ def _normalize_uprime_sequence(group: CayleyGroup, uprime):
     ones = np.ones(dim, dtype=complex)
 
     def step_zero(m):
-        return require_unitary(as_complex_matrix(m, dim), what="U'(0)")
+        return require_unitary(as_complex_matrix(_uprime_array(m), dim), what="U'(0)")
 
     if uprime is None:
         return np.eye(dim, dtype=complex), lambda n: ones
     if callable(uprime):
         return step_zero(uprime(0)), _latest_steps(
             lambda n: _uprime_diagonal(group, uprime(n), f"for steps n >= 1 (n = {n})"))
-    arr = np.asarray(uprime, dtype=complex)
+    arr = _uprime_array(uprime)
     if arr.ndim == 2 and np.abs(arr - np.diag(np.diagonal(arr))).max() > UNITARY_TOL:
         return step_zero(arr.astype(complex)), lambda n: ones
     vec = _uprime_diagonal(group, arr, "when given as a single vector")

@@ -199,9 +199,11 @@ def apply_coin(coin, state: WalkState, n: int) -> WalkState:
     for c in coin:
         if c.group != state.group:
             raise SpecError("coin and state live on different groups")
-    # every block before any product: a complex matmul (BLAS) can leave the
-    # vector unit in a state that slows the scalar math of a Python rule run
-    # next about fivefold, until some other numpy kernel resets it
+    # every block before any product. Right after a complex GEMM (zgemm),
+    # 200 cmath.exp calls in a Python rule took 130-160 against 12-18 us,
+    # until a later real GEMM; a numpy add did not end the slowdown (2-core
+    # Xeon, OpenBLAS 0.3.31, 1 or 2 threads). block_product runs no zgemm:
+    # right after its real GEMM the same calls took 12-19 us
     blocks = [c.block(n, state.positions) for c in coin]
     amps = np.empty(state.amps.shape, dtype=complex)
     for w, block in enumerate(blocks):

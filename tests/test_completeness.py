@@ -29,7 +29,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleywalk import CyclicGroup, HypercubeGroup, LatticeGroup, QuantumCoin, corrupted_phases
+from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LocalUnitary, PhaseField,
+                        QuantumCoin, corrupted_phases, make_general_symmetry, transform_coin)
+from cayleywalk.states import PROBE_STEPS
+from cayleywalk.verify import check_homogeneity
 
 from conftest import pauli_x, random_unitary
 from test_acceptance import _draw_symmetry
@@ -144,3 +147,24 @@ def test_each_family_solves_the_constraints_and_a_corrupted_phase_does_not(name,
     assert _winding(a, _phase_angles(t.phases, group, steps)) < 1e-9
     bad = corrupted_phases(t.phases, (2, group.generators[0], 0))
     assert _winding(a, _phase_angles(bad, group, steps)) > 1.0
+
+
+@pytest.mark.parametrize("name", ["cyclic8", "hypercube3"])
+def test_a_random_phase_field_solves_no_constraint_and_is_not_homogeneous(name):
+    """Negative control: a seeded random phase per (n, x, c), outside every
+    family, misses A theta = 0 (mod 2 pi) for each homogeneity, and the coin
+    it transforms probes neither time- nor space-homogeneous."""
+    make, horizons = GROUPS[name]
+    group = make()
+    rng = np.random.default_rng([31, list(GROUPS).index(name)])
+    coin = QuantumCoin.uniform(group, random_unitary(group.coin_dim, rng))
+    index = {group.encode(x): i for i, x in enumerate(group.elements())}
+    # the steps check_homogeneity probes (PROBE_STEPS) and the step after each
+    units = np.exp(2j * np.pi * rng.random((max(PROBE_STEPS) + 2, len(index), group.coin_dim)))
+    field = PhaseField(group, lambda n, x, c: units[n, index[group.encode(x)], c])
+    t = make_general_symmetry(LocalUnitary.identity(group), field)
+    steps = horizons[0]
+    for homogeneity in HOMOGENEITY.values():
+        a = constraint_matrix(group, coin.matrix_at(0), steps, homogeneity)
+        assert _winding(a, _phase_angles(t.phases, group, steps)) > 1.0, homogeneity
+    assert check_homogeneity(transform_coin(t, coin)) == (False, False)

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, LocalUnitary,
-                        QuantumCoin, WalkState, hadamard_coin, make_time_homog_symmetry)
+                        QuantumCoin, WalkState, check_symmetry_relation, hadamard_coin,
+                        identity_coin, make_full_homog_symmetry, make_time_homog_symmetry,
+                        states, transform_coin)
 from cayleywalk.linalg import hadamard_matrix
 from cayleywalk.errors import EncodingError, NonUnitaryError, SpecError
 from cayleywalk.specs import dump_state, load_state
-from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, apply_block, elementwise,
-                               lookup_rows, merge_keys, nonzero_rows, require_block, shift_plan)
+from cayleywalk.states import (COMPACT_SPAN, PRUNE_TOL, apply_block, block_product, elementwise,
+                               lookup_rows, merge_keys, nonzero_rows, real_form, require_block,
+                               shift_plan)
 from cayleywalk.symmetry import RowMemo
 
 from conftest import pauli_x, random_state, random_unitary, sampler
@@ -283,6 +286,92 @@ def test_apply_block_keeps_every_row_when_nothing_is_small():
     assert nan_row.positions is state.positions and np.isnan(nan_row.amps[1, 0])
     empty = apply_block(WalkState.zero(group), np.ones((0, 2), dtype=complex))
     assert empty.n_positions == 0 and empty.amps.shape == (0, 2)
+
+
+# -- block_product: a shared block as one real GEMM --------------------------------------
+
+
+def _shared(matrix) -> np.ndarray:
+    """`matrix` as a read-only shared block, as LocalUnitary.block hands one out."""
+    block = np.array(matrix, dtype=complex)[None]
+    block.flags.writeable = False
+    return block
+
+
+def _unit_rows(n: int, dim: int, rng) -> np.ndarray:
+    amps = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 200, 5000])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 10])
+def test_a_shared_block_product_agrees_with_the_complex_product(dim, n, rng):
+    block = _shared(random_unitary(dim, rng))
+    amps = _unit_rows(n, dim, rng)
+    got = block_product(block, amps)
+    assert got.shape == (n, dim) and got.dtype == complex
+    assert np.abs(got - amps @ block[0].T).max(initial=0.0) <= 1e-15
+    # out= (each walk of a lockstep step) gives the bytes of a new product
+    # (a one-walk step), and so does amps in another memory order
+    out = np.empty_like(amps)
+    assert block_product(block, amps, out) is out and out.tobytes() == got.tobytes()
+    assert block_product(block, np.asfortranarray(amps)).tobytes() == got.tobytes()
+
+
+def test_a_shared_block_keeps_a_nan_row_and_leaves_zero_rows_empty(rng):
+    block = _shared(random_unitary(3, rng))
+    amps = _unit_rows(6, 3, rng)
+    amps[1, 2] = np.nan
+    amps[2] = 0.0
+    amps[3] = -0.0
+    amps[4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    got = block_product(block, amps)
+    assert np.isnan(got[1]).all()
+    assert not np.abs(got[2:5]).any()
+    out = apply_block(WalkState(LineGroup(), np.arange(6, dtype=np.int64), amps), block)
+    assert out.positions.tolist() == [0, 1, 5] and np.isnan(out.amps[1]).all()
+
+
+def test_a_diagonal_shared_block_gives_the_diagonal_products_bytes(rng):
+    """The identity coin, a diagonal coin and the uniform C' of a diagonal
+    coin (whose phases read 6.1e-17 + 1j) multiply elementwise."""
+    group = CyclicGroup(8)
+    keys = group.keys([0])
+    diagonal = QuantumCoin.uniform(group, np.diag([1j, -1.0]))
+    uprime = transform_coin(make_full_homog_symmetry(group, epsilon=1j), diagonal)
+    amps = _unit_rows(200, 2, rng)
+    amps[5, 1] = np.nan
+    for coin in (identity_coin(group), diagonal, uprime):
+        block = coin.block(0, keys)
+        assert block.shape == (1, 2, 2) and real_form(block) is None
+        rows = np.broadcast_to(np.diagonal(block[0]), amps.shape)
+        assert block_product(block, amps).tobytes() == block_product(rows, amps).tobytes()
+
+
+def test_a_shared_blocks_real_form_is_built_once(monkeypatch):
+    """A relation check of a full_homog symmetry steps the coin and its
+    uniform C' in lockstep: each block's real form is built on its first
+    product and found again, by identity, on every later one."""
+    group = LineGroup()
+    coin = QuantumCoin.uniform(group, np.array([[1, 1j], [1j, 1]]) / np.sqrt(2))
+    t = make_full_homog_symmetry(group, epsilon=np.exp(0.4j), uprime=[1, 1j])
+    forms: dict = {}  # id(block) -> (block, [form per product])
+    real_form = states.real_form
+
+    def recorded(block):
+        form = real_form(block)
+        forms.setdefault(id(block), (block, []))[1].append(form)
+        return form
+
+    monkeypatch.setattr(states, "real_form", recorded)
+    start = WalkState.localized(group, 0, [0.6, 0.8j])
+    assert check_symmetry_relation(coin, start, t, n_max=20).passed
+    assert len(forms) == 2  # C and C'
+    for _, built in forms.values():
+        assert len(built) > 10 and all(form is built[0] for form in built)
+    # a writable block may change between products: it is not kept
+    block = np.array(coin.block(0, group.keys([0])))
+    assert real_form(block) is not real_form(block)
 
 
 def test_norm_is_numpys_norm_bit_for_bit(rng):
@@ -643,6 +732,29 @@ def test_a_numpy_integer_step_reads_as_the_same_int():
     assert np.array_equal(coin.matrix_at(np.int64(4)), pauli_x())
     # the memo finds the int's block again
     assert coin.block(np.int64(2), keys) is coin.block(2, keys)
+
+
+def _time_homogeneous_coin():
+    """A declared time-homogeneous coin that varies with position."""
+    group = CyclicGroup(8)
+    return QuantumCoin.batched(group, lambda n, keys: np.exp(0.3j * keys)[:, None, None]
+                               * hadamard_matrix(), True, time_homogeneous=True)
+
+
+@pytest.mark.parametrize("make", [lambda: hadamard_coin(LineGroup()), _time_homogeneous_coin],
+                         ids=["uniform", "time_homogeneous"])
+def test_a_time_homogeneous_operator_rejects_a_float_step(make):
+    """The flags map every step to 0, but only after the step is checked."""
+    coin = make()
+    keys = coin.group.keys([coin.group.identity])
+    for n in (1.5, np.float64(2.0)):
+        for call in (lambda: coin.matrix_at(n), lambda: coin.block(n, keys),
+                     lambda: coin.component(coin.group.identity, n),
+                     lambda: coin.at(n, coin.group.identity, 0)):
+            with pytest.raises(SpecError, match="step must be an integer"):
+                call()
+    assert np.array_equal(coin.matrix_at(np.int64(3)), coin.matrix_at(0))
+    assert coin.block(np.int64(3), keys) is coin.block(0, keys)
 
 
 def test_at_rejects_a_coin_index_out_of_range():

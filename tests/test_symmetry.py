@@ -524,6 +524,19 @@ def test_non_unit_uprime_callable_is_named():
         t.phases.block(4, group.keys([0]))
 
 
+def test_a_ragged_uprime_is_named():
+    """numpy cannot read a ragged U' as an array; the error names U'."""
+    group = LineGroup()
+    ragged = (np.eye(2), np.ones(2))
+    tail = make_space_homog_symmetry(group, uprime=lambda n: ragged if n else np.eye(2))
+    for build in (lambda: make_space_homog_symmetry(group, uprime=ragged),
+                  lambda: make_space_homog_symmetry(group, uprime=lambda n: ragged),
+                  lambda: tail.phases.block(1, group.keys([0])),
+                  lambda: make_full_homog_symmetry(group, uprime=[1, [1, 1]])):
+        with pytest.raises(SpecError, match="U' must be a vector or a matrix"):
+            build()
+
+
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
 def test_non_unit_user_character_is_named(batched):
     group = LineGroup()

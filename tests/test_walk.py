@@ -16,7 +16,7 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
                         evolve_final, evolve_iter, grover_coin, hadamard_coin, identity_coin, step)
 from cayleywalk import states, walk
 from cayleywalk.linalg import hadamard_matrix, require_unit
-from cayleywalk.states import PRUNE_TOL, merge_keys, nonzero_rows
+from cayleywalk.states import PRUNE_TOL, block_product, merge_keys, nonzero_rows
 from cayleywalk.verify import assemble_step_matrix, basis_labels
 from cayleywalk.walk import lockstep
 
@@ -112,12 +112,7 @@ def _reference_apply(block, positions, amps, pruned: set):
     zeroed with np.where and the rows left with none dropped. A NaN is not
     below it, so its row stays. `pruned` records whether there was
     anything to prune."""
-    if block.ndim == 2:
-        amps = amps * block
-    elif block.shape[0] == 1:
-        amps = amps @ block[0].T
-    else:
-        amps = np.einsum("nij,nj->ni", block, amps)
+    amps = block_product(block, amps)
     small = np.abs(amps) < PRUNE_TOL
     pruned.add(bool(small.any()))
     keep = ~small.all(axis=1)
