@@ -138,9 +138,9 @@ def conjugate_local(a: ShiftedAutomorphism, op: LocalUnitary) -> LocalUnitary:
     if op.group != a.group:
         raise SpecError("automorphism and operator live on different groups")
     perm = list(a.perm)
-    return type(op).batched(
+    return type(op)._built(
         a.group, lambda n, keys: _permute_coins(op.block(n, a.apply_keys(keys)), perm),
-        False, op.time_homogeneous, op.space_homogeneous)
+        op.time_homogeneous, op.space_homogeneous)
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,7 +98,7 @@ def canonicalize_line_coin(matrix, group: CayleyGroup):
     t = make_full_homog_symmetry(
         g,
         epsilon=np.conj(p.omega),
-        gamma=exp_character(g, phi, validate=False),
+        gamma=exp_character(g, phi),
         uprime=np.array([p.nu, np.conj(p.nu)]),
     )
     return p.psi, t
@@ -121,7 +121,7 @@ def mirror_inner_symmetry(p: LineCoinParams, group: CayleyGroup) -> SymmetryTran
     return make_full_homog_symmetry(
         g,
         epsilon=1.0,
-        gamma=exp_character(g, phi, validate=False),
+        gamma=exp_character(g, phi),
         uprime=np.array([1j * p.nu ** 2, -1j * np.conj(p.nu) ** 2]),
     )
 

@@ -227,11 +227,8 @@ class WalkState:
     def amplitude(self, x, c: int) -> complex:
         amps = self._walk_amps()
         c = _coin_index(c, self.group.coin_dim)
-        key = self.group.keys([x])[0]
-        i = int(np.searchsorted(self.positions, key))
-        if i < self.n_positions and self.positions[i] == key:
-            return complex(amps[i, c])
-        return 0j
+        at, found = find_keys(self.positions, self.group.keys([x]))
+        return complex(amps[at[0], c]) if found[0] else 0j
 
     def terms(self) -> dict:
         return {(x, c): complex(amp) for x, row in zip(self.elements(), self._walk_amps())
@@ -264,9 +261,8 @@ class WalkState:
         if self.group != other.group:
             raise SpecError("inner product requires states on the same group")
         a, b = self._walk_amps(), other._walk_amps()
-        _, i, j = np.intersect1d(self.positions, other.positions, assume_unique=True,
-                                 return_indices=True)
-        return complex(np.vdot(a[i], b[j]))
+        at, found = find_keys(self.positions, other.positions)
+        return complex(np.vdot(a[at[found]], b[found]))
 
     def __add__(self, other: "WalkState") -> "WalkState":
         return _combine(self, other, 1.0)
@@ -472,9 +468,7 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
     dim = group.coin_dim
     rows: dict = {}
     for (x, c), value in table.items():
-        c = _integer(c, "coin index")
-        if not 0 <= c < dim:
-            raise SpecError(f"coin index {c} out of range [0, {dim})")
+        c = _coin_index(c, dim)
         key = int(group.keys([x])[0])
         rows.setdefault(key, np.full(dim, default, dtype=complex))[c] = value
     known = np.array(sorted(rows), dtype=np.int64)
@@ -490,25 +484,26 @@ def lookup_rows(group: CayleyGroup, table: dict, default: complex):
 class LocalUnitary:
     """Position-controlled unitary that may depend on the step:
     `blocks(n, keys)` gives its step-n block over a batch of position keys
-    (see block_product), checked once per batch when `validate` is set.
-    Step-free operators ignore n. A symmetry's dressing is one such
-    operator: an arbitrary local unitary U0 at step 0, diagonal phases
-    u(n, x, c) after. A coin is another (walk.QuantumCoin).
+    (see block_product). Step-free operators ignore n. A symmetry's
+    dressing is one such operator: an arbitrary local unitary U0 at step 0,
+    diagonal phases u(n, x, c) after. A coin is another (walk.QuantumCoin).
 
     A time-homogeneous operator is evaluated at step 0 and a
     space-homogeneous one at the identity, whatever step and keys are asked
     for. A flag is an evaluation shortcut, declared where it unlocks one
     block for the whole walk: a uniform operator declares both, and a
     transformed coin declares them only when it is uniform (see
-    symmetry.transform_coin). Flags declared with `validate` set are probed
-    when the operator is built (see homogeneity_spreads).
+    symmetry.transform_coin). A user's rule (the constructor, `batched`,
+    `from_rule`; `uniform`'s matrix, once) is checked on every batch and
+    its declared flags are probed (see homogeneity_spreads); the package's
+    own operators, unitary by construction or made of checked factors, go
+    through `_built`, which does neither.
 
     Rules must be pure functions of (n, keys): `block` keeps its last
     MEMO_SIZE blocks and hands them out again, read-only, for an equal n and
     key array (a relation check asks for each dressing block three times)."""
 
-    __slots__ = ("group", "_blocks", "validate", "time_homogeneous", "space_homogeneous",
-                 "_identity", "_memo")
+    __slots__ = ("group", "_blocks", "time_homogeneous", "space_homogeneous", "_identity", "_memo")
 
     MEMO_SIZE = 2
     # what errors call the operator; a diagonal block is called a phase
@@ -519,14 +514,13 @@ class LocalUnitary:
         called once per position and coin of a batch (see elementwise)."""
         # bound to n as a method, which passes n first at about the cost of
         # a plain call (functools.partial copies the arguments on each call)
-        self._setup(group, lambda n, keys: elementwise(
-            MethodType(rule, n), group.elements_of(keys), coins=group.coin_dim))
+        self._setup(group, lambda n, keys: self.check(n, keys, elementwise(
+            MethodType(rule, n), group.elements_of(keys), coins=group.coin_dim)))
 
-    def _setup(self, group: CayleyGroup, blocks, validate: bool = True,
-               time_homogeneous: bool = False, space_homogeneous: bool = False) -> None:
+    def _setup(self, group: CayleyGroup, blocks, time_homogeneous: bool = False,
+               space_homogeneous: bool = False) -> None:
         self.group = group
         self._blocks = blocks
-        self.validate = validate
         self.time_homogeneous = bool(time_homogeneous)
         self.space_homogeneous = bool(space_homogeneous)
         if self.space_homogeneous:
@@ -535,31 +529,35 @@ class LocalUnitary:
             self._identity = group.keys([group.identity]).copy()
             self._identity.flags.writeable = False
         self._memo: list = []  # (n, keys, block), oldest first
-        if validate and (self.time_homogeneous or self.space_homogeneous):
-            self._probe_flags()
 
     @classmethod
-    def batched(cls, group: CayleyGroup, blocks, validate: bool = True,
-                time_homogeneous: bool = False, space_homogeneous: bool = False):
-        """Operator of blocks(n, keys) -> block array."""
+    def _built(cls, group: CayleyGroup, blocks, time_homogeneous: bool = False,
+               space_homogeneous: bool = False):
+        """Operator of a rule unitary by construction whose flags hold."""
         op = cls.__new__(cls)
-        op._setup(group, blocks, validate, time_homogeneous, space_homogeneous)
+        op._setup(group, blocks, time_homogeneous, space_homogeneous)
         return op
 
     @classmethod
-    def uniform(cls, group: CayleyGroup, matrix, validate: bool = True):
-        """One matrix at every step and position."""
-        m = as_complex_matrix(matrix, group.coin_dim)
-        if validate:
-            require_unitary(m, what=f"{cls.LABEL} matrix")
-        return cls.batched(group, lambda n, keys: m[None], validate=False,
-                           time_homogeneous=True, space_homogeneous=True)
+    def batched(cls, group: CayleyGroup, blocks, *, time_homogeneous: bool = False,
+                space_homogeneous: bool = False):
+        """Operator of blocks(n, keys) -> block array; the flags declared are probed."""
+        op = cls._built(group, lambda n, keys: op.check(n, keys, blocks(n, keys)),
+                        time_homogeneous, space_homogeneous)
+        if time_homogeneous or space_homogeneous:
+            op._probe_flags()
+        return op
+
+    @classmethod
+    def uniform(cls, group: CayleyGroup, matrix):
+        """One matrix at every step and position, checked here, once."""
+        m = require_unitary(as_complex_matrix(matrix, group.coin_dim), what=f"{cls.LABEL} matrix")
+        return cls._built(group, lambda n, keys: m[None], True, True)
 
     @classmethod
     def identity(cls, group: CayleyGroup) -> "LocalUnitary":
         """Unit phases at every step and position."""
-        return cls.batched(group, lambda n, keys: np.ones((len(keys), group.coin_dim),
-                                                          dtype=complex), validate=False)
+        return cls._built(group, lambda n, keys: np.ones((len(keys), group.coin_dim), complex))
 
     @classmethod
     def from_rule(cls, group: CayleyGroup, rule, time_homogeneous: bool = False,
@@ -568,7 +566,7 @@ class LocalUnitary:
         dim = group.coin_dim
         return cls.batched(group, lambda n, keys: elementwise(
             MethodType(rule, n), group.elements_of(keys), (dim, dim)),
-            True, time_homogeneous, space_homogeneous)
+            time_homogeneous=time_homogeneous, space_homogeneous=space_homogeneous)
 
     @classmethod
     def from_table(cls, group: CayleyGroup, table: dict,
@@ -585,8 +583,7 @@ class LocalUnitary:
                 u, what=f"table phase at {(n, x, c)}")
         steps = {n: lookup_rows(group, entries, default) for n, entries in by_step.items()}
         untabulated = lookup_rows(group, {}, default)
-        return cls.batched(group, lambda n, keys: steps.get(n, untabulated)(keys),
-                           validate=False)
+        return cls._built(group, lambda n, keys: steps.get(n, untabulated)(keys))
 
     def _reduced(self, n: int, keys: np.ndarray):
         """(n, keys) at which the flags evaluate a request (see above)."""
@@ -605,7 +602,7 @@ class LocalUnitary:
                 return block
         # a read-only view, so that neither the memo nor the rule's own array
         # can be written through it
-        block = self._evaluate(n, keys).view()
+        block = self._blocks(n, keys).view()
         block.flags.writeable = False
         # evict in insertion order: a stale entry from an earlier check of
         # the same operator must not outlive the current ones
@@ -613,16 +610,11 @@ class LocalUnitary:
         del self._memo[:-self.MEMO_SIZE]
         return block
 
-    def _evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
-        """The rule's step-n block over `keys`, whatever the flags."""
-        block = self._blocks(n, keys)
-        return self.check(n, keys, block) if self.validate else block
-
     def evaluate(self, n: int, keys: np.ndarray) -> np.ndarray:
         """The step-n block over `keys` as `block` gives it, but evaluated
         afresh and not kept: for the rule of an operator made of this one,
         whose own memo then keeps the block once."""
-        return self._evaluate(*self._reduced(n, keys))
+        return self._blocks(*self._reduced(n, keys))
 
     def _probe_flags(self) -> None:
         """Check that the declared homogeneity matches the rule."""
@@ -633,8 +625,7 @@ class LocalUnitary:
             raise SpecError(f"{self.LABEL} declared space-homogeneous but varies with position")
 
     def check(self, n: int, keys: np.ndarray, block) -> np.ndarray:
-        """`block` as the step-n block over `keys`, checked once (see
-        require_block)."""
+        """`block` as the step-n block over `keys`, checked (see require_block)."""
         kind = "phase" if np.ndim(block) == 2 else self.LABEL
         return require_block(self.group, keys, block, f"step-{n} {kind}")
 
@@ -668,7 +659,7 @@ def homogeneity_spreads(op: LocalUnitary, positions_probe=None) -> tuple[float, 
                            + g.random_elements(random.Random(0), 4))
     keys = g.keys(positions_probe)
     shape = (len(keys), g.coin_dim, g.coin_dim)
-    blocks = [op._evaluate(n, keys) for n in PROBE_STEPS]
+    blocks = [op._blocks(n, keys) for n in PROBE_STEPS]
     # a diagonal block as the matrices it stands for
     mats = np.stack([np.broadcast_to(b if b.ndim == 3 else b[..., None] * np.eye(g.coin_dim),
                                      shape) for b in blocks])

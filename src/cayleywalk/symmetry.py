@@ -54,31 +54,31 @@ class UnitaryCharacter:
 
     domain is "full_group" or "causal_subgroup"; the latter promises the rule
     is only ever evaluated on zero-net-exponent elements. `values(keys)`
-    gives the character over a batch of position keys. A user rule's values
-    are checked on every batch; the built-in closed forms (trivial, exp,
-    sign, cyclic) give units by construction and are not.
+    gives the character over a batch of position keys. A user's rule is
+    checked on every batch and sampled for multiplicativity when built; the
+    built-in closed forms (trivial, exp, sign, cyclic) are neither.
     """
 
     __slots__ = ("group", "domain", "values", "descriptor")
 
-    def __init__(self, group: CayleyGroup, domain: str, rule, descriptor=None,
-                 validate: bool = True):
+    def __init__(self, group: CayleyGroup, domain: str, rule, descriptor=None):
         """Character of a scalar rule(x) -> complex unit."""
+        self._setup(group, domain, _checked_values(
+            group, lambda keys: elementwise(rule, group.elements_of(keys))), descriptor)
+        self._check_multiplicative()
+
+    def _setup(self, group: CayleyGroup, domain: str, values, descriptor) -> None:
         if domain not in ("full_group", "causal_subgroup"):
             raise SpecError(f"unknown character domain {domain!r}")
-        self.group = group
-        self.domain = domain
-        self.values = _checked_values(
-            group, lambda keys: elementwise(rule, group.elements_of(keys)))
-        self.descriptor = descriptor
-        if validate:
-            self._check_multiplicative()
+        self.group, self.domain, self.values, self.descriptor = group, domain, values, descriptor
 
     @classmethod
-    def batched(cls, group: CayleyGroup, domain: str, values, descriptor=None,
-                validate: bool = True) -> "UnitaryCharacter":
+    def batched(cls, group: CayleyGroup, domain: str, values,
+                descriptor=None) -> "UnitaryCharacter":
         """Character of values(keys) -> (N,) complex array."""
-        return _closed_form(group, domain, _checked_values(group, values), descriptor, validate)
+        char = _closed_form(group, domain, _checked_values(group, values), descriptor)
+        char._check_multiplicative()
+        return char
 
     def __call__(self, x) -> complex:
         return complex(self.values(self.group.keys([x]))[0])
@@ -111,30 +111,37 @@ def _checked_values(group: CayleyGroup, values):
     return lambda keys: require_block(group, keys, values(keys), "character value")
 
 
-def _closed_form(group: CayleyGroup, domain: str, values, descriptor,
-                 validate: bool = True) -> UnitaryCharacter:
-    """Character of values(keys) as given: a built-in closed form, whose
-    values are units by construction and so are not checked per batch."""
-    char = UnitaryCharacter(group, domain, None, descriptor, validate=False)
-    char.values = values
-    if validate:
-        char._check_multiplicative()
+def _closed_form(group: CayleyGroup, domain: str, values, descriptor) -> UnitaryCharacter:
+    """Character of values(keys) as given, neither checked nor sampled here."""
+    char = UnitaryCharacter.__new__(UnitaryCharacter)
+    char._setup(group, domain, values, descriptor)
     return char
+
+
+def _finite_character(group: CayleyGroup, turns, domain: str, descriptor) -> UnitaryCharacter:
+    """exp(2 pi i sum k x / m) over the axes of period m, k = turns[axis], with k x
+    reduced modulo m in integers: phi x in floats is no homomorphism at large x."""
+    m = np.array(group.moduli)
+    if m.max() > 2 ** 31:
+        raise SpecError("characters need periods up to 2**31, so that k * x fits an int64")
+    k = np.array(turns) % m
+    return _closed_form(group, domain, lambda keys: np.exp(
+        2j * np.pi * (group.unpack(keys) * k % m / m).sum(axis=1)), descriptor)
 
 
 def trivial_character(group: CayleyGroup, domain: str = "full_group") -> UnitaryCharacter:
     return _closed_form(group, domain, lambda keys: np.ones(len(keys), dtype=complex),
-                        {"kind": "trivial"}, validate=False)
+                        {"kind": "trivial"})
 
 
-def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
-                  validate: bool = True) -> UnitaryCharacter:
+def exp_character(group: CayleyGroup, phi, domain: str = "full_group") -> UnitaryCharacter:
     """Character exp(i * phi . x).
 
     phi is a scalar on the integer kinds (line, cyclic) and a vector with one
     entry per axis on the tuple kinds (lattice, hypercube). On a finite axis
     of modulus m, phi's entry times m must be a multiple of 2*pi;
-    incommensurate values are rejected.
+    incommensurate values are rejected, and a commensurate one is rounded
+    to the integer k = phi * m / (2*pi), giving exp(2*pi*i * k * x / m).
     """
     if group.tuple_elements:
         vec = np.asarray(phi, dtype=float).reshape(-1)
@@ -153,12 +160,14 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group",
         if m and abs(complex(math.cos(v * m), math.sin(v * m)) - 1.0) > 1e-9:
             raise SpecError(f"exp character needs phi * {m} to be a multiple of 2*pi "
                             f"on an axis of period {m}")
-    values = lambda keys: np.exp(1j * (group.unpack(keys) @ vec))
-    return _closed_form(group, domain, values, descriptor, validate)
+    if not group.is_finite:
+        return _closed_form(group, domain, lambda keys: np.exp(1j * (group.unpack(keys) @ vec)),
+                            descriptor)
+    return _finite_character(group, [round(v * m / (2 * math.pi)) for v, m in
+                                     zip(vec.tolist(), group.moduli)], domain, descriptor)
 
 
-def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
-                   validate: bool = True) -> UnitaryCharacter:
+def sign_character(group: CayleyGroup, mask, domain: str = "full_group") -> UnitaryCharacter:
     """Character (-1)^(mask . x); mask entries are 0 or 1, one per axis on
     the tuple kinds. A set entry needs an even period on a finite axis."""
     if group.tuple_elements:
@@ -173,17 +182,18 @@ def sign_character(group: CayleyGroup, mask, domain: str = "full_group",
         raise SpecError("sign character requires an even period")
     vec = np.array(vec, dtype=np.int64)
     values = lambda keys: (1.0 - 2.0 * ((group.unpack(keys) @ vec) % 2)).astype(complex)
-    return _closed_form(group, domain, values, descriptor, validate)
+    return _closed_form(group, domain, values, descriptor)
 
 
 def cyclic_character(group: CayleyGroup, j: int, domain: str = "full_group") -> UnitaryCharacter:
-    """Character exp(2*pi*i*j*x/N) of the order-N cyclic group."""
+    """Character exp(2*pi*i*j*x/N) of the order-N cyclic group (see _finite_character)."""
     if group.kind != "cyclic":
         raise SpecError("cyclic characters need a cyclic group")
     if not math.isfinite(j):
         raise SpecError(f"cyclic character index {j!r} is not finite")
-    return exp_character(group, 2.0 * np.pi * _integer(j, "cyclic character index") / group.n,
-                         domain)
+    j = _integer(j, "cyclic character index")
+    return _finite_character(group, [j], domain,
+                             {"kind": "exp_linear", "phi": 2.0 * np.pi * j / group.n})
 
 
 def _unit_powers(z: complex):
@@ -251,8 +261,8 @@ def make_general_symmetry(u0: LocalUnitary, phases: LocalUnitary) -> SymmetryTra
     if u0.group != phases.group:
         raise SpecError("U0 and phase field must share one group")
     # each part checks its own blocks; the dressing's memo alone keeps them
-    dressing = LocalUnitary.batched(
-        u0.group, lambda n, keys: (phases if n else u0).evaluate(n, keys), validate=False)
+    dressing = LocalUnitary._built(
+        u0.group, lambda n, keys: (phases if n else u0).evaluate(n, keys))
     return SymmetryTransform(u0.group, dressing, "general", {})
 
 
@@ -363,8 +373,7 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
 
     params = {"eta": eta_fn, "rho": rho, "uprime0": u0_mat,
               "uprime_diag": diag_rule, "rho0": rho0}
-    return SymmetryTransform(group, LocalUnitary.batched(group, blocks, validate=False),
-                             "space_homog", params)
+    return SymmetryTransform(group, LocalUnitary._built(group, blocks), "space_homog", params)
 
 
 class RowMemo:
@@ -434,8 +443,7 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
         return (power(n) * eta_fn(n - group.coset_indices(keys)))[:, None] * delta_fn(keys)
 
     params = {"epsilon": eps, "eta": eta_fn, "delta": delta_fn}
-    return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
-                             "time_homog", params)
+    return SymmetryTransform(group, LocalUnitary._built(group, phases), "time_homog", params)
 
 
 def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
@@ -465,8 +473,7 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
         return (eta_fn(n - k) * power(n) * gamma.values(keys))[:, None] * uvec
 
     params = {"epsilon": eps, "eta": eta_fn, "gamma": gamma, "uprime": uvec}
-    return SymmetryTransform(group, LocalUnitary.batched(group, phases, validate=False),
-                             "full_homog", params)
+    return SymmetryTransform(group, LocalUnitary._built(group, phases), "full_homog", params)
 
 
 def transform_state(t: SymmetryTransform, psi0: WalkState) -> WalkState:
@@ -517,10 +524,10 @@ def transform_coin(t: SymmetryTransform, coin: QuantumCoin) -> QuantumCoin:
     # each factor of a block is checked where it is made (the coin's and the
     # dressing's own checks), so the product is not checked again
     if not (coin.time_homogeneous and coin.space_homogeneous and t.family == "full_homog"):
-        return QuantumCoin.batched(group, blocks, False)
+        return QuantumCoin._built(group, blocks)
     if t.uniform_coin is not None and t.uniform_coin[0] is coin:
         return t.uniform_coin[1]
-    new_coin = QuantumCoin.batched(group, blocks, False, True, True)
+    new_coin = QuantumCoin._built(group, blocks, True, True)
     new_coin._probe_flags()
     # kept, so that checking the transform again does not probe it again
     object.__setattr__(t, "uniform_coin", (coin, new_coin))

@@ -3,7 +3,7 @@
 One step applies the current coin (a local operation) and then the
 conditional shift T sending |x, c> to |x s_c, c>. Coins may depend on the
 time step and the position. A coin is a states.LocalUnitary, whose declared
-homogeneity flags unlock one shared block and are probed at construction.
+homogeneity flags unlock one shared block (see states.LocalUnitary).
 One stepper, `lockstep`, steps one walk (`evolve_iter`) or several on one
 shared support (a relation check's original and transformed walks). A coin
 product keeps the state's rows, a row left empty included, and the shift
@@ -57,33 +57,36 @@ class QuantumCoin(LocalUnitary):
         mats = np.array([as_complex_matrix(m, group.coin_dim) for m in matrices])
         require_unitary(mats, what="coin matrix")
         period = len(mats)
-        return cls.batched(group, lambda n, keys: mats[n % period][None], False,
-                           time_homogeneous=(period == 1), space_homogeneous=True)
+        return cls._built(group, lambda n, keys: mats[n % period][None], period == 1, True)
 
     def matrix_at(self, n: int, x=None) -> np.ndarray:
         """Coin matrix at step n, position x (identity if omitted)."""
         return self.component(self.group.identity if x is None else x, n)
 
 
+def _built_in(group: CayleyGroup, matrix: np.ndarray) -> QuantumCoin:
+    """The uniform coin of a matrix that is unitary by construction."""
+    return QuantumCoin._built(group, lambda n, keys: matrix[None], True, True)
+
+
 def hadamard_coin(group: CayleyGroup) -> QuantumCoin:
     if group.coin_dim != 2:
         raise SpecError("the Hadamard coin needs a two-generator group")
-    return QuantumCoin.uniform(group, hadamard_matrix(), validate=False)
+    return _built_in(group, hadamard_matrix())
 
 
 def grover_coin(group: CayleyGroup) -> QuantumCoin:
-    return QuantumCoin.uniform(group, grover_matrix(group.coin_dim), validate=False)
+    return _built_in(group, grover_matrix(group.coin_dim))
 
 
 def identity_coin(group: CayleyGroup) -> QuantumCoin:
-    return QuantumCoin.uniform(group, np.eye(group.coin_dim, dtype=complex),
-                               validate=False)
+    return _built_in(group, np.eye(group.coin_dim, dtype=complex))
 
 
 def rotation_coin(group: CayleyGroup, angle: float) -> QuantumCoin:
     if group.coin_dim != 2:
         raise SpecError("rotation coins need a two-generator group")
-    return QuantumCoin.uniform(group, rotation_matrix(angle), validate=False)
+    return _built_in(group, rotation_matrix(angle))
 
 
 def apply_shift(state: WalkState) -> WalkState:

@@ -59,6 +59,23 @@ REMOVED_PARAMETERS = [
     (states.WalkState.position_distribution, "warn_unnormalized"),
     (specs.parse_state_spec, "normalize"),
     (states.LocalUnitary.from_rule, "validate"),
+    # what is checked follows from where an operator comes from: a user's
+    # rule always, the package's own operators through LocalUnitary._built
+    (states.LocalUnitary.batched, "validate"),
+    (states.LocalUnitary.uniform, "validate"),
+    (symmetry.UnitaryCharacter.__init__, "validate"),
+    (symmetry.UnitaryCharacter.batched, "validate"),
+    (symmetry.exp_character, "validate"),
+    (symmetry.sign_character, "validate"),
+]
+
+# (function, name) of each parameter that must be passed by keyword, so that
+# a stale positional argument cannot bind to it
+KEYWORD_ONLY = [
+    (states.LocalUnitary.batched, "time_homogeneous"),
+    (states.LocalUnitary.batched, "space_homogeneous"),
+    (walk.QuantumCoin.batched, "time_homogeneous"),
+    (walk.QuantumCoin.batched, "space_homogeneous"),
 ]
 
 # (function, name) of each parameter that every caller passes, so that it
@@ -98,6 +115,13 @@ def test_removed_parameters_stay_removed():
     survivors = [f"{f.__qualname__}({name})" for f, name in REMOVED_PARAMETERS
                  if name in inspect.signature(f).parameters]
     assert survivors == []
+
+
+def test_batched_flags_are_keyword_only():
+    keyword_only = inspect.Parameter.KEYWORD_ONLY
+    positional = [f"{f.__qualname__}({name})" for f, name in KEYWORD_ONLY
+                  if inspect.signature(f).parameters[name].kind is not keyword_only]
+    assert positional == []
 
 
 def test_parameters_that_every_caller_passes_declare_no_default():

@@ -165,6 +165,28 @@ def test_inner_and_amplitude_match_dense_reference(group, rng):
         np.linalg.norm(da - db), rel=1e-13)
 
 
+@pytest.mark.parametrize("group", [LineGroup(), LatticeGroup(2)], ids=["line", "z2"])
+def test_amplitude_and_inner_look_keys_up_by_find_keys(group, rng, monkeypatch):
+    """One key lookup: neither maps np.searchsorted or np.intersect1d, and
+    the inner product sums the shared rows in key order, as before."""
+    a, b = random_state(group, rng), random_state(group, rng)
+    b = b + a  # shares a's rows, and has more
+    _, i, j = np.intersect1d(a.positions, b.positions, assume_unique=True, return_indices=True)
+    expect = complex(np.vdot(a.amps[i], b.amps[j]))
+    x = a.elements()[0]
+    amplitude = complex(a.amps[0, 1])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second key lookup")
+
+    monkeypatch.setattr(np, "searchsorted", forbidden)
+    monkeypatch.setattr(np, "intersect1d", forbidden)
+    assert a.inner(b) == expect
+    assert a.amplitude(x, 1) == amplitude
+    absent = 10 ** 6 if group.kind == "line" else (10 ** 6, 0)
+    assert a.amplitude(absent, 0) == 0j
+
+
 def test_nonzero_rows_keeps_nan_rows_and_drops_signed_zeros():
     amps = np.array([[np.nan, 0], [0, 0], [0, -0.0], [1e-300, 0], [0, 1j]], dtype=complex)
     assert nonzero_rows(amps).tolist() == [True, False, False, True, True]
@@ -400,6 +422,13 @@ def test_table_lookup_hits_misses_and_default(group, rng):
     assert np.array_equal(got, expect)
     assert np.array_equal(lookup_rows(group, {}, default)(group.keys(batch)),
                           np.full((len(batch), dim), default))
+    # a table's coin index is checked as any coin index is
+    for c in (dim, -1):
+        message = f"coin index {c} out of range [0, {dim})"
+        with pytest.raises(EncodingError, match=re.escape(message)):
+            lookup_rows(group, {(xs[0], c): 1.0}, default)
+    with pytest.raises(EncodingError, match="coin index"):
+        lookup_rows(group, {(xs[0], 0.5): 1.0}, default)
     # the two table-driven rules read the same rows
     t = make_time_homog_symmetry(group, delta=table)
     ones = {(x, c): table.get((x, c), 1.0) for x in batch for c in range(dim)}
@@ -738,7 +767,7 @@ def _time_homogeneous_coin():
     """A declared time-homogeneous coin that varies with position."""
     group = CyclicGroup(8)
     return QuantumCoin.batched(group, lambda n, keys: np.exp(0.3j * keys)[:, None, None]
-                               * hadamard_matrix(), True, time_homogeneous=True)
+                               * hadamard_matrix(), time_homogeneous=True)
 
 
 @pytest.mark.parametrize("make", [lambda: hadamard_coin(LineGroup()), _time_homogeneous_coin],

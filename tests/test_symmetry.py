@@ -155,17 +155,65 @@ def test_exp_character_commensurability():
         exp_character(group, 0.1)
     chi = cyclic_character(group, 3)
     assert chi(2) == pytest.approx(np.exp(2j * np.pi * 3 * 2 / 8))
-    # each finite axis is checked on its own, also without the sampled
-    # multiplicativity check
+    # each finite axis is checked on its own, by the commensurability test
+    # alone: a built-in character is not sampled for multiplicativity
     for group, bad, good in [
             (CyclicGroup(8), 0.1, np.pi / 4),
             (LatticeGroup(2, period=6), [np.pi / 3, 0.1], [np.pi / 3, np.pi]),
             (HypercubeGroup(3), [np.pi, 0.0, 0.5], [np.pi, 0.0, np.pi])]:
         with pytest.raises(SpecError, match="multiple of 2\\*pi"):
-            exp_character(group, bad, validate=False)
-        exp_character(group, good, validate=False)
+            exp_character(group, bad)
+        exp_character(group, good)
     for group, phi in [(LineGroup(), 0.1), (LatticeGroup(2), [0.1, 0.7])]:
-        exp_character(group, phi, validate=False)
+        exp_character(group, phi)
+
+
+@pytest.mark.parametrize("n, j", [(10 ** 5, 33333), (10 ** 6, 499999), (10 ** 7, 3333333)])
+def test_a_cyclic_character_is_exact_on_a_large_group(n, j):
+    """j * x is reduced modulo N in integers: phi * x in floats was not a
+    homomorphism at these sizes (the first two failed the sampled check, the
+    third the commensurability test)."""
+    group = CyclicGroup(n)
+    chi = cyclic_character(group, j)
+    # the check a user's character passes: units on every batch, and
+    # multiplicative on 1000 seeded random pairs
+    UnitaryCharacter.batched(group, "full_group", chi.values)
+    x = n - 1
+    assert chi(x) == pytest.approx(np.exp(2j * np.pi * (j * x % n) / n), abs=1e-12)
+    # exp_character rounds phi * N / (2 pi) to the same integer
+    phi = 2 * np.pi * 33 / n
+    assert exp_character(group, phi)(x) == pytest.approx(cyclic_character(group, 33)(x),
+                                                         abs=1e-15)
+
+
+def test_a_character_with_a_period_beyond_two_to_the_31_is_rejected():
+    """k * x, reduced modulo the period, must fit an int64."""
+    group = CyclicGroup(2 ** 31 + 2)
+    for build in (lambda: cyclic_character(group, 1), lambda: exp_character(group, 0.0)):
+        with pytest.raises(SpecError, match="2\\*\\*31"):
+            build()
+    cyclic_character(CyclicGroup(2 ** 31), 2 ** 31 - 1)
+
+
+def test_built_in_characters_are_not_sampled(monkeypatch):
+    """The built-in closed forms are homomorphisms by construction once
+    their parameters pass their checks; a user's character is sampled."""
+
+    def sampled(self):
+        raise AssertionError("sampled for multiplicativity")
+
+    monkeypatch.setattr(UnitaryCharacter, "_check_multiplicative", sampled)
+    for domain in ("full_group", "causal_subgroup"):
+        exp_character(LineGroup(), 0.3, domain)
+        exp_character(LatticeGroup(2, period=6), [np.pi / 3, np.pi], domain)
+        sign_character(HypercubeGroup(3), (1, 0, 1), domain)
+        sign_character(CyclicGroup(8), 1, domain)
+        cyclic_character(CyclicGroup(8), 3, domain)
+    with pytest.raises(AssertionError, match="sampled"):
+        UnitaryCharacter(LineGroup(), "full_group", lambda x: 1.0)
+    with pytest.raises(AssertionError, match="sampled"):
+        UnitaryCharacter.batched(LineGroup(), "full_group",
+                                 lambda keys: np.ones(len(keys), dtype=complex))
 
 
 def test_sign_character_parity_guard():
@@ -173,8 +221,8 @@ def test_sign_character_parity_guard():
         sign_character(CyclicGroup(5), 1)
     for group, bad, good in [(CyclicGroup(5), 3, 2), (LatticeGroup(2, period=5), (0, 1), (0, 0))]:
         with pytest.raises(SpecError, match="even period"):
-            sign_character(group, bad, validate=False)
-        assert sign_character(group, good, validate=False).descriptor["mask"] == \
+            sign_character(group, bad)
+        assert sign_character(group, good).descriptor["mask"] == \
             (list(good) if isinstance(good, tuple) else good)
     rho = sign_character(HypercubeGroup(3), (1, 1, 0))
     assert rho((1, 1, 0)) == pytest.approx(1.0)
@@ -539,34 +587,32 @@ def test_a_ragged_uprime_is_named():
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
 def test_non_unit_user_character_is_named(batched):
+    """The non-unit value lies at x = 100, outside the elements the
+    multiplicativity check samples (products of two draws from [-16, 16]),
+    so the character is built and the per-batch check names it later."""
     group = LineGroup()
     if batched:
-        rho = UnitaryCharacter.batched(
-            group, "causal_subgroup",
-            lambda keys: np.where(group.unpack(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
-            validate=False)
-        gamma = UnitaryCharacter.batched(
-            group, "full_group",
-            lambda keys: np.where(group.unpack(keys)[:, 0] == 4, 2.0, 1.0).astype(complex),
-            validate=False)
+        def values(keys):
+            return np.where(group.unpack(keys)[:, 0] == 100, 2.0, 1.0).astype(complex)
+
+        rho = UnitaryCharacter.batched(group, "causal_subgroup", values)
+        gamma = UnitaryCharacter.batched(group, "full_group", values)
     else:
-        rho = UnitaryCharacter(group, "causal_subgroup", lambda x: 2.0 if x == 4 else 1.0,
-                               validate=False)
-        gamma = UnitaryCharacter(group, "full_group", lambda x: 2.0 if x == 4 else 1.0,
-                                 validate=False)
+        rho = UnitaryCharacter(group, "causal_subgroup", lambda x: 2.0 if x == 100 else 1.0)
+        gamma = UnitaryCharacter(group, "full_group", lambda x: 2.0 if x == 100 else 1.0)
     space = make_space_homog_symmetry(group, rho=rho)
     full = make_full_homog_symmetry(group, gamma=gamma)
     for t in (space, full):
         t.phases.block(1, group.keys([0, 1, -1]))
-        with pytest.raises(NonUnitaryError, match="character value at 4 "):
-            t.phases.block(1, group.keys([0, 4]))
+        with pytest.raises(NonUnitaryError, match="character value at 100 "):
+            t.phases.block(1, group.keys([0, 100]))
 
 
 def test_built_in_characters_reject_a_non_finite_phase():
     with pytest.raises(SpecError, match="finite"):
-        exp_character(LineGroup(), float("nan"), validate=False)
+        exp_character(LineGroup(), float("nan"))
     with pytest.raises(SpecError, match="finite"):
-        exp_character(LatticeGroup(2), [0.1, float("inf")], validate=False)
+        exp_character(LatticeGroup(2), [0.1, float("inf")])
     for j in (float("nan"), float("inf")):
         with pytest.raises(SpecError, match="finite"):
             cyclic_character(CyclicGroup(8), j)

@@ -233,9 +233,8 @@ def test_nan_residual_fails_the_report():
 
 def test_homogeneity_probe_does_not_skip_nan():
     # the key of x on the line is x
-    coin = QuantumCoin.batched(
-        LineGroup(), lambda n, keys: np.eye(2) * np.where(keys == 1, np.nan, 1)[:, None, None],
-        False)
+    coin = QuantumCoin._built(
+        LineGroup(), lambda n, keys: np.eye(2) * np.where(keys == 1, np.nan, 1)[:, None, None])
     time_spread, space_spread = homogeneity_spreads(coin)
     assert np.isnan(time_spread) and np.isnan(space_spread)
     assert check_homogeneity(coin) == (False, False)
@@ -303,18 +302,13 @@ def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, off,
     transformed coin (10 evaluations) and its one block, which a warm check
     no longer needs (its transform keeps the coin it built)."""
     from cayleywalk import states
-    counts, watched = Counter(), []
-    evaluate, merge_keys = LocalUnitary._evaluate, states.merge_keys
-
-    def counted_evaluate(self, n, keys):
-        counts["evaluate"] += bool(watched) and self is watched[0]
-        return evaluate(self, n, keys)
+    counts = Counter()
+    merge_keys = states.merge_keys
 
     def counted_merge(keys):
-        counts["merge"] += bool(watched)
+        counts["merge"] += 1
         return merge_keys(keys)
 
-    monkeypatch.setattr(LocalUnitary, "_evaluate", counted_evaluate)
     monkeypatch.setattr(states, "merge_keys", counted_merge)
     rng = np.random.default_rng([4242, group.coin_dim])
     coin = hadamard_coin(group) if group.coin_dim == 2 else grover_coin(group)
@@ -324,10 +318,16 @@ def test_relation_checks_evaluate_each_dressing_once_per_step(group, n_max, off,
     for family in FAMILIES:
         t = _draw_symmetry(family, group, rng)
         check_symmetry_relation(coin, start, t, n_max=n_max)
+        # every evaluation of the dressing's rule, by its memo or a probe
+        rule = t.phases._blocks
+
+        def counted_rule(n, keys, rule=rule):
+            counts["evaluate"] += 1
+            return rule(n, keys)
+
+        t.phases._blocks = counted_rule
         counts.clear()
-        watched.append(t.phases)
         report = check_symmetry_relation(coin, start, t, n_max=n_max)
-        watched.clear()
         assert report.passed, (family, report)
         assert counts["evaluate"] <= n_max + 12, (family, counts)
         merges[family] = counts["merge"]

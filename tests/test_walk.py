@@ -499,7 +499,7 @@ def test_a_lockstep_step_evaluates_every_block_before_any_product(monkeypatch):
 
     monkeypatch.setattr(walk, "block_product", recorded_product)
     start = WalkState.localized(group, 0, [0.6, 0.8j])
-    coins = [QuantumCoin.batched(group, blocks, False) for _ in range(2)]
+    coins = [QuantumCoin.batched(group, blocks) for _ in range(2)]
     steps = lockstep([WalkInstance(group, coin, start) for coin in coins], 6)
     next(steps)
     for _ in steps:
@@ -513,8 +513,8 @@ def test_a_transformed_walk_that_drifts_alone_aborts_at_its_step():
     coin turns NaN at step 3, so its norm fails after step 4, as the same
     walk's does alone."""
     group = LineGroup()
-    nan_coin = QuantumCoin.batched(
-        group, lambda n, keys: np.eye(2)[None] * (np.nan if n == 3 else 1), False)
+    nan_coin = QuantumCoin._built(
+        group, lambda n, keys: np.eye(2)[None] * (np.nan if n == 3 else 1))
     psi0 = WalkState.localized(group, 0, [0.6, 0.8j])
     with pytest.raises(NumericDriftError, match="^norm drifted by nan after step 4$"):
         evolve(WalkInstance(group, nan_coin, psi0), 8)
@@ -557,7 +557,7 @@ def test_evolve_iter_draws_each_step_on_demand(rng):
         steps_taken.append(n)
         return hadamard_coin(group).block(n, keys)
 
-    coin = QuantumCoin.batched(group, blocks, validate=False)
+    coin = QuantumCoin.batched(group, blocks)
     start = random_state(group, rng)
     instance = WalkInstance(group, coin, start)
     states = evolve_iter(instance, 1000)
@@ -601,6 +601,24 @@ def test_coin_probe_rejects_false_flags(cls):
                 space_homogeneous=True)
 
 
+def test_a_position_dependent_batched_coin_cannot_claim_space_homogeneity():
+    """A user's declared flags are always probed: no argument skips the
+    probe, and a stale positional third argument cannot bind to a flag."""
+    group = LineGroup()
+
+    def blocks(n, keys):  # e^{0.3 i x} I, so matrix_at(0, 5) is e^{1.5 i} I
+        return np.exp(0.3j * keys)[:, None, None] * np.eye(2)
+
+    with pytest.raises(SpecError, match="space-homogeneous"):
+        QuantumCoin.batched(group, blocks, time_homogeneous=True, space_homogeneous=True)
+    with pytest.raises(TypeError):
+        QuantumCoin.batched(group, blocks, False, True, True)
+    with pytest.raises(TypeError):
+        QuantumCoin.batched(group, blocks, validate=False, space_homogeneous=True)
+    coin = QuantumCoin.batched(group, blocks, time_homogeneous=True)
+    assert np.allclose(coin.matrix_at(0, 5), np.exp(1.5j) * np.eye(2))
+
+
 def test_uniform_coin_block_is_found_by_identity(monkeypatch):
     group = LineGroup()
     coin = hadamard_coin(group)
@@ -632,8 +650,8 @@ def test_table_coin_schedule():
 
 def test_norm_drift_is_detected():
     group = LineGroup()
-    bad = QuantumCoin.batched(group, lambda n, keys: np.eye(2)[None] * 1.01, False,
-                              time_homogeneous=True, space_homogeneous=True)
+    bad = QuantumCoin._built(group, lambda n, keys: np.eye(2)[None] * 1.01,
+                             time_homogeneous=True, space_homogeneous=True)
     start = WalkState.localized(group, 0, [1.0, 0.0])
     with pytest.raises(NumericDriftError):
         evolve(WalkInstance(group, bad, start), 5)
@@ -709,8 +727,7 @@ def test_nan_coin_is_rejected():
 
 def test_nan_amplitude_aborts_evolution():
     group = LineGroup()
-    coin = QuantumCoin.batched(group, lambda n, keys: np.eye(2)[None] * (np.nan if n == 3 else 1),
-                               False)
+    coin = QuantumCoin._built(group, lambda n, keys: np.eye(2)[None] * (np.nan if n == 3 else 1))
     start = WalkState.localized(group, 0, [1.0, 0.0])
     with pytest.raises(NumericDriftError):
         evolve(WalkInstance(group, coin, start), 5)
