@@ -19,20 +19,18 @@ import traceback
 
 import numpy as np
 
-from .automorphisms import enumerate_automorphisms, transform_pair
 from .errors import (CayleyWalkError, DegenerateCoinError, FamilyPreconditionError,
                      NumericDriftError, SpecError)
 from .groups import CayleyGroup, brute_force_causal
-from .line import (LineCoinParams, _line_group, canonicalize_line_coin, decompose_line_coin,
-                   mirror_chirality_map, mirror_inner_symmetry, reflection_automorphism,
-                   symmetric_initial_states)
 from .specs import (dump_complex, dump_element, dump_json, dump_matrix, dump_state,
                     parse_coin_spec, parse_complex, parse_group_spec, parse_line_params,
                     parse_state_spec, parse_symmetry_spec, symmetry_to_spec,
                     write_distribution_csv, write_distribution_json)
 from .states import merge_keys
-from .verify import check_homogeneity, check_symmetry, run_invariant_suite
 from .walk import WalkInstance, evolve_iter
+
+# Each handler imports the symmetry-side modules (automorphisms, line,
+# verify) that it runs, so that `simulate` does not load them.
 
 logger = logging.getLogger("cayleywalk")
 
@@ -75,6 +73,7 @@ def _emit(args, text: str) -> None:
 
 
 def _line_group_from(args) -> CayleyGroup:
+    from .line import _line_group
     return _line_group(parse_group_spec(_read_spec_arg(args.group or "line")))
 
 
@@ -110,6 +109,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .automorphisms import transform_pair
+    from .verify import check_homogeneity
     group = parse_group_spec(_read_spec_arg(args.group))
     coin = parse_coin_spec(group, _read_spec_arg(args.coin))
     start = parse_state_spec(group, _read_spec_arg(args.start))
@@ -143,6 +144,7 @@ def _window_positions(group: CayleyGroup, window: int) -> list:
 
 
 def cmd_verify(args) -> int:
+    from .verify import check_symmetry, run_invariant_suite
     group = parse_group_spec(_read_spec_arg(args.group))
     reports = []
     if args.symmetry:
@@ -163,6 +165,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_line_canonicalize(args) -> int:
+    from .line import canonicalize_line_coin
     group = _line_group_from(args)
     psi, symmetry = canonicalize_line_coin(_coin_matrix(group, args.coin), group)
     payload = {"psi": psi, "symmetry": symmetry_to_spec(symmetry)}
@@ -170,7 +173,8 @@ def cmd_line_canonicalize(args) -> int:
     return 0
 
 
-def _line_params_from(args, group) -> LineCoinParams:
+def _line_params_from(args, group):
+    from .line import decompose_line_coin
     if getattr(args, "params", None):
         return parse_line_params(_read_spec_arg(args.params))
     if getattr(args, "coin", None):
@@ -179,6 +183,7 @@ def _line_params_from(args, group) -> LineCoinParams:
 
 
 def cmd_line_mirror(args) -> int:
+    from .line import mirror_chirality_map, mirror_inner_symmetry, reflection_automorphism
     group = _line_group_from(args)
     p = _line_params_from(args, group)
     inner = mirror_inner_symmetry(p, group)
@@ -198,6 +203,7 @@ def cmd_line_mirror(args) -> int:
 
 
 def cmd_line_symmetric_states(args) -> int:
+    from .line import LineCoinParams, symmetric_initial_states
     group = _line_group_from(args)
     if args.nu is not None or args.psi is not None:
         if args.nu is None or args.psi is None:
@@ -228,6 +234,7 @@ def cmd_group_causal(args) -> int:
 
 
 def cmd_group_automorphisms(args) -> int:
+    from .automorphisms import enumerate_automorphisms
     group = parse_group_spec(_read_spec_arg(args.group))
     auts = enumerate_automorphisms(group)
     payload = {"automorphisms": [{"perm": list(a.perm)} for a in auts],

@@ -139,9 +139,10 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group") -> Unitar
 
     phi is a scalar on the integer kinds (line, cyclic) and a vector with one
     entry per axis on the tuple kinds (lattice, hypercube). On a finite axis
-    of modulus m, phi's entry times m must be a multiple of 2*pi;
-    incommensurate values are rejected, and a commensurate one is rounded
-    to the integer k = phi * m / (2*pi), giving exp(2*pi*i * k * x / m).
+    of modulus m, phi's entry times m must be a multiple of 2*pi: phi * m /
+    (2*pi) may miss the integer k by a few ulp, the rounding of a float
+    phi = 2*pi*k/m and of this quotient. Incommensurate values are rejected,
+    and a commensurate one is rounded to k, giving exp(2*pi*i * k * x / m).
     """
     if group.tuple_elements:
         vec = np.asarray(phi, dtype=float).reshape(-1)
@@ -156,15 +157,15 @@ def exp_character(group: CayleyGroup, phi, domain: str = "full_group") -> Unitar
     # first np.isfinite call raises a process's peak memory by about 0.2 MB)
     if not all(map(math.isfinite, vec.tolist())):
         raise SpecError(f"exp character needs a finite phi, got {phi!r}")
-    for v, m in zip(vec.tolist(), group.moduli):
-        if m and abs(complex(math.cos(v * m), math.sin(v * m)) - 1.0) > 1e-9:
+    turns = [v * m / (2 * math.pi) for v, m in zip(vec.tolist(), group.moduli)]
+    for t, m in zip(turns, group.moduli):
+        if m and abs(t - round(t)) > 4 * math.ulp(t):
             raise SpecError(f"exp character needs phi * {m} to be a multiple of 2*pi "
                             f"on an axis of period {m}")
     if not group.is_finite:
         return _closed_form(group, domain, lambda keys: np.exp(1j * (group.unpack(keys) @ vec)),
                             descriptor)
-    return _finite_character(group, [round(v * m / (2 * math.pi)) for v, m in
-                                     zip(vec.tolist(), group.moduli)], domain, descriptor)
+    return _finite_character(group, [round(t) for t in turns], domain, descriptor)
 
 
 def sign_character(group: CayleyGroup, mask, domain: str = "full_group") -> UnitaryCharacter:

@@ -203,10 +203,11 @@ def apply_coin(coin, state: WalkState, n: int) -> WalkState:
         if c.group != state.group:
             raise SpecError("coin and state live on different groups")
     # every block before any product. Right after a complex GEMM (zgemm),
-    # 200 cmath.exp calls in a Python rule took 130-160 against 12-18 us,
-    # until a later real GEMM; a numpy add did not end the slowdown (2-core
-    # Xeon, OpenBLAS 0.3.31, 1 or 2 threads). block_product runs no zgemm:
-    # right after its real GEMM the same calls took 12-19 us
+    # 200 cmath.exp calls in a Python rule took 140-240 against 17-25 us,
+    # until the next numpy elementwise operation (a 2x2 complex add, abs or
+    # conj) or real GEMM (2-core Xeon, OpenBLAS 0.3.31, 1 or 2 threads).
+    # block_product runs no zgemm: right after its real GEMM the same calls
+    # took 18-28 us
     blocks = [c.block(n, state.positions) for c in coin]
     amps = np.empty(state.amps.shape, dtype=complex)
     for w, block in enumerate(blocks):

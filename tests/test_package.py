@@ -1,14 +1,21 @@
 """The package's public surface: `__all__` names each public object once,
-the wrappers that only repeated another call and the parameters that no
-caller set, or only tests set, stay removed, a parameter that every caller
-passes declares no default, and no module imports a name it never reads."""
+each loaded from its home module on first use, the wrappers that only
+repeated another call and the parameters that no caller set, or only tests
+set, stay removed, a parameter that every caller passes declares no default,
+and no module imports a name it never reads."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import cayleywalk as cw
 from cayleywalk import automorphisms, groups, line, linalg, specs, states, symmetry, verify, walk
@@ -101,6 +108,58 @@ def test_all_names_each_public_object_once_and_no_module():
     for name in cw.__all__:
         assert not isinstance(getattr(cw, name), types.ModuleType), name
     assert {"QuantumCoin", "LocalUnitary", "WalkState", "evolve"} <= set(cw.__all__)
+
+
+def test_each_public_name_is_its_home_modules_object_and_is_not_stored():
+    assert "__all__" in dir(cw) and set(cw.__all__) <= set(dir(cw))
+    for name in cw.__all__:
+        home = importlib.import_module(f"cayleywalk.{cw._HOME[name]}")
+        assert getattr(cw, name) is getattr(home, name), name
+        # a tracer that replaces the name in its home module reaches every caller
+        assert name not in vars(cw), name
+    with pytest.raises(AttributeError, match="no attribute 'line_coin'"):
+        cw.line_coin
+
+
+# the engine that a walk runs, and the symmetry side that it never runs
+ENGINE = {"errors", "groups", "linalg", "states", "walk"}
+SYMMETRY_SIDE = {"automorphisms", "line", "symmetry", "verify"}
+
+
+# `python -m cayleywalk ARGS`, run as `python -c RUN_MAIN ARGS`, then the
+# package's modules in sys.modules on the last line of stderr
+RUN_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("cayleywalk", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+REPORT = """
+import sys
+print(*(name for name in sys.modules if name.startswith("cayleywalk.")), file=sys.stderr)
+"""
+
+
+def _package_modules_loaded(code: str, *args) -> set:
+    """The package's modules that a fresh interpreter with PYTHONPATH=src
+    has loaded after running `code` with `args`."""
+    src = str(Path(cw.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code + REPORT, *args], capture_output=True,
+                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    return {name.split(".", 1)[1] for name in result.stderr.splitlines()[-1].split()}
+
+
+def test_import_and_a_walk_load_no_symmetry_side_module():
+    assert _package_modules_loaded("import cayleywalk") == ENGINE
+    assert _package_modules_loaded("import cayleywalk as cw; cw.evolve; cw.WalkState") == ENGINE
+
+
+def test_cli_simulate_loads_no_symmetry_side_module():
+    loaded = _package_modules_loaded(RUN_MAIN, "simulate", "--group", "line", "--coin",
+                                     "hadamard", "--start", "0:(1,0)", "--steps", "3")
+    assert loaded == ENGINE | {"cli", "specs"}
 
 
 def test_removed_wrappers_stay_removed():

@@ -186,6 +186,30 @@ def test_a_cyclic_character_is_exact_on_a_large_group(n, j):
                                                          abs=1e-15)
 
 
+def test_exp_character_accepts_a_float_phi_that_misses_by_a_few_ulp():
+    """phi = 2*pi*j/N in floats gives phi*N/(2*pi) a few ulp off j, which is
+    about 4e-9 in phi*N on cyclic(10**7); a bound on |e^{i phi N} - 1| of
+    1e-9 rejected it. 1e-6 more is still incommensurate."""
+    n, j = 10 ** 7, 3333333
+    phi = 2 * np.pi * j / n
+    rng = sampler(np.random.default_rng(7))
+    group = CyclicGroup(n)
+    keys = group.keys(group.random_elements(rng, 200))
+    assert np.array_equal(exp_character(group, phi).values(keys),
+                          cyclic_character(group, j).values(keys))
+    with pytest.raises(SpecError, match="multiple of 2\\*pi"):
+        exp_character(group, phi + 1e-6)
+    # one torus axis is checked and rounded the same way
+    torus = LatticeGroup(2, period=n)
+    keys = torus.keys(torus.random_elements(rng, 200))
+    x = torus.unpack(keys)
+    assert exp_character(torus, [phi, np.pi]).values(keys) == pytest.approx(
+        np.exp(2j * np.pi * ((j * x[:, 0] + n // 2 * x[:, 1]) % n) / n), abs=1e-12)
+    for bad in ([phi + 1e-6, np.pi], [np.pi, phi + 1e-6]):
+        with pytest.raises(SpecError, match="multiple of 2\\*pi"):
+            exp_character(torus, bad)
+
+
 def test_a_character_with_a_period_beyond_two_to_the_31_is_rejected():
     """k * x, reduced modulo the period, must fit an int64."""
     group = CyclicGroup(2 ** 31 + 2)
