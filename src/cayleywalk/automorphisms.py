@@ -33,19 +33,21 @@ def _check_perm(perm, dim: int) -> tuple[int, ...]:
 def _automorphism_matrix(group: CayleyGroup, perm) -> np.ndarray:
     """The integer matrix A with A g_i = g_perm(i) modulo the moduli.
 
-    On a rank-1 group A is a unit u with u g_0 = g_perm(0): +-1 on the line,
-    a unit modulo N on a cyclic group. On d >= 2 axes, column j of A is the
-    image of the j-th basis generator. Either way one check over every
-    generator decides whether A exists.
+    On a rank-1 group A is a unit u with u g_0 = g_perm(0): +-1 on the line;
+    on Z_N one of the q = gcd(g_0, N) roots of u g_0 = g_perm(0) mod N,
+    spaced N/q apart (none unless q divides g_perm(0)). On d >= 2 axes,
+    column j of A is the image of the j-th basis generator. Either way one
+    check over every generator decides whether A exists.
     """
     gens = group.gen_vectors
     images = gens[list(perm)]
     d = len(group.moduli)
     if d == 1:
-        m, g0 = group.moduli[0], int(gens[0, 0])
-        candidates = [np.array([[u]]) for u in ((1, -1) if not m else range(1, m))
-                      if math.gcd(u, m) == 1
-                      and group.from_vector((u * g0,)) == group.generators[perm[0]]]
+        m, g0, t = group.moduli[0], int(gens[0, 0]), int(images[0, 0])
+        q = math.gcd(g0, m)
+        units = ((1, -1) if not m else () if t % q else
+                 range(t // q * pow(g0 // q, -1, m // q) % (m // q), m, m // q))
+        candidates = [np.array([[u]]) for u in units if math.gcd(u, m) == 1]
     else:
         basis = [group.generators.index(tuple(int(i == j) for i in range(d)))
                  for j in range(d)]

@@ -220,14 +220,12 @@ def cmd_line_symmetric_states(args) -> int:
 
 def cmd_group_causal(args) -> int:
     group = parse_group_spec(_read_spec_arg(args.group))
-    payload = {"chi": group.chi, "kind": group.kind,
-               "nonseparating": group.nonseparating}
+    payload = {"chi": group.chi, "kind": group.kind}
     if group.is_finite:
         causal = brute_force_causal(group)
         members = sorted(causal.subgroup, key=group.encode)
         payload["subgroup"] = [dump_element(x) for x in members]
         payload["subgroup_order"] = len(members)
-        payload["future_variant_equal"] = causal.future_subgroup == causal.subgroup
         payload["brute_force_chi"] = causal.chi
     _emit(args, dump_json(payload) + "\n")
     return 0

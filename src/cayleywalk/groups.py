@@ -77,9 +77,6 @@ class CayleyGroup:
     """
 
     kind = "abstract"
-    # All built-in kinds are abelian, so forward and backward reachability
-    # agree and the exponent decomposition applies to every element.
-    nonseparating = True
 
     def __init__(self, moduli, generators, c0_index=0, lo: int | None = None,
                  offset: int | None = None):
@@ -346,15 +343,12 @@ class CayleyGroup:
         if self.order is None or self.order > _SELF_CHECK_MAX_ORDER:
             return
         data = brute_force_causal(self)
-        declared = self.chi if self.chi is not None else 0
-        if data.chi != declared:
+        if data.chi != self.chi:
             raise SpecError(
                 f"declared chi {self.chi} disagrees with brute force {data.chi} for {self!r}")
         for x in self.elements():
             if (self.coset_index(x) == 0) != (x in data.subgroup):
                 raise SpecError(f"coset_index disagrees with brute force at {x!r}")
-        if data.nonseparating != self.nonseparating:
-            raise SpecError("nonseparating flag disagrees with brute force")
 
 
 def _unit_vectors(d: int, minus=None) -> list:
@@ -512,57 +506,41 @@ def make_group(kind: str, *, d: int | None = None, N: int | None = None,
 @dataclass(frozen=True)
 class CausalStructure:
     """Brute-force causal data: the zero-net-exponent subgroup computed from
-    the definition, its future-only variant, and the quotient order."""
+    the definition, and the quotient order."""
 
     subgroup: frozenset
-    future_subgroup: frozenset
     chi: int
-    nonseparating: bool
 
 
 def _closure(group: CayleyGroup, steps: np.ndarray) -> np.ndarray:
-    """Membership mask, over the keys of a finite group, of the elements
-    reached from the identity by right multiplication with the rows of
-    `steps` (coordinate vectors). Breadth first: each round multiplies only
-    the elements that the previous round added."""
+    """Keys of the elements of a finite group reached from the identity by
+    the rows of `steps` (coordinate vectors). Breadth first over the frontier
+    and sort-free: a round keeps the one copy of each new key that its slot
+    names."""
     reached = np.zeros(group.order, dtype=bool)
+    slot = np.empty(group.order, dtype=np.intp)
     frontier = group.pack(np.zeros((1, len(group.moduli))))
     reached[frontier] = True
     while frontier.size:
         coords = group.unpack(frontier)[:, None] + steps
-        fresh = np.zeros_like(reached)
-        fresh[group.pack(group.wrap(coords.reshape(-1, len(group.moduli))))] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = np.flatnonzero(fresh)
-    return reached
-
-
-def _generated(group: CayleyGroup, mask: np.ndarray) -> np.ndarray:
-    """Mask of the subgroup generated by the elements of a mask."""
-    coords = group.unpack(np.flatnonzero(mask))
-    return _closure(group, np.concatenate([coords, -coords]))
+        fresh = group.pack(group.wrap(coords.reshape(-1, len(group.moduli))))
+        fresh = fresh[~reached[fresh]]
+        order = np.arange(fresh.size)
+        slot[fresh] = order
+        frontier = fresh[slot[fresh] == order]
+        reached[frontier] = True
+    return np.flatnonzero(reached)
 
 
 def brute_force_causal(group: CayleyGroup) -> CausalStructure:
-    """Compute the causal subgroup directly from its definition.
+    """The causal subgroup from its definition, on a finite group only.
 
-    Builds the increasing chains S^n S^-n (forward-then-backward words) and
-    S^-n S^n until they stabilize, then closes each union under the group
-    operations. A chain grows by its newest words only:
-    F_{n+1} = F_n u S (F_n minus F_{n-1}) S^-1, and in an abelian group
-    S x S^-1 is x times the words s t^-1. Only possible for finite groups.
+    In an abelian group S^n S^-n holds the sums of n differences s_i - s_j,
+    0 among them, so the chain rises to their closure, which on a finite
+    group is already a subgroup; S^-n S^n gives the same.
     """
     if not group.is_finite:
         raise UnsupportedGroupError("brute-force causal computation needs a finite group")
     S = group.gen_vectors
-    forward = _closure(group, (S[:, None] - S[None]).reshape(-1, S.shape[1]))
-    backward = _closure(group, (-S[:, None] + S[None]).reshape(-1, S.shape[1]))
-    future, full = _generated(group, forward), _generated(group, forward | backward)
-
-    def elements(mask):
-        return frozenset(group.elements_of(np.flatnonzero(mask)))
-
-    chi = group.order // int(full.sum())
-    return CausalStructure(elements(full), elements(future), chi,
-                           bool(np.array_equal(future, full)))
+    keys = _closure(group, (S[:, None] - S[None]).reshape(-1, S.shape[1]))
+    return CausalStructure(frozenset(group.elements_of(keys)), group.order // keys.size)

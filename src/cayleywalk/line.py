@@ -11,14 +11,18 @@ Coin basis order is (+1, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateCoinError, SpecError
 from .groups import CayleyGroup
 from .linalg import as_complex_matrix, require_unit, require_unitary, rotation_matrix
-from .symmetry import SymmetryTransform, exp_character, make_full_homog_symmetry
-from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism, make_generalized_symmetry
+
+# The symmetry side loads on first use: a line_params coin needs none of it.
+if TYPE_CHECKING:
+    from .automorphisms import GeneralizedSymmetry, ShiftedAutomorphism
+    from .symmetry import SymmetryTransform
 
 # Below this |sin(psi)| the nu parameter is no longer determined by the coin.
 DEGENERACY_TOL = 1e-9
@@ -92,6 +96,7 @@ def canonicalize_line_coin(matrix, group: CayleyGroup):
     epsilon = conj(omega), character exp(-i arg(mu nu) x) and
     U' = diag(nu, conj(nu)); transforming the input coin by t yields R(psi).
     """
+    from .symmetry import exp_character, make_full_homog_symmetry
     g = _line_group(group)
     p = decompose_line_coin(matrix)
     phi = -float(np.angle(p.mu * p.nu))
@@ -106,16 +111,13 @@ def canonicalize_line_coin(matrix, group: CayleyGroup):
 
 def reflection_automorphism(group: CayleyGroup) -> ShiftedAutomorphism:
     """The automorphism x -> -x with swapped coin directions."""
-    g = _line_group(group)
-    plus = g.generator_index(1)
-    minus = g.generator_index(-1)
-    perm = [0, 0]
-    perm[plus], perm[minus] = minus, plus
-    return ShiftedAutomorphism(g, 0, perm)
+    from .automorphisms import ShiftedAutomorphism
+    return ShiftedAutomorphism(_line_group(group), 0, (1, 0))
 
 
 def mirror_inner_symmetry(p: LineCoinParams, group: CayleyGroup) -> SymmetryTransform:
     """Compensating symmetry so that reflection leaves the coin unchanged."""
+    from .symmetry import exp_character, make_full_homog_symmetry
     g = _line_group(group)
     phi = -float(np.angle(p.mu ** 2 * p.nu ** 2))
     return make_full_homog_symmetry(
@@ -132,6 +134,7 @@ def mirror_generalized_symmetry(p: LineCoinParams, group: CayleyGroup) -> Genera
     The transformed coin equals the original one, and the transformed walk's
     distribution is the left-right mirror of the original.
     """
+    from .automorphisms import make_generalized_symmetry
     return make_generalized_symmetry(reflection_automorphism(group),
                                      mirror_inner_symmetry(p, group))
 

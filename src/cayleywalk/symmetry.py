@@ -11,8 +11,10 @@ Three constructor families restrict the phase field so that the transform
 preserves space homogeneity, time homogeneity, or both. Their closed forms
 hang on the decomposition x = xt * c0^k (xt in the zero-net-exponent
 subgroup, k the coset index) and a window sequence eta evaluated at n - k;
-they are evaluated on whole batches of position keys (see states). Each
-factor is checked where it is made, so a product is not checked again.
+they are evaluated on whole batches of position keys (see states). The
+paper builds these families on a nonseparating Cayley graph; every group
+here is abelian, where S^n S^-n = S^-n S^n, so that assumption always holds.
+Each factor is checked where it is made, so a product is not checked again.
 """
 
 from __future__ import annotations
@@ -242,12 +244,6 @@ def _eta_extension(group: CayleyGroup, eta, rho0: complex = 1.0 + 0j):
     return lambda m: seq[np.mod(m, len(seq))]
 
 
-def _require_nonseparating(group: CayleyGroup) -> None:
-    if not group.nonseparating:
-        raise FamilyPreconditionError(
-            "homogeneity-preserving families need a nonseparating graph")
-
-
 def _check_epsilon(group: CayleyGroup, epsilon) -> complex:
     eps = require_unit(epsilon, what="epsilon")
     if group.chi is None and abs(eps - 1.0) > UNITARY_TOL:
@@ -353,7 +349,6 @@ def make_space_homog_symmetry(group: CayleyGroup, eta=None, rho=None,
     zero entry these phases span every continuous solution; each zero entry
     drops a constraint and admits more (tests/test_completeness.py counts).
     """
-    _require_nonseparating(group)
     if rho is None:
         rho = trivial_character(group, "causal_subgroup")
     if rho.domain != "causal_subgroup":
@@ -434,7 +429,6 @@ def make_time_homog_symmetry(group: CayleyGroup, epsilon=1.0, eta=None,
     coset count is infinite; eta is plain chi-periodic. As for space_homog,
     the phases span every continuous solution only for a coin with no zero entry.
     """
-    _require_nonseparating(group)
     eps = _check_epsilon(group, epsilon)
     eta_fn = _eta_extension(group, eta)
     delta_fn = _normalize_delta(group, delta)
@@ -457,7 +451,6 @@ def make_full_homog_symmetry(group: CayleyGroup, eta=None, epsilon=1.0,
     As for space_homog, the phases span every continuous solution only for a
     coin with no zero entry.
     """
-    _require_nonseparating(group)
     eps = _check_epsilon(group, epsilon)
     if gamma is None:
         gamma = trivial_character(group, "full_group")

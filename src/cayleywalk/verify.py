@@ -329,8 +329,7 @@ def run_invariant_suite(group: CayleyGroup, seed: int = 0) -> list[VerificationR
         declared_zero = {group.encode(x) for x in group.elements()
                          if group.coset_index(x) == 0}
         computed = {group.encode(x) for x in causal.subgroup}
-        ok = (computed == declared_zero and causal.chi == group.chi
-              and causal.nonseparating == group.nonseparating)
+        ok = computed == declared_zero and causal.chi == group.chi
         reports.append(_report("causal_subgroup_agreement", [0.0 if ok else 1.0], 0.0))
     else:
         residuals = [0.0 if group.coset_index(group.mul(s, group.inv(t))) == 0 else 1.0

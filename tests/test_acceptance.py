@@ -140,7 +140,6 @@ def test_criterion_2_causal_subgroup_brute_force():
         causal = brute_force_causal(group)
         ok &= causal.subgroup == subgroup
         ok &= causal.chi == chi == group.chi
-        ok &= causal.nonseparating == group.nonseparating
     ok &= LineGroup().chi == 2
     elapsed = time.perf_counter() - start
     _line(2, "brute-force causal subgroups match declared structure",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -260,6 +261,34 @@ def test_group_causal_output():
     assert payload["chi"] == 2
     assert payload["subgroup"] == [0, 2, 4, 6]
     assert payload["brute_force_chi"] == 2
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*args):
+    """run_cli in a child with 1 GiB of address space, so that a quadratic
+    oracle fails fast instead of paging the host, and one BLAS thread, so
+    that the cap does not depend on the number of cores."""
+    return run_cli(*args, preexec_fn=_cap_address_space,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
+def test_group_causal_on_a_large_cyclic_group_within_1_gib():
+    result = run_capped("group", "causal", "--group", "cyclic:100000")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert (payload["subgroup_order"], payload["chi"], payload["brute_force_chi"]) == (50000, 2, 2)
+    assert payload["subgroup"][:3] == [0, 2, 4] and payload["subgroup"][-1] == 99998
+
+
+def test_verify_suite_on_a_large_cyclic_group_within_1_gib():
+    result = run_capped("verify", "--group", "cyclic:10000", "--suite")
+    assert result.returncode == 0, result.stderr
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert "causal_subgroup_agreement" in {r["case"] for r in reports}
+    assert all(r["passed"] for r in reports)
 
 
 def test_group_automorphisms_output():

@@ -7,6 +7,7 @@ and no module imports a name it never reads."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -41,6 +42,10 @@ REMOVED = [
     (walk, "_check_drifts"),
     (line, "line_coin"),
     (cw, "line_coin"),
+    # every group is abelian, so every Cayley graph here is nonseparating
+    (groups.CayleyGroup, "nonseparating"),
+    (groups, "_generated"),
+    (symmetry, "_require_nonseparating"),
 ]
 
 # (function, name) of each removed parameter that no caller, or only tests, set; the README
@@ -162,12 +167,22 @@ def test_cli_simulate_loads_no_symmetry_side_module():
     assert loaded == ENGINE | {"cli", "specs"}
 
 
+def test_a_line_params_simulate_loads_line_but_not_symmetry_or_automorphisms():
+    # the coin is built by the line factorization alone
+    loaded = _package_modules_loaded(RUN_MAIN, "simulate", "--group", "line", "--coin",
+                                     '{"kind": "line_params", "named": "hadamard"}',
+                                     "--start", "0:(1,0)", "--steps", "3")
+    assert loaded == ENGINE | {"cli", "specs", "line"}
+
+
 def test_removed_wrappers_stay_removed():
     survivors = [f"{owner.__name__}.{name}" for owner, name in REMOVED
                  if hasattr(owner, name) or hasattr(cw, name)]
     assert survivors == []
     # a coin is built as any LocalUnitary is, by its class methods
     assert "__init__" not in vars(walk.QuantumCoin)
+    # hasattr does not see a dataclass field without a default
+    assert [f.name for f in dataclasses.fields(groups.CausalStructure)] == ["subgroup", "chi"]
 
 
 def test_removed_parameters_stay_removed():
