@@ -17,7 +17,7 @@ _HOMES = {
                "FamilyPreconditionError", "NonUnitaryError", "NotAutomorphismError",
                "NumericDriftError", "SpecError", "UnsupportedGroupError"),
     "groups": ("CausalStructure", "CayleyGroup", "CyclicGroup", "HypercubeGroup",
-               "LatticeGroup", "LineGroup", "brute_force_causal", "make_group"),
+               "LatticeGroup", "LineGroup", "brute_force_causal"),
     "line": ("LineCoinParams", "build_line_coin", "canonicalize_line_coin",
              "decompose_line_coin", "mirror_chirality_map", "mirror_generalized_symmetry",
              "mirror_inner_symmetry", "reflection_automorphism", "symmetric_initial_states"),

@@ -174,11 +174,8 @@ def generalized_transform(gs: GeneralizedSymmetry, coin: QuantumCoin,
     relabels the state by the permutation operator.
     """
     inner_coin, inner_state = transform_pair(gs.inner, coin, psi0)
-    new_state = permutation_apply(gs.perm, inner_state)
-    if gs.perm.is_identity:
-        return inner_coin, new_state
     # Pc M Pc^dag is the conjugation by the inverse permutation operator
-    return conjugate_local(invert(gs.perm), inner_coin), new_state
+    return conjugate_local(invert(gs.perm), inner_coin), permutation_apply(gs.perm, inner_state)
 
 
 def transform_pair(transform, coin: QuantumCoin, psi0: WalkState):

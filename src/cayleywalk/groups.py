@@ -46,6 +46,7 @@ from .errors import EncodingError, SpecError, UnsupportedGroupError
 # causal computation when constructed; larger ones rely on the same closed
 # forms, which the test suite pins on representative instances.
 _SELF_CHECK_MAX_ORDER = 512
+_SAMPLE_SPAN = 16
 
 
 class _KeyRanges(weakref.WeakValueDictionary):
@@ -93,7 +94,9 @@ class CayleyGroup:
         self.generators = gens
         self.gen_vectors = np.array([self.vector(g) for g in gens], dtype=np.int64)
         self.c0_index = c0_index
-        self.chi: int | None = None  # set by _set_causal
+        # set by _set_causal
+        self.chi: int | None = None
+        self._coset_form: tuple | None = None
         # (keys, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
         # zeroed buffers of walk.apply_shift's window path, each taken out
@@ -182,8 +185,17 @@ class CayleyGroup:
 
     def coset_index(self, x) -> int:
         """Net generator exponent of x, reduced mod chi when chi is finite."""
+        self._require_causal()
         k = sum(map(mul, self.vector(x), self._coset_form))
         return k if self.chi is None else k % self.chi
+
+    def _require_causal(self) -> None:
+        """UnsupportedGroupError unless a kind constructor declared the causal
+        structure (_set_causal)."""
+        if self._coset_form is None:
+            raise UnsupportedGroupError(
+                f"{self!r} declares no causal structure (chi and the coset form); build the "
+                f"group with LineGroup, CyclicGroup, LatticeGroup or HypercubeGroup")
 
     def pow_c0(self, k: int):
         """The distinguished generator raised to an arbitrary integer power."""
@@ -204,12 +216,6 @@ class CayleyGroup:
         k = self.coset_index(x)
         xt = self.mul(x, self.inv(self.pow_c0(k)))
         return xt, k
-
-    def generator_index(self, g) -> int:
-        try:
-            return self.generators.index(self.validate(g))
-        except ValueError:
-            raise SpecError(f"{g!r} is not a generator of {self!r}") from None
 
     # -- finiteness ----------------------------------------------------------
 
@@ -291,6 +297,7 @@ class CayleyGroup:
 
     def coset_indices(self, keys: np.ndarray) -> np.ndarray:
         """coset_index of each key of a batch."""
+        self._require_causal()
         k = self.unpack(keys) @ self._coset_vector
         return k if self.chi is None else k % self.chi
 
@@ -306,10 +313,10 @@ class CayleyGroup:
 
     # -- misc -----------------------------------------------------------------
 
-    def random_elements(self, rng: random.Random, count: int, span: int = 16):
+    def random_elements(self, rng: random.Random, count: int):
         """count elements drawn uniformly: each finite coordinate from [0, m),
-        each infinite one from [-span, span]."""
-        ranges = [range(m) if m else range(-span, span + 1) for m in self.moduli]
+        each infinite one from [-_SAMPLE_SPAN, _SAMPLE_SPAN]."""
+        ranges = [range(m) if m else range(-_SAMPLE_SPAN, _SAMPLE_SPAN + 1) for m in self.moduli]
         if len(set(ranges)) > 1:
             return list(zip(*(rng.choices(r, k=count) for r in ranges)))
         # one range on every axis, as on every kind: one draw for the batch
@@ -339,16 +346,19 @@ class CayleyGroup:
         return f"{type(self).__name__}(generators={self.generators}, c0_index={self.c0_index})"
 
     def _self_check(self):
-        """Cross-check declared causal data against the brute-force oracle."""
+        """Cross-check declared causal data against the brute-force oracle:
+        coset index 0 on exactly the keys that the closure reaches."""
         if self.order is None or self.order > _SELF_CHECK_MAX_ORDER:
             return
-        data = brute_force_causal(self)
-        if data.chi != self.chi:
+        reached = _causal_mask(self)
+        chi = self.order // np.count_nonzero(reached)
+        if chi != self.chi:
             raise SpecError(
-                f"declared chi {self.chi} disagrees with brute force {data.chi} for {self!r}")
-        for x in self.elements():
-            if (self.coset_index(x) == 0) != (x in data.subgroup):
-                raise SpecError(f"coset_index disagrees with brute force at {x!r}")
+                f"declared chi {self.chi} disagrees with brute force {chi} for {self!r}")
+        wrong = np.flatnonzero((self.coset_indices(np.arange(self.order)) == 0) != reached)
+        if wrong.size:
+            raise SpecError(f"coset_index disagrees with brute force at "
+                            f"{self.elements_of(wrong[:1])[0]!r}")
 
 
 def _unit_vectors(d: int, minus=None) -> list:
@@ -476,33 +486,6 @@ for _cls in (LineGroup, CyclicGroup, LatticeGroup, HypercubeGroup):
     _cls.coset_index = CayleyGroup.coset_index
 
 
-def make_group(kind: str, *, d: int | None = None, N: int | None = None,
-               generators=None, c0_index: int = 0) -> CayleyGroup:
-    """Factory shared by the JSON spec parser and the CLI."""
-    kind = str(kind).lower()
-    if kind == "line":
-        if generators is None:
-            generators = (1, -1)
-        return LineGroup(generators, c0_index)
-    if kind == "cyclic":
-        if N is None:
-            raise SpecError("cyclic group spec requires N")
-        return CyclicGroup(N, generators, c0_index)
-    if kind == "lattice":
-        if d is None:
-            raise SpecError("lattice group spec requires d")
-        if generators is not None:
-            raise SpecError("lattice generators are fixed to (+e_i, -e_i)")
-        return LatticeGroup(d, period=N, c0_index=c0_index)
-    if kind == "hypercube":
-        if d is None:
-            raise SpecError("hypercube group spec requires d")
-        if generators is not None:
-            raise SpecError("hypercube generators are fixed to the basis vectors")
-        return HypercubeGroup(d, c0_index)
-    raise SpecError(f"unknown group kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class CausalStructure:
     """Brute-force causal data: the zero-net-exponent subgroup computed from
@@ -512,11 +495,18 @@ class CausalStructure:
     chi: int
 
 
-def _closure(group: CayleyGroup, steps: np.ndarray) -> np.ndarray:
-    """Keys of the elements of a finite group reached from the identity by
-    the rows of `steps` (coordinate vectors). Breadth first over the frontier
-    and sort-free: a round keeps the one copy of each new key that its slot
-    names."""
+def _causal_mask(group: CayleyGroup) -> np.ndarray:
+    """Mask over the keys of a finite group (0 .. order - 1) of its causal
+    subgroup, from its definition.
+
+    In an abelian group S^n S^-n holds the sums of n differences s_i - s_j,
+    0 among them, so the chain rises to their closure, which on a finite
+    group is already a subgroup; S^-n S^n gives the same. The closure runs
+    breadth first over the frontier and sort-free: a round keeps the one
+    copy of each new key that its slot names.
+    """
+    S = group.gen_vectors
+    steps = (S[:, None] - S[None]).reshape(-1, S.shape[1])
     reached = np.zeros(group.order, dtype=bool)
     slot = np.empty(group.order, dtype=np.intp)
     frontier = group.pack(np.zeros((1, len(group.moduli))))
@@ -529,18 +519,13 @@ def _closure(group: CayleyGroup, steps: np.ndarray) -> np.ndarray:
         slot[fresh] = order
         frontier = fresh[slot[fresh] == order]
         reached[frontier] = True
-    return np.flatnonzero(reached)
+    return reached
 
 
 def brute_force_causal(group: CayleyGroup) -> CausalStructure:
-    """The causal subgroup from its definition, on a finite group only.
-
-    In an abelian group S^n S^-n holds the sums of n differences s_i - s_j,
-    0 among them, so the chain rises to their closure, which on a finite
-    group is already a subgroup; S^-n S^n gives the same.
-    """
+    """The causal subgroup from its definition (_causal_mask), on a finite
+    group only."""
     if not group.is_finite:
         raise UnsupportedGroupError("brute-force causal computation needs a finite group")
-    S = group.gen_vectors
-    keys = _closure(group, (S[:, None] - S[None]).reshape(-1, S.shape[1]))
+    keys = np.flatnonzero(_causal_mask(group))
     return CausalStructure(frozenset(group.elements_of(keys)), group.order // keys.size)

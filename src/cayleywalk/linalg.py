@@ -32,16 +32,16 @@ def _first_failure(ok: np.ndarray, what: str, where, detail) -> None:
     raise NonUnitaryError(f"{what}{at} {detail(bad)}")
 
 
-def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix",
-                    where=None) -> np.ndarray:
-    """m as a complex array of unitary matrices: one (dim, dim) matrix or a
-    batch (N, dim, dim), checked once for the whole batch."""
+def require_unitary(m, what: str = "matrix", where=None) -> np.ndarray:
+    """m as a complex array of unitary matrices (to UNITARY_TOL): one
+    (dim, dim) matrix or a batch (N, dim, dim), checked once for the whole
+    batch."""
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise NonUnitaryError(f"expected square matrices, got shape {a.shape}")
     defect = np.abs(a @ np.swapaxes(a.conj(), -1, -2) - np.eye(a.shape[-1])).max(axis=(-2, -1))
-    _first_failure(defect <= tol, what, where,
-                   lambda i: f"is not unitary (defect {defect.flat[i]:.3e} > {tol:.0e})")
+    _first_failure(defect <= UNITARY_TOL, what, where,
+                   lambda i: f"is not unitary (defect {defect.flat[i]:.3e} > {UNITARY_TOL:.0e})")
     return a
 
 

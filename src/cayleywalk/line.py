@@ -59,12 +59,12 @@ def decompose_line_coin(matrix) -> LineCoinParams:
     """Factor a 2x2 unitary into LineCoinParams.
 
     Deterministic branch choices: psi in [0, pi/2]; omega the principal
-    square root of det C; nu normalized to Re(nu) >= 0 (ties broken toward
-    Im(nu) >= 0; in the psi = 0 or pi/2 branches nu is not determined and is
-    set to 1).
+    square root of det C; nu = exp(i theta / 2) with theta in (-pi, pi], so
+    Re(nu) >= 0, and the tie Re(nu) = 0 (up to rounding) has Im(nu) > 0; in
+    the psi = 0 or pi/2 branches nu is not determined and is set to 1.
     """
     c = as_complex_matrix(matrix, 2)
-    require_unitary(c, what="line coin", tol=1e-10)
+    require_unitary(c, what="line coin")
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
     omega = np.exp(0.5j * np.angle(det))
     psi = float(np.arctan2(np.abs(c[0, 1]), np.abs(c[0, 0])))
@@ -78,10 +78,10 @@ def decompose_line_coin(matrix) -> LineCoinParams:
     else:
         p = c[0, 0] / (omega * cos_psi)   # mu * nu
         q = c[0, 1] / (omega * sin_psi)   # mu * conj(nu)
-        nu = np.exp(0.5j * np.angle(p / q))
+        theta = np.angle(p / q)
+        # a negative real p / q with a -0.0 imaginary part reads -pi
+        nu = np.exp(0.5j * (np.pi if theta == -np.pi else theta))
         mu = p / nu
-        if nu.real < 0 or (nu.real == 0 and nu.imag < 0):
-            nu, mu = -nu, -mu
     params = LineCoinParams(complex(omega), complex(mu), complex(nu), psi)
     residual = np.abs(build_line_coin(params) - c).max()
     if residual > 1e-10:

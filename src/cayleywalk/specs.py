@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CayleyWalkError, FamilyPreconditionError, SpecError
-from .groups import CayleyGroup, _integer, make_group
+from .groups import (CayleyGroup, CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
+                     _integer)
 from .states import LocalUnitary, WalkState
 from .walk import QuantumCoin, grover_coin, hadamard_coin, identity_coin, rotation_coin
 
@@ -116,41 +117,61 @@ def _load_obj(value):
 # -- group specs ------------------------------------------------------------------
 
 
+# each shorthand's dict spec, and the fields that its ":"-separated integers
+# fill in order ("lattice:d" leaves out the period)
+_GROUP_SHORTHANDS = {
+    "line": ({"kind": "line"}, ()),
+    "halfline": ({"kind": "line", "generators": [1]}, ()),
+    "cyclic": ({"kind": "cyclic"}, ("N",)),
+    "lattice": ({"kind": "lattice"}, ("d", "N")),
+    "hypercube": ({"kind": "hypercube"}, ("d",)),
+}
+
+# each kind's constructor, then its required and its optional dict-spec
+# fields, each mapped to the constructor keyword it fills; every kind also
+# takes "c0_index"
+_GROUP_KINDS = {
+    "line": (LineGroup, {}, {"generators": "generators"}),
+    "cyclic": (CyclicGroup, {"N": "n"}, {"generators": "generators"}),
+    "lattice": (LatticeGroup, {"d": "d"}, {"N": "period"}),
+    "hypercube": (HypercubeGroup, {"d": "d"}, {}),
+}
+
+
 @_reads_input
 def parse_group_spec(value) -> CayleyGroup:
     """Group from a dict spec or a shorthand string.
 
+    Dict specs: {"kind": "line", "generators"}, {"kind": "cyclic", "N",
+    "generators"}, {"kind": "lattice", "d", "N"} (N the torus period) and
+    {"kind": "hypercube", "d"}, each with an optional "c0_index".
     Shorthands: "line", "halfline" (single generator, infinite coset count),
     "cyclic:N", "lattice:d" or "lattice:d:N", "hypercube:d".
     """
     value = _load_obj(value)
     if isinstance(value, str):
-        parts = value.lower().split(":")
-        head, args = parts[0], parts[1:]
-        if head == "line" and not args:
-            return make_group("line")
-        if head == "halfline" and not args:
-            return make_group("line", generators=(1,))
-        if head == "cyclic" and len(args) == 1:
-            return make_group("cyclic", N=int(args[0]))
-        if head == "lattice" and len(args) in (1, 2):
-            period = int(args[1]) if len(args) == 2 else None
-            return make_group("lattice", d=int(args[0]), N=period)
-        if head == "hypercube" and len(args) == 1:
-            return make_group("hypercube", d=int(args[0]))
-        raise SpecError(f"unknown group shorthand {value!r}")
+        head, *args = value.lower().split(":")
+        spec, fields = _GROUP_SHORTHANDS.get(head, (None, ()))
+        if spec is None or not min(len(fields), 1) <= len(args) <= len(fields):
+            raise SpecError(f"unknown group shorthand {value!r}")
+        value = dict(spec, **{f: int(a) for f, a in zip(fields, args)})
     if not isinstance(value, dict):
         raise SpecError(f"group spec must be a string or object, got {value!r}")
-    kind = value.get("kind")
-    if kind is None:
+    if "kind" not in value:
         raise SpecError("group spec needs a 'kind'")
-    generators = value.get("generators")
-    if generators is not None:
-        generators = tuple(tuple(g) if isinstance(g, list) else g for g in generators)
-    return make_group(kind, d=value.get("d"),
-                      N=value.get("N", value.get("period")),
-                      generators=generators,
-                      c0_index=value.get("c0_index", 0))
+    kind = str(value["kind"]).lower()
+    if kind not in _GROUP_KINDS:
+        raise SpecError(f"unknown group kind {kind!r}")
+    make, required, optional = _GROUP_KINDS[kind]
+    missing = [f for f in required if f not in value]
+    if missing:
+        raise SpecError(f"{kind} group spec requires {', '.join(missing)}")
+    keyword = {**required, **optional, "c0_index": "c0_index"}
+    unknown = sorted(set(value) - set(keyword) - {"kind"})
+    if unknown:
+        raise SpecError(f"{kind} group spec takes no {', '.join(unknown)}; its fields are "
+                        f"{', '.join(keyword)}")
+    return make(**{keyword[f]: v for f, v in value.items() if f != "kind"})
 
 
 # -- coin specs -------------------------------------------------------------------

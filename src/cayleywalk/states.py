@@ -177,17 +177,15 @@ class WalkState:
 
     @classmethod
     def from_terms(cls, group: CayleyGroup, terms) -> "WalkState":
-        """Build from {(x, c): amplitude}, ((x, c), amp) pairs, or
-        (x, c, amp) triples."""
-        if isinstance(terms, dict):
-            terms = terms.items()
+        """Build from (x, c, amplitude) triples; the amplitudes of repeated
+        (x, c) pairs add up."""
         by_pos: dict[tuple, np.ndarray] = {}
         dim = group.coin_dim
         for term in terms:
-            if len(term) == 3:
+            try:
                 x, c, amp = term
-            else:
-                (x, c), amp = term
+            except (TypeError, ValueError):
+                raise SpecError(f"from_terms takes (x, c, amp) triples, got {term!r}") from None
             c = _coin_index(c, dim)
             row = group.encode(x)
             vec = by_pos.setdefault(row, np.zeros(dim, dtype=complex))

@@ -2,8 +2,8 @@
 
 Each check simulates or assembles the objects on both sides of a claimed
 identity and reports the worst residual as a VerificationReport. Residuals
-use the vector 2-norm for state relations and max-abs for probability and
-matrix relations. Structural (set/group-law) cases report 0.0 or 1.0.
+use the vector 2-norm for state relations and max-abs for probability
+relations. Structural (set/group-law) cases report 0.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -194,18 +194,14 @@ def check_homogeneity(coin: QuantumCoin, positions_probe=None) -> tuple[bool, bo
     return time_spread <= HOMOGENEITY_TOL, space_spread <= HOMOGENEITY_TOL
 
 
-# -- dense assembly on finite groups -------------------------------------------
-
-
-def basis_labels(group: CayleyGroup) -> list:
-    """Ordered (element, coin index) basis of the full finite walk space."""
-    return [(x, c) for x in group.elements() for c in range(group.coin_dim)]
+# -- basis permutations on finite groups ---------------------------------------
 
 
 def _basis_images(group: CayleyGroup, image, coins) -> np.ndarray:
-    """A basis permutation: the index, in basis_labels order, of each basis
-    vector (x, c)'s image, with image(keys) the image keys of group.elements()
-    (one per element, or per element and coin) and coins[c] the image of c."""
+    """A basis permutation: the index of each basis vector (x, c)'s image in
+    the basis ordered by element key, then coin, with image(keys) the image
+    keys of group.elements() (one per element, or per element and coin) and
+    coins[c] the image of c."""
     keys = group.keys(list(group.elements()))  # sorted: see groups
     images = image(keys).reshape(len(keys), -1)
     at = find_keys(keys, images.ravel())[0].reshape(images.shape)
@@ -217,32 +213,6 @@ def _step_images(group: CayleyGroup) -> np.ndarray:
     return _basis_images(group, lambda keys: group.keys(
         [group.mul(x, s) for x in group.elements_of(keys) for s in group.generators]),
         range(group.coin_dim))
-
-
-def assemble_step_matrix(group: CayleyGroup) -> np.ndarray:
-    """Conditional shift as an integer permutation matrix (see _step_images)."""
-    images = _step_images(group)
-    return np.eye(len(images), dtype=np.int64)[images].T
-
-
-def assemble_permutation_matrix(a: ShiftedAutomorphism) -> np.ndarray:
-    """Total permutation operator of a shifted automorphism (integer matrix)."""
-    images = _basis_images(a.group, a.apply_keys, a.perm)
-    return np.eye(len(images), dtype=np.int64)[images].T
-
-
-def assemble_local_matrix(op, n: int = 0) -> np.ndarray:
-    """Block-diagonal step-n matrix of a local operator (a coin included)
-    on a finite group."""
-    group = op.group
-    dim = group.coin_dim
-    keys = group.keys(list(group.elements()))
-    block = op.block(n, keys)
-    blocks = np.broadcast_to(block if block.ndim == 3 else block[:, :, None] * np.eye(dim),
-                             (len(keys), dim, dim))
-    mat = np.zeros((len(keys), dim, len(keys), dim), dtype=complex)
-    mat[np.arange(len(keys)), :, np.arange(len(keys)), :] = blocks
-    return mat.reshape(len(keys) * dim, -1)
 
 
 # -- fixed invariant battery ----------------------------------------------------

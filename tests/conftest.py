@@ -110,3 +110,49 @@ def oracle_add(moduli, x, v):
     xs = x if isinstance(x, tuple) else (x,)
     out = tuple((a + b) % m if m else a + b for a, b, m in zip(xs, v, moduli))
     return out if isinstance(x, tuple) else out[0]
+
+
+# -- dense operators on finite groups ---------------------------------------------
+#
+# Matrices over the (element, coin index) basis, in basis_labels order, built
+# from group.elements(), group.mul and op.block alone: the operator tests'
+# oracle shares no code with the invariant suite's basis permutations.
+
+
+def basis_labels(group) -> list:
+    """Ordered (element, coin index) basis of the full finite walk space."""
+    return [(x, c) for x in group.elements() for c in range(group.coin_dim)]
+
+
+def _permutation_matrix(group, image) -> np.ndarray:
+    """The integer matrix sending basis vector (x, c) to image(x, c)."""
+    index = {label: i for i, label in enumerate(basis_labels(group))}
+    mat = np.zeros((len(index), len(index)), dtype=np.int64)
+    for label, i in index.items():
+        mat[index[image(*label)], i] = 1
+    return mat
+
+
+def assemble_step_matrix(group) -> np.ndarray:
+    """The conditional shift T|x, c> = |x s_c, c>."""
+    return _permutation_matrix(group, lambda x, c: (group.mul(x, group.generators[c]), c))
+
+
+def assemble_permutation_matrix(a) -> np.ndarray:
+    """The permutation operator P|x, c> = |shift phi(x), perm[c]> of a
+    shifted automorphism."""
+    return _permutation_matrix(a.group, lambda x, c: (a.apply_element(x), a.perm[c]))
+
+
+def assemble_local_matrix(op, n: int = 0) -> np.ndarray:
+    """Block-diagonal step-n matrix of a local operator (a coin included)."""
+    group = op.group
+    dim = group.coin_dim
+    elements = list(group.elements())
+    block = op.block(n, group.keys(elements))
+    blocks = np.broadcast_to(block if block.ndim == 3 else block[:, :, None] * np.eye(dim),
+                             (len(elements), dim, dim))
+    mat = np.zeros((len(elements), dim, len(elements), dim), dtype=complex)
+    at = np.arange(len(elements))
+    mat[at, :, at, :] = blocks
+    return mat.reshape(len(elements) * dim, -1)

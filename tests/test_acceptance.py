@@ -23,10 +23,10 @@ from cayleywalk import (CyclicGroup, DegenerateCoinError, FamilyPreconditionErro
                         make_time_homog_symmetry, mirror_chirality_map, mirror_generalized_symmetry,
                         sign_character, symmetric_initial_states, transform_coin)
 from cayleywalk.linalg import hadamard_matrix
-from cayleywalk.verify import (assemble_permutation_matrix, assemble_step_matrix,
-                               homogeneity_spreads)
+from cayleywalk.verify import homogeneity_spreads
 
-from conftest import random_phases, random_unitary, sampler
+from conftest import (assemble_permutation_matrix, assemble_step_matrix, random_phases,
+                      random_unitary, sampler)
 
 
 def _line(number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -17,9 +17,8 @@ from cayleywalk import (CayleyGroup, CyclicGroup, HypercubeGroup, LatticeGroup, 
                         permutation_apply, QuantumCoin, ShiftedAutomorphism)
 from cayleywalk.automorphisms import compose, invert
 from cayleywalk.linalg import grover_matrix
-from cayleywalk.verify import assemble_permutation_matrix, assemble_step_matrix
-
-from conftest import all_groups, oracle_add, oracle_law, random_state, random_unitary, sampler
+from conftest import (all_groups, assemble_permutation_matrix, assemble_step_matrix, oracle_add,
+                      oracle_law, random_state, random_unitary, sampler)
 
 
 def test_line_reflection():

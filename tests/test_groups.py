@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cayleywalk import (CayleyGroup, CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
-                        LineGroup, SpecError, WalkState, apply_shift, brute_force_causal,
-                        make_group, parse_group_spec)
+                        LineGroup, SpecError, UnsupportedGroupError, WalkState, apply_shift,
+                        brute_force_causal, parse_group_spec)
+from cayleywalk.groups import _SAMPLE_SPAN
 
 from conftest import GROUP_IDS, all_groups, oracle_add, oracle_law, sampler
 
@@ -48,15 +49,16 @@ def sampled_groups():
 @pytest.mark.parametrize("group, moduli, kind", sampled_groups(),
                          ids=GROUP_IDS + ["z_x_z3", "z2_x_z3"])
 def test_random_elements_repeat_per_seed_and_stay_in_range(group, moduli, kind):
-    xs = group.random_elements(random.Random(5), 200, span=3)
-    assert xs == group.random_elements(random.Random(5), 200, span=3)
-    assert xs != group.random_elements(random.Random(6), 200, span=3)
+    xs = group.random_elements(random.Random(5), 1000)
+    assert xs == group.random_elements(random.Random(5), 1000)
+    assert xs != group.random_elements(random.Random(6), 1000)
     assert all(type(x) is kind for x in xs)
     rows = [x if kind is tuple else (x,) for x in xs]
     assert all(type(v) is int for row in rows for v in row)
     for axis, m in enumerate(moduli):
-        # 200 draws reach both ends of every range
-        assert {row[axis] for row in rows} == set(range(m) if m else range(-3, 4))
+        # 1000 draws reach both ends of every range
+        assert {row[axis] for row in rows} == set(range(m) if m else
+                                                  range(-_SAMPLE_SPAN, _SAMPLE_SPAN + 1))
 
 
 @pytest.mark.parametrize("group", all_groups(), ids=GROUP_IDS)
@@ -152,7 +154,7 @@ def test_decompose_roundtrip(group, rng):
 
 
 @pytest.mark.parametrize("group", all_groups() + [
-    make_group("line", generators=(-1,)), CyclicGroup(12, generators=(1, 4, 7)),
+    parse_group_spec({"kind": "line", "generators": [-1]}), CyclicGroup(12, generators=(1, 4, 7)),
     LatticeGroup(2, period=5), LatticeGroup(3, c0_index=3), HypercubeGroup(3, c0_index=1)],
     ids=repr)
 def test_batched_decompose_matches_scalar(group, rng):
@@ -257,8 +259,22 @@ def test_self_check_rejects_wrong_causal_data():
         CayleyGroup((8,), (1, 7))._set_causal(4, (1,))
     with pytest.raises(SpecError, match="coset_index disagrees with brute force at 1"):
         CayleyGroup((8,), (1, 7))._set_causal(2, (0,))
+    # the right chi with a wrong coset form: (0, 0, 1) has index 0 but odd weight
+    cube = CayleyGroup((2,) * 3, map(tuple, np.eye(3, dtype=int).tolist()))
+    with pytest.raises(SpecError, match=r"coset_index disagrees with brute force at \(0, 0, 1\)"):
+        cube._set_causal(2, (1, 1, 0))
     # order 1024: past the self-check's scope, so wrong data goes unchecked
     CayleyGroup((2,) * 10, map(tuple, np.eye(10, dtype=int).tolist()))._set_causal(4, (0,) * 10)
+
+
+def test_a_group_without_causal_data_refuses_coset_queries():
+    # a bare CayleyGroup has no kind constructor to declare chi and the form
+    group = CayleyGroup((12,), (2, 10))
+    keys = group.keys([0, 2, 4])
+    for query in (lambda: group.coset_index(2), lambda: group.coset_indices(keys),
+                  lambda: group.decompose(2), lambda: group.decompose_keys(keys)):
+        with pytest.raises(UnsupportedGroupError, match="declares no causal structure"):
+            query()
 
 
 def test_coset_index_is_homomorphism(rng):
@@ -269,17 +285,24 @@ def test_coset_index_is_homomorphism(rng):
 
 
 def test_halfline_has_no_finite_coset_count():
-    group = make_group("line", generators=(1,))
+    group = parse_group_spec({"kind": "line", "generators": [1]})
     assert group.chi is None
     assert group.coin_dim == 1
 
 
-def test_make_group_factory():
-    assert make_group("cyclic", N=8).order == 8
-    assert make_group("hypercube", d=4).coin_dim == 4
-    assert make_group("lattice", d=2).is_finite is False
-    with pytest.raises(SpecError):
-        make_group("dihedral")
+def test_group_spec_dispatches_each_kind():
+    assert parse_group_spec({"kind": "cyclic", "N": 8}).order == 8
+    assert parse_group_spec({"kind": "hypercube", "d": 4}).coin_dim == 4
+    assert parse_group_spec({"kind": "lattice", "d": 2}).is_finite is False
+    with pytest.raises(SpecError, match="unknown group kind 'dihedral'"):
+        parse_group_spec({"kind": "dihedral"})
+    with pytest.raises(SpecError, match="cyclic group spec requires N"):
+        parse_group_spec({"kind": "cyclic"})
+    # a field the kind does not take is refused, not dropped
+    with pytest.raises(SpecError, match="lattice group spec takes no generators"):
+        parse_group_spec({"kind": "lattice", "d": 2, "generators": [[1, 0]]})
+    with pytest.raises(SpecError, match="takes no period"):
+        parse_group_spec({"kind": "lattice", "d": 2, "period": 6})
 
 
 def test_validate_rejects_garbage():
@@ -304,12 +327,12 @@ def test_sort_and_format():
     assert line.label_template % line.encode(-4) == "-4"
 
 
-def test_generator_index():
-    group = LineGroup()
-    assert group.generators[group.generator_index(1)] == 1
-    assert group.generators[group.generator_index(-1)] == -1
-    with pytest.raises(SpecError):
-        group.generator_index(2)
+def test_generators_are_listed_in_coin_order():
+    # coin c moves by generators[c], in the order the group was given them
+    for group in (LineGroup(), LineGroup((-1, 1))):
+        state = WalkState.localized(group, 0, [1.0, 0.0])
+        assert apply_shift(state).support() == [group.generators[0]]
+    assert LineGroup((-1, 1)).generators.index(-1) == 0
 
 
 def test_group_identity_survives_describe_and_parse():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayleywalk import (DegenerateCoinError, LineCoinParams, LineGroup, QuantumCoin,
-                        WalkInstance, WalkState, build_line_coin,
+from cayleywalk import (DegenerateCoinError, LineCoinParams, LineGroup, NonUnitaryError,
+                        QuantumCoin, WalkInstance, WalkState, build_line_coin,
                         canonicalize_line_coin, check_symmetry_relation,
                         decompose_line_coin, evolve,
                         mirror_chirality_map, mirror_generalized_symmetry,
@@ -36,7 +36,25 @@ def test_factorization_roundtrip(rng):
     for _ in range(50):
         mat = random_unitary(2, rng)
         p = decompose_line_coin(mat)
+        assert p.nu.real >= 0
         assert np.abs(build_line_coin(p) - mat).max() < 1e-12
+
+
+def test_factorization_breaks_the_nu_tie_toward_positive_imaginary_part():
+    # p / q is -1 with a -0.0 imaginary part, whose angle reads -pi
+    tie = np.array([[1, -1], [1, 1]]) / np.sqrt(2)
+    p = decompose_line_coin(tie)
+    assert p.nu.real >= 0 and p.nu.imag > 0
+    assert np.abs(build_line_coin(p) - tie).max() <= 1e-10
+
+
+def test_factorization_checks_unitarity_as_any_coin_input():
+    # defect 2e-11, and unit factors: only the unitarity check can refuse it
+    off = hadamard_matrix() @ np.diag([1 + 1e-11, 1 / (1 + 1e-11)])
+    with pytest.raises(NonUnitaryError, match="line coin is not unitary"):
+        decompose_line_coin(off)
+    with pytest.raises(NonUnitaryError, match="coin matrix is not unitary"):
+        QuantumCoin.uniform(LineGroup(), off)
 
 
 def test_factorization_diagonal_branch():

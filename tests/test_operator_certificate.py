@@ -9,8 +9,9 @@ with T the conditional shift, C(n) the coin, C'(n) the transformed coin and
 D(n) the dressing, D(0) = U0; for a generalized symmetry P D(n) stands for
 D(n), with P the permutation operator. One identity certifies every start
 state at once, coin components and positions that a start never reaches
-included. The matrices come from verify's dense assembly, T from the group
-law (group.mul), not from the state kernel's shift.
+included. The matrices come from the dense assembly of conftest: T and P
+from the group law (group.mul), not from the state kernel's shift, and the
+local operators from their blocks.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, QuantumCoin,
                         corrupted_phases, enumerate_automorphisms, identity_coin,
                         make_generalized_symmetry, make_time_homog_symmetry, transform_coin)
 from cayleywalk.automorphisms import transform_pair
-from cayleywalk.verify import (assemble_local_matrix, assemble_permutation_matrix,
-                               assemble_step_matrix)
-
-from conftest import random_phases, random_unitary, sampler
+from conftest import (assemble_local_matrix, assemble_permutation_matrix, assemble_step_matrix,
+                      random_phases, random_unitary, sampler)
 from test_acceptance import FAMILIES, _draw_symmetry
 
 N_MAX = 10

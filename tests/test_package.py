@@ -1,8 +1,9 @@
 """The package's public surface: `__all__` names each public object once,
-each loaded from its home module on first use, the wrappers that only
-repeated another call and the parameters that no caller set, or only tests
-set, stay removed, a parameter that every caller passes declares no default,
-and no module imports a name it never reads."""
+each loaded from its home module on first use and each read by the package,
+its benchmark or the README; the wrappers that only repeated another call
+and the names, parameters and input forms that no caller used, or only tests
+used, stay removed; a parameter that every caller passes declares no
+default; and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import types
@@ -46,6 +48,15 @@ REMOVED = [
     (groups.CayleyGroup, "nonseparating"),
     (groups, "_generated"),
     (symmetry, "_require_nonseparating"),
+    # only tests reached these; the dense builders are test helpers in conftest
+    (verify, "assemble_step_matrix"),
+    (verify, "assemble_permutation_matrix"),
+    (verify, "assemble_local_matrix"),
+    (verify, "basis_labels"),
+    (groups.CayleyGroup, "generator_index"),
+    # specs.parse_group_spec builds every group spec
+    (groups, "make_group"),
+    (cw, "make_group"),
 ]
 
 # (function, name) of each removed parameter that no caller, or only tests, set; the README
@@ -79,6 +90,9 @@ REMOVED_PARAMETERS = [
     (symmetry.UnitaryCharacter.batched, "validate"),
     (symmetry.exp_character, "validate"),
     (symmetry.sign_character, "validate"),
+    # one value in every product caller
+    (groups.CayleyGroup.random_elements, "span"),
+    (linalg.require_unitary, "tol"),
 ]
 
 # (function, name) of each parameter that must be passed by keyword, so that
@@ -189,6 +203,35 @@ def test_removed_parameters_stay_removed():
     survivors = [f"{f.__qualname__}({name})" for f, name in REMOVED_PARAMETERS
                  if name in inspect.signature(f).parameters]
     assert survivors == []
+
+
+@pytest.mark.parametrize("terms", [{(0, 0): 1.0}, [((0, 0), 1.0)]], ids=["dict", "pairs"])
+def test_from_terms_takes_only_triples(terms):
+    with pytest.raises(cw.SpecError, match=r"takes \(x, c, amp\) triples"):
+        states.WalkState.from_terms(groups.LineGroup(), terms)
+
+
+def _names_read(path: Path) -> set:
+    """The names and attributes that a module's code reads."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_by_the_package_or_its_benchmark_or_named_in_the_readme():
+    package = Path(cw.__file__).parent
+    root = package.parent.parent
+    read = set().union(*(_names_read(path) for path in
+                         [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]
+                         if path.name != "__init__.py"))  # its table lists every name
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unread = [name for name in cw.__all__
+              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert unread == []
 
 
 def test_batched_flags_are_keyword_only():

@@ -14,9 +14,9 @@ from cayleywalk import (CyclicGroup, FamilyPreconditionError, HypercubeGroup, La
                         SpecError, UnitaryCharacter, WalkState, apply_dressing,
                         check_symmetry_relation, cyclic_character, exp_character, grover_coin,
                         hadamard_coin, identity_symmetry, make_full_homog_symmetry,
-                        make_general_symmetry, make_group, make_space_homog_symmetry,
-                        make_time_homog_symmetry, sign_character, transform_coin,
-                        transform_state, trivial_character)
+                        make_general_symmetry, make_space_homog_symmetry,
+                        make_time_homog_symmetry, parse_group_spec, sign_character,
+                        transform_coin, transform_state, trivial_character)
 from cayleywalk.linalg import hadamard_matrix
 from cayleywalk.states import PRUNE_TOL
 from cayleywalk.verify import check_homogeneity, homogeneity_spreads
@@ -119,7 +119,7 @@ def test_time_homog_phase_oracle():
 
 
 def test_epsilon_needs_finite_coset_count():
-    halfline = make_group("line", generators=(1,))
+    halfline = parse_group_spec({"kind": "line", "generators": [1]})
     with pytest.raises(FamilyPreconditionError):
         make_time_homog_symmetry(halfline, epsilon=1j)
     with pytest.raises(FamilyPreconditionError):

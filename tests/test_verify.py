@@ -18,11 +18,11 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup, Lo
                         make_time_homog_symmetry, parse_symmetry_spec, run_invariant_suite,
                         transform_coin)
 from cayleywalk.linalg import hadamard_matrix
-from cayleywalk.verify import (_report, _stream, assemble_local_matrix, assemble_step_matrix,
-                               homogeneity_spreads)
+from cayleywalk.verify import _report, _stream, homogeneity_spreads
 from cayleywalk.walk import QuantumCoin, WalkInstance, evolve
 
-from conftest import random_state, random_unitary
+from conftest import (assemble_local_matrix, assemble_step_matrix, basis_labels, random_state,
+                      random_unitary)
 from test_acceptance import FAMILIES, _draw_symmetry
 
 
@@ -150,7 +150,6 @@ def test_dressing_matrix_matches_state_action(rng):
                                         for x in range(8) for c in range(2)})
     state = random_state(group, rng)
     from cayleywalk import apply_dressing
-    from cayleywalk.verify import basis_labels
     labels = basis_labels(group)
     vec = np.array([state.amplitude(x, c) for x, c in labels])
     for n in (0, 3):

@@ -17,10 +17,9 @@ from cayleywalk import (CyclicGroup, HypercubeGroup, LatticeGroup, LineGroup,
 from cayleywalk import states, walk
 from cayleywalk.linalg import hadamard_matrix, require_unit
 from cayleywalk.states import PRUNE_TOL, block_product, merge_keys, nonzero_rows
-from cayleywalk.verify import assemble_step_matrix, basis_labels
 from cayleywalk.walk import lockstep
 
-from conftest import random_state, random_unitary
+from conftest import assemble_step_matrix, basis_labels, random_state, random_unitary
 from test_acceptance import _draw_symmetry
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
