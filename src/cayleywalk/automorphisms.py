@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAutomorphismError, SpecError
+from .errors import NotAutomorphismError, SpecError, UnsupportedGroupError
 from .groups import CayleyGroup, _integer
 from .states import LocalUnitary, WalkState
 from .symmetry import SymmetryTransform, identity_symmetry, transform_coin, transform_state
@@ -49,9 +49,12 @@ def _automorphism_matrix(group: CayleyGroup, perm) -> np.ndarray:
                  range(t // q * pow(g0 // q, -1, m // q) % (m // q), m, m // q))
         candidates = [np.array([[u]]) for u in units if math.gcd(u, m) == 1]
     else:
-        basis = [group.generators.index(tuple(int(i == j) for i in range(d)))
-                 for j in range(d)]
-        candidates = [images[basis].T]
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        for j, unit in enumerate(units):
+            if unit not in group.generators:
+                raise UnsupportedGroupError(f"an automorphism on {d} axes is read off the unit "
+                                            f"generators; {group!r} lacks {unit} (axis {j})")
+        candidates = [images[list(map(group.generators.index, units))].T]
     for a in candidates:
         if np.array_equal(group.wrap(gens @ a.T), images):
             return a

@@ -59,7 +59,10 @@ def _read_spec_arg(value: str):
 
 def _open_out(args):
     if args.out and args.out != "-":
-        return open(args.out, "w", encoding="utf-8")
+        try:
+            return open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SpecError(f"cannot open --out {args.out}: {exc.strerror}") from exc
     return None
 
 

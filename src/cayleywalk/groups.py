@@ -24,9 +24,11 @@ distinguished generator, k counts net generator applications (the exponent
 index), and xt lies in the subgroup of zero-net-exponent products -- the
 "causal subgroup" reachable by equally many forward and backward hops. The
 quotient by that subgroup is cyclic; its order is `chi` (None when infinite).
-Each kind declares a closed form for `coset_index`, a linear form in the
-coordinates, which is cross-checked against `brute_force_causal` on small
-finite instances at construction time.
+`CayleyGroup` derives chi and `coset_index`, a linear form in the
+coordinates, from the moduli and the generators (`_causal_data`), one rule
+for every kind. `brute_force_causal` computes the subgroup from its
+definition instead; `group causal` prints it beside chi, and the invariant
+suite and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ import numpy as np
 
 from .errors import EncodingError, SpecError, UnsupportedGroupError
 
-# Finite groups up to this order are re-validated against the brute-force
-# causal computation when constructed; larger ones rely on the same closed
-# forms, which the test suite pins on representative instances.
-_SELF_CHECK_MAX_ORDER = 512
 _SAMPLE_SPAN = 16
 
 
@@ -64,13 +62,45 @@ def _integer(value, what: str, error=SpecError) -> int:
     return int(value)
 
 
+def _causal_data(moduli, vectors):
+    """(chi, form): the coset index is x -> form . x, reduced mod chi unless
+    chi is None (infinite). (None, None) when the generators, as one-axis
+    vectors, do not generate the group: unless gcd(m_i, A_i) = 1 on each
+    axis i, where A_i holds the nonzero steps along it.
+
+    Proof. The quotient by the causal subgroup (generated by the differences
+    of generators) is cyclic, generated by the common image of every
+    generator, so chi is the largest n with a homomorphism f: G -> Z_n (Z for
+    n = 0) sending every generator to 1, and its kernel is that subgroup.
+    f(x) = sum f_i x_i needs m_i f_i = 0 and a f_i = 1 mod n for a in A_i:
+    so f_i is a unit, and n divides m_i and each difference within A_i (an
+    axis with no step has m_i = 1 and f_i = 0); an identity generator forces
+    n = 1. For n the gcd of all those, a prime dividing n and some a in A_i
+    would divide m_i and all of A_i, so f_i = a^-1 mod n, one value on A_i,
+    works. For n = 0 every axis is Z with one step a = +-1, and f_i = a.
+    """
+    steps = [{a for a in axis if a} for axis in zip(*vectors)]
+    if any(math.gcd(m, *a) != 1 for m, a in zip(moduli, steps)):
+        return None, None
+    first = [min(a, default=0) for a in steps]
+    chi = math.gcd(*[math.gcd(m, *[b - f for b in a])
+                     for m, a, f in zip(moduli, steps, first) if a])
+    if not all(map(any, vectors)):  # an identity generator
+        chi = 1
+    if not chi:
+        return None, tuple(first)
+    return chi, tuple(pow(f, -1, chi) if f else 0 for f in first)
+
+
 class CayleyGroup:
     """Z_{m_1} x ... x Z_{m_d} (m_i = 0: Z) with an ordered generating set.
 
     `moduli` holds the m_i and `gen_vectors` the generators as integer
-    vectors, one row each; `generators` holds them in element form. An
-    infinite axis keeps coordinates in [lo, hi]; its key digit is the
-    coordinate minus `offset` (default lo).
+    vectors, one row each, each along at most one axis; `generators` holds
+    them in element form. An infinite axis keeps coordinates in [lo, hi]; its
+    key digit is the coordinate minus `offset` (default lo). `chi` and the
+    coset form are derived (`_causal_data`); generators that do not generate
+    the group leave chi None and the coset queries refused.
 
     A group keeps for its lifetime its two latest shift plans and a window
     buffer per thread stepping on it (at most twice the widest window); it
@@ -78,6 +108,7 @@ class CayleyGroup:
     """
 
     kind = "abstract"
+    _spec: dict | None = None  # set by each kind constructor
 
     def __init__(self, moduli, generators, c0_index=0, lo: int | None = None,
                  offset: int | None = None):
@@ -94,9 +125,6 @@ class CayleyGroup:
         self.generators = gens
         self.gen_vectors = np.array([self.vector(g) for g in gens], dtype=np.int64)
         self.c0_index = c0_index
-        # set by _set_causal
-        self.chi: int | None = None
-        self._coset_form: tuple | None = None
         # (keys, plan) of states.shift_plan, oldest first
         self.shift_plans: list = []
         # zeroed buffers of walk.apply_shift's window path, each taken out
@@ -124,26 +152,21 @@ class CayleyGroup:
         finite = [m > 0 for m in self.moduli]
         self._wrap_axes = (slice(None) if all(finite) else np.array(finite)
                            if any(finite) else None)
-        # (weight, modulus, step, carry) per generator. Every generator moves
-        # along one axis. A carry check exists only where a carry is
-        # possible: an infinite axis next to other axes.
+        # (weight, modulus, step, carry) per generator. A carry check exists
+        # only where a carry is possible: an infinite axis next to other axes.
         self._shifts = []
-        for vec in self.gen_vectors.tolist():
-            axis = next((i for i, v in enumerate(vec) if v), 0)
+        for g, vec in zip(gens, self.gen_vectors.tolist()):
+            moved = [i for i, v in enumerate(vec) if v]
+            if len(moved) > 1:
+                raise SpecError(f"generator {g!r} moves along more than one axis")
+            axis = moved[0] if moved else 0
             m, w, step = self.moduli[axis], weights[axis], vec[axis]
             carry = None
             if not m and width > 1:
                 carry = (axis, w.bit_length() - 1, radix[axis] - 1,
                          radix[axis] - 1 if step > 0 else 0)
             self._shifts.append((w, m, step % m if m else step, carry))
-
-    def _set_causal(self, chi: int | None, coset_form) -> None:
-        """Declare chi and the coset form, coset_index(x) = (form . x) mod chi,
-        and cross-check both against the brute force on small groups."""
-        self.chi = chi
-        self._coset_form = tuple(coset_form)
-        self._coset_vector = np.array(self._coset_form, dtype=np.int64)
-        self._self_check()
+        self.chi, self._coset_form = _causal_data(self.moduli, self.gen_vectors.tolist())
 
     # -- group law -------------------------------------------------------------
 
@@ -190,12 +213,12 @@ class CayleyGroup:
         return k if self.chi is None else k % self.chi
 
     def _require_causal(self) -> None:
-        """UnsupportedGroupError unless a kind constructor declared the causal
-        structure (_set_causal)."""
+        """UnsupportedGroupError unless the group has a coset form, which it
+        has when its generators generate it."""
         if self._coset_form is None:
             raise UnsupportedGroupError(
-                f"{self!r} declares no causal structure (chi and the coset form); build the "
-                f"group with LineGroup, CyclicGroup, LatticeGroup or HypercubeGroup")
+                f"the generators of {self!r} do not generate the group {self.moduli}, so it "
+                f"has no causal structure (chi and the coset form)")
 
     def pow_c0(self, k: int):
         """The distinguished generator raised to an arbitrary integer power."""
@@ -298,7 +321,7 @@ class CayleyGroup:
     def coset_indices(self, keys: np.ndarray) -> np.ndarray:
         """coset_index of each key of a batch."""
         self._require_causal()
-        k = self.unpack(keys) @ self._coset_vector
+        k = self.unpack(keys) @ self._coset_form
         return k if self.chi is None else k % self.chi
 
     def decompose_keys(self, keys: np.ndarray):
@@ -331,6 +354,8 @@ class CayleyGroup:
         return "(" + ",".join(["%d"] * len(self.moduli)) + ")" if self.tuple_elements else "%d"
 
     def describe(self) -> dict:
+        if self._spec is None:
+            raise UnsupportedGroupError(f"{self!r} has no spec: only the four kinds have one")
         return {k: list(v) if isinstance(v, tuple) else v for k, v in self._spec.items()}
 
     def _key(self):
@@ -345,21 +370,6 @@ class CayleyGroup:
     def __repr__(self):
         return f"{type(self).__name__}(generators={self.generators}, c0_index={self.c0_index})"
 
-    def _self_check(self):
-        """Cross-check declared causal data against the brute-force oracle:
-        coset index 0 on exactly the keys that the closure reaches."""
-        if self.order is None or self.order > _SELF_CHECK_MAX_ORDER:
-            return
-        reached = _causal_mask(self)
-        chi = self.order // np.count_nonzero(reached)
-        if chi != self.chi:
-            raise SpecError(
-                f"declared chi {self.chi} disagrees with brute force {chi} for {self!r}")
-        wrong = np.flatnonzero((self.coset_indices(np.arange(self.order)) == 0) != reached)
-        if wrong.size:
-            raise SpecError(f"coset_index disagrees with brute force at "
-                            f"{self.elements_of(wrong[:1])[0]!r}")
-
 
 def _unit_vectors(d: int, minus=None) -> list:
     """+e_i for each axis i, each followed by `minus` * e_i when given."""
@@ -371,11 +381,8 @@ def _unit_vectors(d: int, minus=None) -> list:
 
 
 class LineGroup(CayleyGroup):
-    """The integers under addition with S a subset of {+1, -1}.
-
-    The default two-sided generating set has chi = 2 (the zero-exponent
-    subgroup is the even integers). The single-generator variants give an
-    infinite chi: every element is a pure power of c0.
+    """The integers under addition with S a subset of {+1, -1}: chi = 2 (the
+    even integers are the causal subgroup) on both, infinite on one.
 
     A key is the integer itself. Elements encode only within [-2^62, 2^62),
     which leaves 2^62 unit steps before an int64 key could overflow, so
@@ -389,8 +396,6 @@ class LineGroup(CayleyGroup):
         if any(g not in (1, -1) for g in gens):
             raise SpecError("line generators must be +1 or -1")
         super().__init__((0,), gens, c0_index, lo=-2 ** 62, offset=0)
-        # c0 in {1, -1}: x * c0 is the exact exponent of x as a c0 power
-        self._set_causal(2 if len(gens) == 2 else None, (self.c0,))
         self._spec = {"kind": "line", "generators": gens, "c0_index": self.c0_index}
 
 
@@ -409,18 +414,8 @@ class CyclicGroup(CayleyGroup):
         gens = tuple(_integer(g, "generators entry") % n for g in generators)
         self.n = n
         super().__init__((n,), gens, c0_index)
-        if math.gcd(n, *gens) != 1:
+        if self._coset_form is None:
             raise SpecError(f"generators {gens} do not generate the cyclic group of order {n}")
-        # The zero-exponent subgroup of an abelian group is generated by all
-        # pairwise generator differences; in Z_N that subgroup is the set of
-        # multiples of this gcd, whose index is the gcd itself.
-        chi = math.gcd(n, *[(a - b) % n for a in gens for b in gens])
-        c0_inv = 0
-        if chi > 1:
-            if math.gcd(self.c0 % chi, chi) != 1:
-                raise SpecError("distinguished generator does not generate the quotient")
-            c0_inv = pow(self.c0 % chi, -1, chi)
-        self._set_causal(chi, (c0_inv,))
         self._spec = {"kind": "cyclic", "N": n, "generators": gens, "c0_index": self.c0_index}
 
 
@@ -451,9 +446,6 @@ class LatticeGroup(CayleyGroup):
         self.d, self.period = d, period
         gens = _unit_vectors(d, -1 if period is None else period - 1)
         super().__init__((period or 0,) * d, gens, c0_index)
-        # 2*e_i lies in the zero-exponent subgroup; with an odd period it
-        # generates the whole axis, so the quotient collapses.
-        self._set_causal(2 if period is None or period % 2 == 0 else 1, (1,) * d)
         self._spec = {"kind": "lattice", "d": d, "c0_index": self.c0_index}
         if period is not None:
             self._spec["N"] = period
@@ -474,7 +466,6 @@ class HypercubeGroup(CayleyGroup):
             raise SpecError(f"hypercube of dimension {d} does not fit an int64 key")
         self.d = d
         super().__init__((2,) * d, _unit_vectors(d), c0_index)
-        self._set_causal(2, (1,) * d)
         self._spec = {"kind": "hypercube", "d": d, "c0_index": self.c0_index}
 
 

@@ -14,7 +14,8 @@ from cayleywalk import (CayleyGroup, CyclicGroup, HypercubeGroup, LatticeGroup, 
                         conjugate_local, enumerate_automorphisms,
                         generalized_transform, grover_coin, hadamard_coin,
                         identity_symmetry, LocalUnitary, make_generalized_symmetry,
-                        permutation_apply, QuantumCoin, ShiftedAutomorphism)
+                        permutation_apply, QuantumCoin, ShiftedAutomorphism,
+                        UnsupportedGroupError)
 from cayleywalk.automorphisms import compose, invert
 from cayleywalk.linalg import grover_matrix
 from conftest import (all_groups, assemble_permutation_matrix, assemble_step_matrix, oracle_add,
@@ -53,6 +54,16 @@ def _searched_multiplier(n, gens, perm):
         if math.gcd(u, n) == 1 and all(u * g % n == gens[p] for g, p in zip(gens, perm)):
             return u
     return None
+
+
+def test_a_missing_unit_generator_is_named():
+    # on two or more axes the matrix is read off the unit generators; here
+    # axis 0 has 3 = -1 but not +1, so even the identity cannot be read off
+    group = CayleyGroup((4, 4), [(3, 0), (0, 1)])
+    with pytest.raises(UnsupportedGroupError, match=r"lacks \(1, 0\) \(axis 0\)"):
+        enumerate_automorphisms(group)
+    with pytest.raises(UnsupportedGroupError, match="axis 0"):
+        ShiftedAutomorphism(group, (0, 0), (0, 1))
 
 
 def test_cyclic_multiplier_is_solved_as_the_search_finds_it():

@@ -376,6 +376,18 @@ def test_malformed_specs_exit_2_without_a_traceback(args):
     assert "error:" in result.stderr and "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", *LINE_WALK, "--steps", "3", "--out"],
+    ["verify", "--group", "hypercube:3", "--out"],
+], ids=["simulate", "verify"])
+def test_an_out_path_that_cannot_be_opened_exits_2(tmp_path, args):
+    out = tmp_path / "missing" / "x.csv"
+    result = run_cli(*args, str(out))
+    assert result.returncode == 2, result.stderr
+    assert f"error: cannot open --out {out}: No such file or directory" in result.stderr
+    assert "Traceback" not in result.stderr and not out.parent.exists()
+
+
 def test_a_second_site_in_the_state_shorthand_points_to_the_records_form():
     """The shorthand gives one site: text after its coin vector is named as
     such, not misread as a complex number."""

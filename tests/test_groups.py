@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from cayleywalk import (CayleyGroup, CyclicGroup, EncodingError, HypercubeGroup, LatticeGroup,
                         LineGroup, SpecError, UnsupportedGroupError, WalkState, apply_shift,
                         brute_force_causal, parse_group_spec)
-from cayleywalk.groups import _SAMPLE_SPAN
+from cayleywalk import groups as groups_module
+from cayleywalk.groups import _SAMPLE_SPAN, _causal_mask
 
 from conftest import GROUP_IDS, all_groups, oracle_add, oracle_law, sampler
 
@@ -194,11 +197,82 @@ def test_torus_causal_even_and_odd():
     assert len(odd.subgroup) == 25
 
 
-def test_declared_matches_brute_force():
-    for group in [CyclicGroup(8), CyclicGroup(12, generators=(1,)),
-                  HypercubeGroup(3), LatticeGroup(2, period=4)]:
-        causal = brute_force_causal(group)
-        assert group.chi == causal.chi
+def causal_mismatch(group, reached=None):
+    """How a finite group's derived chi and coset form disagree with the
+    brute force (_causal_mask, or its `reached` mask when given), or None:
+    chi, the kernel of the coset index, and coset index 1 on every
+    generator."""
+    if reached is None:
+        reached = _causal_mask(group)
+    chi = group.order // np.count_nonzero(reached)
+    if group.chi != chi:
+        return f"chi {group.chi}, brute force {chi}"
+    wrong = np.flatnonzero((group.coset_indices(np.arange(group.order)) == 0) != reached)
+    if wrong.size:
+        return f"coset index 0 disagrees at {group.elements_of(wrong[:1])[0]!r}"
+    ones = group.coset_indices(group.keys(group.generators))
+    if (ones != 1 % chi).any():
+        return f"generator coset indices {ones.tolist()}"
+    return None
+
+
+def one_axis_generating_sets(moduli):
+    """Every set of up to 4 distinct one-axis elements (the identity among
+    them) of a product of cyclic axes, as CayleyGroups, whether or not they
+    generate it."""
+    d = len(moduli)
+    steps = [tuple(v if i == axis else 0 for i in range(d))
+             for axis in range(d) for v in range(1, moduli[axis])] + [(0,) * d]
+    return [CayleyGroup(moduli, gens) for size in range(1, 5)
+            for gens in itertools.combinations(steps, size)]
+
+
+def test_derived_causal_data_matches_the_brute_force_on_every_cyclic_generating_set():
+    # ordered generating sets of Z_N, 1 or 2 of them for N <= 24 and 3 for
+    # N <= 12, the identity allowed, each at every c0_index; the brute force
+    # depends on the set only
+    count = 0
+    for n in range(2, 25):
+        for size in (1, 2, 3) if n <= 12 else (1, 2):
+            for subset in itertools.combinations(range(n), size):
+                if math.gcd(n, *subset) != 1:
+                    continue
+                reached = _causal_mask(CyclicGroup(n, subset))
+                for gens in itertools.permutations(subset):
+                    for c0_index in range(size):
+                        group = CyclicGroup(n, gens, c0_index)
+                        assert causal_mismatch(group, reached) is None, group
+                        count += 1
+    assert count == 20033
+
+
+def test_derived_causal_data_matches_the_brute_force_on_the_other_finite_groups():
+    built = ([g for g in all_groups() if g.is_finite]
+             + [HypercubeGroup(d) for d in range(1, 10)]
+             + [LatticeGroup(d, period=p, c0_index=2 * d - 1)
+                for d, top in ((1, 60), (2, 22), (3, 8), (4, 4)) for p in range(3, top + 1)])
+    assert max(g.order for g in built) == 512
+    for group in built:
+        assert causal_mismatch(group) is None, group
+    generating = 0
+    # on (1, 4) axis 0 takes no step, and its modulus must not cap chi
+    for moduli in ((2, 3), (4, 6), (2, 2, 2), (1, 4)):
+        for group in one_axis_generating_sets(moduli):
+            if group.chi is None:  # the generators leave part of the group unreached
+                continue
+            assert causal_mismatch(group) is None, group
+            generating += 1
+    assert generating == 125
+
+
+def test_an_identity_generator_collapses_the_quotient():
+    for group in (CyclicGroup(8, (0, 1)), CyclicGroup(9, (3, 0, 2), 2),
+                  CayleyGroup((2, 3), [(0, 0), (1, 0), (0, 1)]),
+                  CayleyGroup((0,), (0, 1)), CayleyGroup((0, 0), [(1, 0), (0, 0), (0, -1)])):
+        assert group.chi == 1
+        assert group.decompose(group.generators[-1]) == (group.generators[-1], 0)
+        if group.is_finite:
+            assert causal_mismatch(group) is None
 
 
 # -- a set-based reference for brute_force_causal ---------------------------------
@@ -254,34 +328,79 @@ def test_brute_force_causal_matches_the_set_based_reference(group):
     assert (causal.subgroup, causal.chi) == _reference_causal(group)
 
 
-def test_self_check_rejects_wrong_causal_data():
-    with pytest.raises(SpecError, match="declared chi 4 disagrees with brute force 2"):
-        CayleyGroup((8,), (1, 7))._set_causal(4, (1,))
-    with pytest.raises(SpecError, match="coset_index disagrees with brute force at 1"):
-        CayleyGroup((8,), (1, 7))._set_causal(2, (0,))
-    # the right chi with a wrong coset form: (0, 0, 1) has index 0 but odd weight
-    cube = CayleyGroup((2,) * 3, map(tuple, np.eye(3, dtype=int).tolist()))
-    with pytest.raises(SpecError, match=r"coset_index disagrees with brute force at \(0, 0, 1\)"):
-        cube._set_causal(2, (1, 1, 0))
-    # order 1024: past the self-check's scope, so wrong data goes unchecked
-    CayleyGroup((2,) * 10, map(tuple, np.eye(10, dtype=int).tolist()))._set_causal(4, (0,) * 10)
+def _planted(group, chi, form):
+    group.chi, group._coset_form = chi, form
+    return group
 
 
-def test_a_group_without_causal_data_refuses_coset_queries():
-    # a bare CayleyGroup has no kind constructor to declare chi and the form
+def test_the_brute_force_comparison_rejects_planted_wrong_forms():
+    # chi doubled
+    group = CyclicGroup(8)
+    assert causal_mismatch(group) is None
+    assert causal_mismatch(_planted(group, 4, (1,))) == "chi 4, brute force 2"
+    # a in place of a^-1: the kernel is right, but generator 3 gets index 9
+    group = CyclicGroup(10, (3,))
+    assert (group.chi, group._coset_form) == (10, (7,))
+    assert causal_mismatch(_planted(group, 10, (3,))) == "generator coset indices [9]"
+    # one axis off by one: (0, 1) gets index 0 but lies outside the subgroup
+    group = LatticeGroup(2, period=6)
+    assert (group.chi, group._coset_form) == (2, (1, 1))
+    assert causal_mismatch(_planted(group, 2, (1, 2))) == \
+        "coset index 0 disagrees at (0, 1)"
+
+
+def test_building_groups_runs_no_brute_force(monkeypatch):
+    calls = []
+    real = groups_module._causal_mask
+    monkeypatch.setattr(groups_module, "_causal_mask", lambda g: calls.append(g) or real(g))
+    built = (all_groups() + [HypercubeGroup(d) for d in range(1, 10)]
+             + [CyclicGroup(n) for n in range(2, 513)]
+             + [LatticeGroup(d, period=p)
+                for d, top in ((2, 22), (3, 8)) for p in range(3, top + 1)])
+    assert len(built) == 557
+    assert calls == []
+
+
+def test_a_non_generating_group_refuses_coset_queries():
+    # 2 and 10 reach only the even residues of Z_12
     group = CayleyGroup((12,), (2, 10))
+    assert group.chi is None
     keys = group.keys([0, 2, 4])
     for query in (lambda: group.coset_index(2), lambda: group.coset_indices(keys),
                   lambda: group.decompose(2), lambda: group.decompose_keys(keys)):
-        with pytest.raises(UnsupportedGroupError, match="declares no causal structure"):
+        with pytest.raises(UnsupportedGroupError, match="do not generate the group"):
             query()
+    with pytest.raises(SpecError, match="do not generate the cyclic group of order 12"):
+        CyclicGroup(12, (2, 10))
 
 
-def test_coset_index_is_homomorphism(rng):
-    group = LatticeGroup(2, period=6)
-    for x, y in zip(group.random_elements(sampler(rng), 10), group.random_elements(sampler(rng), 10)):
-        lhs = group.coset_index(group.mul(x, y))
-        assert lhs == (group.coset_index(x) + group.coset_index(y)) % group.chi
+def test_a_generator_along_two_axes_is_rejected():
+    # the shift reads one axis per generator, so such a generator would
+    # shift (0, 0) to (1, 0) while the group law gives (1, 1)
+    with pytest.raises(SpecError, match=r"generator \(1, 1\) moves along more than one axis"):
+        CayleyGroup((0, 0), [(1, 1), (-1, -1)])
+    with pytest.raises(SpecError, match=r"generator \(1, 1\)"):
+        CayleyGroup((4, 4), [(1, 0), (3, 0), (1, 1), (3, 3)])
+
+
+def test_a_bare_group_has_no_spec_to_describe():
+    with pytest.raises(UnsupportedGroupError, match="has no spec"):
+        CayleyGroup((4,), (1, 3)).describe()
+
+
+@pytest.mark.parametrize("group", [
+    LatticeGroup(2, period=6), LineGroup(), LineGroup((1,)), LineGroup((-1,)),
+    LineGroup((-1, 1), 1), LatticeGroup(1), LatticeGroup(2), LatticeGroup(3, c0_index=5),
+    CayleyGroup((0, 3), [(1, 0), (0, 1)]), CayleyGroup((0, 0), [(1, 0), (0, -1)])], ids=repr)
+def test_coset_index_is_homomorphism(group, rng):
+    def index(k):
+        return k if group.chi is None else k % group.chi
+
+    xs, ys = (group.random_elements(sampler(rng), 10) for _ in range(2))
+    for x, y in zip(xs, ys):
+        assert group.coset_index(group.mul(x, y)) == index(group.coset_index(x)
+                                                           + group.coset_index(y))
+    assert [group.coset_index(s) for s in group.generators] == [index(1)] * group.coin_dim
 
 
 def test_halfline_has_no_finite_coset_count():
